@@ -17,6 +17,7 @@ from fractions import Fraction
 from .exactalg import (
     DomainMismatchError,
     PolynomialParseError,
+    TermCapExceeded,
     format_poly,
     parse_poly,
 )
@@ -37,7 +38,13 @@ from .gfam import (
     negative_answer_report,
 )
 from .monomial import MonomialMap, full_report
-from .ratmap import ProjectiveMap, degree_sequence, dyndeg_estimate
+from .ratmap import (
+    DegreeSequence,
+    ProjectiveMap,
+    degree_sequence,
+    dyndeg_estimate,
+    first_drop,
+)
 from .suites import DEFAULT_SEED, available_suites, run_suite
 
 EXIT_OK = 0
@@ -103,41 +110,35 @@ def _complex_json(z: complex) -> dict:
 # subcommand handlers: each returns (exit_code, payload)
 
 
-def _drop_from_sequence(degrees, d: int) -> int | None:
-    return next((i for i, dn in enumerate(degrees, start=1) if dn < d**i), None)
-
-
-def _cmd_degseq(args) -> tuple[int, dict]:
+def _degree_run(args) -> tuple[int, dict, ProjectiveMap, DegreeSequence]:
+    """Shared part of degseq and stability: the capped degree sequence of the
+    map document, its first drop, and exit 3 when the cap cut it short."""
     f = _parse_map_document(args.map)
     seq = degree_sequence(f, args.nmax)
-    est = dyndeg_estimate(seq) if seq.degrees else None
     payload = {
         "schema": 1,
         "nmax": args.nmax,
-        "degree": f.degree,
         "degrees": list(seq.degrees),
-        "drop_at": _drop_from_sequence(seq.degrees, f.degree),
+        "drop_at": first_drop(seq.degrees, f.degree),
         "truncated_at": seq.truncated_at,
-        "root_estimate": est.root_estimate if est else None,
-        "ratio_estimate": est.ratio_estimate if est else None,
     }
     code = EXIT_RESOURCE_CAP if seq.truncated_at is not None else EXIT_OK
+    return code, payload, f, seq
+
+
+def _cmd_degseq(args) -> tuple[int, dict]:
+    code, payload, f, seq = _degree_run(args)
+    est = dyndeg_estimate(seq)
+    payload.update(
+        degree=f.degree, root_estimate=est.root_estimate, ratio_estimate=est.ratio_estimate
+    )
     return code, payload
 
 
 def _cmd_stability(args) -> tuple[int, dict]:
-    f = _parse_map_document(args.map)
-    seq = degree_sequence(f, args.nmax)
-    drop = _drop_from_sequence(seq.degrees, f.degree)
-    payload = {
-        "schema": 1,
-        "nmax": args.nmax,
-        "degrees": list(seq.degrees),
-        "stable_up_to": args.nmax if drop is None and seq.truncated_at is None else None,
-        "drop_at": drop,
-        "truncated_at": seq.truncated_at,
-    }
-    code = EXIT_RESOURCE_CAP if seq.truncated_at is not None else EXIT_OK
+    code, payload, _, _ = _degree_run(args)
+    stable = payload["drop_at"] is None and payload["truncated_at"] is None
+    payload["stable_up_to"] = args.nmax if stable else None
     return code, payload
 
 
@@ -408,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except TermCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_CAP
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -413,45 +413,9 @@ class MultiPoly:
             total = total + term
         return total
 
-    def substitute(
-        self, assignment: Sequence["MultiPoly"], _cache: dict | None = None
-    ) -> "MultiPoly":
+    def substitute(self, assignment: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute a polynomial for every variable."""
-        if len(assignment) != self.num_vars:
-            raise ValueError("assignment must cover every variable")
-        if not assignment:
-            raise ValueError("empty assignment")
-        nv = assignment[0].num_vars
-        mod = assignment[0].modulus
-        for q in assignment:
-            if q.num_vars != nv or q.modulus != mod:
-                raise DomainMismatchError("assignment polynomials disagree")
-        if mod != self.modulus:
-            raise DomainMismatchError("assignment domain differs from polynomial")
-        if _cache is None:
-            _cache = {"pows": [[None] for _ in assignment]}
-            for i, q in enumerate(assignment):
-                _cache["pows"][i][0] = MultiPoly.constant(nv, 1, mod)
-        pows = _cache["pows"]
-
-        def var_power(i: int, e: int) -> MultiPoly:
-            lst = pows[i]
-            while len(lst) <= e:
-                lst.append(lst[-1] * assignment[i])
-            return lst[e]
-
-        result = MultiPoly.zero(nv, mod)
-        prod_cache = _cache.setdefault("products", {})
-        for exps, coeff in self.terms:
-            prod = prod_cache.get(exps)
-            if prod is None:
-                prod = MultiPoly.constant(nv, 1, mod)
-                for i, e in enumerate(exps):
-                    if e:
-                        prod = prod * var_power(i, e)
-                prod_cache[exps] = prod
-            result = result + prod * coeff
-        return result
+        return substitute_system([self], assignment)[0]
 
     def partial(self, var: int) -> "MultiPoly":
         """Partial derivative with respect to one variable."""
@@ -467,41 +431,79 @@ class MultiPoly:
     # -- normalization -----------------------------------------------------
 
     def canonical(self) -> "MultiPoly":
-        """Scale to the canonical representative of the projective class.
-
-        Rational domain: primitive integer coefficients with positive leading
-        coefficient.  Prime field: monic leading coefficient.
-        """
+        """Scale to the canonical representative of the projective class."""
         if not self.terms:
             return self
-        if self.modulus is not None:
-            lead = self.terms[0][1]
-            inv = Fp(1, self.modulus, _checked=True) / lead
-            return self * inv
-        denom_lcm = 1
-        for _, c in self.terms:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        num_gcd = 0
-        for _, c in self.terms:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        scale = Fraction(denom_lcm, num_gcd)
-        if self.terms[0][1] < 0:
-            scale = -scale
-        return self * scale
+        return self * _canonical_scale((self,))
+
+
+def _canonical_scale(polys: Sequence[MultiPoly]) -> Scalar:
+    """One scalar for polynomials, not all zero: over Q it makes all their
+    coefficients coprime integers and the leading coefficient of the first
+    nonzero one positive; over a prime field it makes that coefficient 1."""
+    lead = next(p for p in polys if p.terms).terms[0][1]
+    if isinstance(lead, Fp):
+        return Fp(1, lead.p, _checked=True) / lead
+    den = 1
+    for p in polys:
+        for _, c in p.terms:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    num = 0
+    for p in polys:
+        for _, c in p.terms:
+            num = math.gcd(num, c.numerator * (den // c.denominator))
+    scale = Fraction(den, num)
+    return -scale if lead < 0 else scale
+
+
+class TermCapExceeded(ArithmeticError):
+    """A substitution stopped because one output form passed the term cap;
+    `n` is the iterate being composed, or None outside the degree engine."""
+
+    def __init__(self, cap: int, n: int | None = None):
+        where = "" if n is None else f" at iterate {n}"
+        super().__init__(f"term cap {cap} exceeded{where}")
+        self.n = n
 
 
 def substitute_system(
-    polys: Sequence[MultiPoly], assignment: Sequence[MultiPoly]
+    polys: Sequence[MultiPoly],
+    assignment: Sequence[MultiPoly],
+    *,
+    term_cap: int | None = None,
 ) -> list[MultiPoly]:
-    """Substitute one assignment into several polynomials with shared caching."""
-    cache: dict = None
+    """Substitute assignment[i] for variable i in every polynomial, sharing
+    powers and monomial products.  With `term_cap`, raises TermCapExceeded as
+    soon as the running sum of one output form holds more than term_cap
+    terms, before the remaining terms are expanded."""
+    if not assignment or any(len(assignment) != p.num_vars for p in polys):
+        raise ValueError("assignment must cover every variable")
+    nv = assignment[0].num_vars
+    mod = assignment[0].modulus
+    if any(q.num_vars != nv or q.modulus != mod for q in assignment):
+        raise DomainMismatchError("assignment polynomials disagree")
+    if any(p.modulus != mod for p in polys):
+        raise DomainMismatchError("assignment domain differs from polynomial")
+    pows = [[MultiPoly.constant(nv, 1, mod)] for _ in assignment]
+    products: dict = {}
     out = []
     for p in polys:
-        if cache is None:
-            nv = assignment[0].num_vars
-            mod = assignment[0].modulus
-            cache = {"pows": [[MultiPoly.constant(nv, 1, mod)] for _ in assignment]}
-        out.append(p.substitute(assignment, _cache=cache))
+        result = MultiPoly.zero(nv, mod)
+        for exps, coeff in p.terms:
+            prod = products.get(exps)
+            if prod is None:
+                prod = MultiPoly.constant(nv, 1, mod)
+                for i, e in enumerate(exps):
+                    if e:
+                        lst = pows[i]
+                        while len(lst) <= e:
+                            lst.append(lst[-1] * assignment[i])
+                        prod = prod * lst[e]
+                products[exps] = prod
+            result = result + prod * coeff
+            if term_cap is not None and len(result.terms) > term_cap:
+                raise TermCapExceeded(term_cap)
+        out.append(result)
     return out
 
 
@@ -546,7 +548,7 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
-def _prem_lists(a: list, b: list, _unused, is_zero):
+def _prem_lists(a: list, b: list, is_zero):
     """Pseudo-remainder for descending coefficient lists over any domain.
 
     Returns lc(b)^(deg a - deg b + 1) * a  mod  b, possibly with leading
@@ -590,7 +592,7 @@ def _subresultant_prs(a: list, b: list, one, divexact, is_zero):
         if db == 0:
             return None
         delta = da - db
-        r = _prem_lists(a, b, None, is_zero)
+        r = _prem_lists(a, b, is_zero)
         if not r:
             return b
         if len(r) - 1 == 0:
@@ -599,11 +601,9 @@ def _subresultant_prs(a: list, b: list, one, divexact, is_zero):
         a = b
         b = [divexact(c, denom) for c in r]
         g = a[0]
-        if delta == 0:
-            h = h
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
+        elif delta > 1:
             h = divexact(g ** delta, h ** (delta - 1))
 
 
@@ -897,21 +897,18 @@ def _gcd_bivariate(p: MultiPoly, q: MultiPoly, shared: list[int]):
     pcols = _bivar_cols(p, main, other)
     qcols = _bivar_cols(q, main, other)
 
-    def fold_content(cols: list[list[int]]) -> list[int]:
+    def split_content(cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+        """(content in `other`, primitive columns)."""
         g: list[int] = []
         for col in cols:
             if col:
                 g = _int_poly_gcd(g, col)
             if len(g) == 1:
-                break
-        return g
+                return g, cols
+        return g, [_int_poly_divexact_list(c, g) if c else [] for c in cols]
 
-    cont_p = fold_content(pcols)
-    cont_q = fold_content(qcols)
-    if len(cont_p) > 1:
-        pcols = [_int_poly_divexact_list(c, cont_p) if c else [] for c in pcols]
-    if len(cont_q) > 1:
-        qcols = [_int_poly_divexact_list(c, cont_q) if c else [] for c in qcols]
+    cont_p, pcols = split_content(pcols)
+    cont_q, qcols = split_content(qcols)
     cont = _int_poly_gcd(cont_p, cont_q)
     cont_poly = _bivar_from_cols([cont], main, other, p.modulus)
 
@@ -961,11 +958,7 @@ def _gcd_bivariate(p: MultiPoly, q: MultiPoly, shared: list[int]):
             for c in col:
                 den = den * c.denominator // math.gcd(den, c.denominator)
         int_cols = [[int(c * den) for c in col] for col in cand_cols]
-        ccont = fold_content(int_cols)
-        if len(ccont) > 1:
-            int_cols = [
-                _int_poly_divexact_list(c, ccont) if c else [] for c in int_cols
-            ]
+        _, int_cols = split_content(int_cols)
         cand = _bivar_from_cols(int_cols, main, other, p.modulus).canonical()
         try:
             poly_divexact(pp_poly, cand)
@@ -978,7 +971,26 @@ def _gcd_bivariate(p: MultiPoly, q: MultiPoly, shared: list[int]):
 
 
 def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD of two nonzero non-constant polynomials, up to canonical scale."""
+    """GCD of two nonzero non-constant polynomials without monomial factors,
+    up to canonical scale.  Branches in order, each early exit a proof, and
+    one coprimality decision per ring shape:
+
+    1. No shared variable: a nonconstant common factor has positive degree
+       in some variable, and then so do both inputs.  The gcd is 1.
+    2. Some variable in neither input: divisors involve only the variables
+       of what they divide, so recurse without it and lift back.
+    3. One variable over Q: by Gauss's lemma the gcd is the primitive gcd
+       over Z[x], from the integer subresultant PRS.
+    4. Both homogeneous: divisors of forms are forms, and neither input is
+       divisible by the last variable, so setting it to 1 keeps divisors
+       and their degrees; recurse, then rehomogenise.
+    5. Two variables over Q: _gcd_bivariate, certified by trial division.
+    6. What is left over Q (three or more variables, not homogeneous, as
+       with symbolic parameters; or a bivariate pair that ran out of
+       points): _coprime_fast_path, whose success proves gcd 1.
+    7. Recursive subresultant PRS in the variable of least shared degree,
+       after splitting off contents.
+    """
     one = MultiPoly.constant(p.num_vars, 1, p.modulus)
     shared = [
         v
@@ -986,8 +998,6 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         if p.degree_in(v) > 0 and q.degree_in(v) > 0
     ]
     if not shared:
-        return one
-    if _coprime_fast_path(p, q, shared):
         return one
     active = sorted(
         v for v in range(p.num_vars) if p.degree_in(v) > 0 or q.degree_in(v) > 0
@@ -1008,6 +1018,8 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         g = _gcd_bivariate(p, q, shared)
         if g is not None:
             return g
+    if _coprime_fast_path(p, q, shared):
+        return one
     v = min(shared, key=lambda w: min(p.degree_in(w), q.degree_in(w)))
     cp = _content_wrt(p, v)
     cq = _content_wrt(q, v)
@@ -1036,9 +1048,11 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, canonically normalized.
 
-    Rational coefficients use a primitive-part / subresultant recursion with
-    a random-evaluation coprimality fast path; the result divides both
-    inputs exactly (verified before returning).
+    A zero input returns the other.  Otherwise the monomial content of each
+    input is split off: the gcd is the termwise-minimum monomial times the
+    gcd of the stripped parts, which is 1 if one of them is constant and
+    else comes from _gcd_core (see there for the branch order).  The result
+    is verified by exact trial division into both inputs.
     """
     p._check_compat(q)
     if p.is_zero():

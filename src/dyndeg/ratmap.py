@@ -7,20 +7,19 @@ act as symbolic parameters and ride through composition untouched.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .exactalg import (
     DomainMismatchError,
-    Fp,
     MultiPoly,
+    TermCapExceeded,
     jacobian_det,
     poly_divexact,
     poly_gcd_many,
     substitute_system,
+    _canonical_scale,
     _coerce,
 )
 
@@ -138,7 +137,8 @@ class ProjectiveMap:
         gcd = poly_gcd_many([c for c in coords])
         if not gcd.is_constant():
             coords = tuple(poly_divexact(c, gcd) for c in coords)
-        coords = _canonicalize_system(coords)
+        scale = _canonical_scale(coords)
+        coords = tuple(c * scale for c in coords)
         degree = next(
             c.degree_in_vars(point_vars) for c in coords if not c.is_zero()
         )
@@ -176,11 +176,7 @@ class ProjectiveMap:
             raise DomainMismatchError("maps live on different spaces")
         if f.coords[0].num_vars != g.coords[0].num_vars:
             raise DomainMismatchError("maps have different parameter rings")
-        nv = f.coords[0].num_vars
-        assignment = list(g.coords) + [
-            MultiPoly.variable(nv, i, f.modulus) for i in range(f.n + 1, nv)
-        ]
-        return ProjectiveMap(substitute_system(f.coords, assignment))
+        return ProjectiveMap(_compose_forms(f, g.coords))
 
     def apply(self, point: PointLike):
         """Evaluate at a point; returns INDETERMINATE when all forms vanish."""
@@ -218,31 +214,16 @@ def identity_map(n: int, num_params: int = 0, modulus: int | None = None) -> Pro
     )
 
 
-def _canonicalize_system(coords: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
-    """Scale the whole coordinate tuple by one scalar: primitive integer
-    coefficients with a positive leading coefficient on the first nonzero
-    coordinate (monic leading coefficient over a prime field)."""
-    mod = coords[0].modulus
-    first = next(c for c in coords if not c.is_zero())
-    if mod is not None:
-        scale = Fp(1, mod, _checked=True) / first.leading()[1]
-        return tuple(c * scale for c in coords)
-    denom_lcm = 1
-    num_gcd = 0
-    for c in coords:
-        for _, coeff in c.terms:
-            denom_lcm = denom_lcm * coeff.denominator // math.gcd(
-                denom_lcm, coeff.denominator
-            )
-    for c in coords:
-        for _, coeff in c.terms:
-            num_gcd = math.gcd(
-                num_gcd, abs(coeff.numerator * (denom_lcm // coeff.denominator))
-            )
-    scale = Fraction(denom_lcm, num_gcd)
-    if first.leading()[1] < 0:
-        scale = -scale
-    return tuple(c * scale for c in coords)
+def _compose_forms(
+    f: ProjectiveMap, inner: Sequence[MultiPoly], term_cap: int | None = None
+) -> list[MultiPoly]:
+    """Raw forms of f after `inner`: the forms of `inner` replace the point
+    variables, and parameter variables map to themselves."""
+    nv = f.coords[0].num_vars
+    assignment = list(inner) + [
+        MultiPoly.variable(nv, i, f.modulus) for i in range(f.n + 1, nv)
+    ]
+    return substitute_system(f.coords, assignment, term_cap=term_cap)
 
 
 @dataclass(frozen=True)
@@ -282,27 +263,18 @@ def iter_degrees(
     f: ProjectiveMap, n_max: int, term_cap: int | None = None
 ) -> Iterator[int]:
     """Yield deg(f^n) for n = 1..n_max, composing f with the previous reduced
-    iterate and cancelling common factors each step.  Raises _TermCapHit when
-    a raw composition exceeds the term cap."""
+    iterate and cancelling common factors each step.  Raises TermCapExceeded,
+    carrying n, when a form of the raw composition passes the term cap."""
     cap = term_cap if term_cap is not None else term_cap_default()
     yield f.degree
     current = f
     for n in range(2, n_max + 1):
-        nv = f.coords[0].num_vars
-        assignment = list(current.coords) + [
-            MultiPoly.variable(nv, i, f.modulus) for i in range(f.n + 1, nv)
-        ]
-        raw = substitute_system(f.coords, assignment)
-        if any(len(c.terms) > cap for c in raw):
-            raise _TermCapHit(n)
+        try:
+            raw = _compose_forms(f, current.coords, cap)
+        except TermCapExceeded:
+            raise TermCapExceeded(cap, n) from None
         current = ProjectiveMap(raw)
         yield current.degree
-
-
-class _TermCapHit(Exception):
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.n = n
 
 
 def degree_sequence(
@@ -316,7 +288,7 @@ def degree_sequence(
     try:
         for d in iter_degrees(f, n_max, term_cap):
             degrees.append(d)
-    except _TermCapHit as hit:
+    except TermCapExceeded as hit:
         return DegreeSequence(tuple(degrees), n_max, truncated_at=hit.n)
     return DegreeSequence(tuple(degrees), n_max)
 
@@ -333,17 +305,20 @@ def dyndeg_estimate(seq: DegreeSequence) -> DynamicalDegreeEstimate:
     return DynamicalDegreeEstimate(root_estimate=root, ratio_estimate=ratio, n_used=n)
 
 
+def first_drop(degrees: Iterable[int], d: int) -> int | None:
+    """Least n with degrees[n-1] < d^n, i.e. deg(f^n) < (deg f)^n for the
+    degrees of f, f^2, ...; None if there is none.  Consumes `degrees`
+    lazily and stops at the first drop."""
+    return next((n for n, dn in enumerate(degrees, start=1) if dn < d**n), None)
+
+
 def degree_drop_index(
     f: ProjectiveMap, n_max: int, term_cap: int | None = None
 ) -> int | None:
     """Least n <= n_max with deg(f^n) < (deg f)^n, or None if no drop is
-    seen (the map is algebraically stable as far as checked).  Stops
-    iterating at the first drop."""
-    d = f.degree
-    for i, deg_n in enumerate(iter_degrees(f, n_max, term_cap), start=1):
-        if deg_n < d**i:
-            return i
-    return None
+    seen (the map is algebraically stable as far as checked).  Composes no
+    iterate past the first drop; raises TermCapExceeded like iter_degrees."""
+    return first_drop(iter_degrees(f, n_max, term_cap), f.degree)
 
 
 def orbit(f: ProjectiveMap, start: PointLike, n_max: int) -> Orbit:

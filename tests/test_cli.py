@@ -54,6 +54,21 @@ class TestStability:
         assert code == 0 and doc["stable_up_to"] is None and doc["drop_at"] == 3
 
 
+class TestResourceCap:
+    def test_degseq_truncated(self, capsys, monkeypatch):
+        monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
+        code, doc = run_json(capsys, "degseq", "--map", STABLE_MAP, "--nmax", "4")
+        assert code == 3
+        assert doc["degrees"] == [2, 4] and doc["truncated_at"] == 3
+
+    def test_suite_cap_exits_three_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
+        code, out, err = run_cli(capsys, "verify", "--suite", "gfam")
+        assert code == 3
+        assert out == ""
+        assert err == "error: term cap 10 exceeded at iterate 2\n"
+
+
 class TestFabcClassify:
     def test_unstable_schema(self, capsys):
         code, doc = run_json(capsys, "fabc-classify", "-a", "1", "-b", "-1", "-c", "1")

@@ -96,6 +96,9 @@ class TestInverse:
         assert g.compose(f).coords == identity_map(2, num_params=3).coords
         assert f.compose(g).coords == identity_map(2, num_params=3).coords
 
+    def test_symbolic_degree_sequence(self):
+        assert degree_sequence(build_map_symbolic(), 4).degrees == (2, 4, 8, 16)
+
     def test_random_triples_compose_to_identity(self):
         rng = random.Random(2024)
         ident = identity_map(2).coords

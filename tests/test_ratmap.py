@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from dyndeg.exactalg import DomainMismatchError, MultiPoly, parse_poly
+from dyndeg.exactalg import (
+    DomainMismatchError,
+    MultiPoly,
+    TermCapExceeded,
+    parse_poly,
+    substitute_system,
+)
 from dyndeg.ratmap import (
     INDETERMINATE,
     DegreeSequence,
@@ -134,6 +140,12 @@ class TestDegreeSequences:
         assert seq.degrees[2] < 8
         assert degree_drop_index(f, 4) == 3
 
+    def test_drop_index_stops_at_first_drop(self):
+        # iterate 8 of this map passes 1000 raw terms; stopping at the drop
+        # at 3 never composes it
+        assert degree_drop_index(quad_map(1, -1, 1), 50, term_cap=1000) == 3
+        assert degree_sequence(quad_map(1, -1, 1), 50, term_cap=1000).truncated_at == 8
+
     def test_identity_sequence(self):
         seq = degree_sequence(identity_map(2), 3)
         assert seq.degrees == (1, 1, 1)
@@ -151,6 +163,33 @@ class TestDegreeSequences:
         seq = degree_sequence(f, 6, term_cap=10)
         assert seq.truncated_at is not None
         assert len(seq.degrees) < 6
+
+    def test_term_cap_carries_iterate_index(self):
+        with pytest.raises(TermCapExceeded) as hit:
+            degree_drop_index(quad_map(1, 1, 1), 6, term_cap=10)
+        assert hit.value.n == 3
+        assert str(hit.value) == "term cap 10 exceeded at iterate 3"
+
+    def test_capped_composition_stops_early(self, monkeypatch):
+        f = ProjectiveMap([(X + Y + Z) ** 2, (X - Y) ** 2 + Z**2, X * Y + Y * Z + Z**2])
+        first_terms = len(f.coords[0].terms)
+        added = []
+        plain_add = MultiPoly.__add__
+
+        def counting_add(p, q):
+            added.append(1)
+            return plain_add(p, q)
+
+        monkeypatch.setattr(MultiPoly, "__add__", counting_add)
+        # the first output form passes 5 terms at the first of its six
+        # monomials, before the rest of f is substituted
+        with pytest.raises(TermCapExceeded):
+            substitute_system(f.coords, list(f.coords), term_cap=5)
+        assert len(added) == 1 < first_terms
+        added.clear()
+        raw = substitute_system(f.coords, list(f.coords))
+        assert len(added) == sum(len(c.terms) for c in f.coords)
+        assert max(len(c.terms) for c in raw) > 5
 
     def test_estimates(self):
         seq = DegreeSequence(degrees=(2, 4, 8), n_max=3)
