@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import random
@@ -184,6 +185,21 @@ def grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _add_terms(acc: dict, terms: Iterable[tuple]) -> None:
+    """Add (exponent vector, nonzero coefficient) pairs into the dict acc in
+    place, deleting entries that cancel to zero."""
+    for e, c in terms:
+        prev = acc.get(e)
+        if prev is None:
+            acc[e] = c
+        else:
+            s = prev + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -312,13 +328,7 @@ class MultiPoly:
             return NotImplemented
         self._check_compat(other)
         out = dict(self.terms)
-        for e, c in other.terms:
-            prev = out.get(e)
-            s = c if prev is None else prev + c
-            if s:
-                out[e] = s
-            elif prev is not None:
-                del out[e]
+        _add_terms(out, other.terms)
         return MultiPoly(self.num_vars, out, self.modulus)
 
     __radd__ = __add__
@@ -507,9 +517,32 @@ def substitute_system(
     return out
 
 
+def _heap_key(exps: tuple) -> tuple:
+    """Min-heap key that pops exponent vectors in descending grlex order."""
+    return (-sum(exps), tuple(map(operator.neg, exps)))
+
+
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact division p / d; raises NotDivisibleError when the quotient
-    would not be polynomial."""
+    would not be polynomial.
+
+    The remainder lives in one dict keyed by exponent vector, with a heap
+    of grlex keys over it; a key whose term cancelled stays in the heap and
+    is skipped when popped.  Each step pops the leading remainder term,
+    divides it by the leading term of d (or raises), and subtracts qc*d
+    term by term.  One quotient term costs len(d) - 1 coefficient updates
+    and at most as many heap pushes, so the whole division takes
+    O(len(q) * len(d)) coefficient operations and heap operations of
+    logarithmic cost; the quotient is built as one MultiPoly at the end.
+
+    Lemma (termination and exactness): in grlex order the leading term of
+    qc*d equals the popped leading term of the remainder, so every step
+    removes that monomial and adds only smaller ones; the leading monomial
+    strictly falls, and only finitely many monomials lie below the first.
+    The loop therefore ends, with an empty remainder exactly when d
+    divides p: if d*q = p, the leading term of any nonzero remainder
+    d*(q - partial quotient) is divisible by the leading term of d.
+    """
     p._check_compat(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -517,17 +550,35 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         return p
     if d.is_constant():
         return p * (_coerce(1, p.modulus) / d.terms[0][1])
-    lead_e, lead_c = d.leading()
-    quot: dict = {}
-    rem = p
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        qe = tuple(map(operator.sub, re, lead_e))
+    (lead_e, lead_c), rest = d.terms[0], d.terms[1:]
+    sub, add, neg = operator.sub, operator.add, operator.neg
+    rem = dict(p.terms)
+    heap = [_heap_key(e) for e in rem]
+    heapq.heapify(heap)
+    quot = []
+    while heap:
+        key = heapq.heappop(heap)
+        re = tuple(map(neg, key[1]))
+        rc = rem.pop(re, None)
+        if rc is None:
+            continue
+        qe = tuple(map(sub, re, lead_e))
         if any(e < 0 for e in qe):
             raise NotDivisibleError("leading term not divisible")
         qc = rc / lead_c
-        quot[qe] = qc
-        rem = rem - MultiPoly.monomial(p.num_vars, qe, qc, p.modulus) * d
+        quot.append((qe, qc))
+        for de, dc in rest:
+            e = tuple(map(add, qe, de))
+            prev = rem.get(e)
+            if prev is None:
+                rem[e] = -qc * dc
+                heapq.heappush(heap, _heap_key(e))
+            else:
+                s = prev - qc * dc
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
     return MultiPoly(p.num_vars, quot, p.modulus)
 
 
@@ -729,16 +780,15 @@ def _as_univar(p: MultiPoly, v: int) -> list[MultiPoly]:
 
 
 def _from_univar(coeffs: list[MultiPoly], v: int, num_vars: int, modulus) -> MultiPoly:
+    """Inverse of _as_univar: sum of coeffs[i] * x_v^(d - i)."""
     d = len(coeffs) - 1
-    total = MultiPoly.zero(num_vars, modulus)
+    total: dict = {}
     for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        shift = MultiPoly.monomial(
-            num_vars, tuple(d - i if j == v else 0 for j in range(num_vars)), 1, modulus
+        _add_terms(
+            total,
+            [(e[:v] + (e[v] + d - i,) + e[v + 1 :], coeff) for e, coeff in c.terms],
         )
-        total = total + c * shift
-    return total
+    return MultiPoly(num_vars, total, modulus)
 
 
 def _eliminate_var(p: MultiPoly, v: int) -> MultiPoly:
@@ -1051,8 +1101,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     A zero input returns the other.  Otherwise the monomial content of each
     input is split off: the gcd is the termwise-minimum monomial times the
     gcd of the stripped parts, which is 1 if one of them is constant and
-    else comes from _gcd_core (see there for the branch order).  The result
-    is verified by exact trial division into both inputs.
+    else comes from _gcd_core (see there for the branch order).  A
+    nonconstant result is verified by exact trial division into both
+    inputs.  A constant result needs no check: it is nonzero, and over a
+    field a nonzero constant divides every polynomial.
     """
     p._check_compat(q)
     if p.is_zero():
@@ -1067,8 +1119,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     else:
         core = _gcd_core(ps, qs)
     g = (MultiPoly.monomial(p.num_vars, mg, 1, p.modulus) * core).canonical()
-    poly_divexact(p, g)
-    poly_divexact(q, g)
+    if not g.is_constant():
+        poly_divexact(p, g)
+        poly_divexact(q, g)
     return g
 
 

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dyndeg import exactalg
 from dyndeg.exactalg import (
     DomainMismatchError,
     Fp,
@@ -254,7 +255,7 @@ coeffs = st.integers(min_value=-5, max_value=5)
 
 
 @st.composite
-def polys(draw, num_vars=3, max_degree=3, max_terms=5):
+def polys(draw, num_vars=3, max_degree=3, max_terms=5, modulus=None):
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(n_terms):
@@ -265,7 +266,7 @@ def polys(draw, num_vars=3, max_degree=3, max_terms=5):
         if sum(exps) > max_degree:
             continue
         terms[exps] = Fraction(draw(coeffs))
-    return MultiPoly(num_vars, terms)
+    return MultiPoly(num_vars, terms, modulus)
 
 
 @given(polys(), polys())
@@ -307,3 +308,81 @@ def test_product_divided_by_factor(p, q):
     if q.is_zero():
         return
     assert poly_divexact(p * q, q) == p
+
+
+@st.composite
+def remainder_cases(draw, modulus=None):
+    """(p, q, r) with q nonconstant, r nonzero and deg r < deg q."""
+    q = draw(polys(modulus=modulus))
+    assume(not q.is_constant())
+    p = draw(polys(modulus=modulus))
+    r = draw(polys(max_degree=q.degree - 1, modulus=modulus))
+    assume(not r.is_zero())
+    return p, q, r
+
+
+@given(remainder_cases())
+@settings(max_examples=60, deadline=None)
+def test_divexact_rejects_nonzero_low_remainder(case):
+    # q | p*q + r would force q | r, impossible for r != 0 of lower degree.
+    p, q, r = case
+    n = p * q + r
+    if not p.is_zero():
+        # The leading term is lead(p)*lead(q): the first step divides
+        # cleanly and the failure comes from a later remainder.
+        assert n.leading()[0] == tuple(
+            a + b for a, b in zip(p.leading()[0], q.leading()[0])
+        )
+    with pytest.raises(NotDivisibleError):
+        poly_divexact(n, q)
+
+
+@given(polys(modulus=7), polys(modulus=7))
+@settings(max_examples=40, deadline=None)
+def test_product_divided_by_factor_mod_7(p, q):
+    if q.is_zero():
+        return
+    assert poly_divexact(p * q, q) == p
+
+
+@given(polys(), st.integers(min_value=0, max_value=2))
+@settings(max_examples=40, deadline=None)
+def test_univar_round_trip(p, v):
+    if p.is_zero():
+        return
+    assert exactalg._from_univar(exactalg._as_univar(p, v), v, 3, None) == p
+
+
+def test_divexact_builds_no_polynomial_per_quotient_term(monkeypatch):
+    q = (X + 2 * Y + 3 * Z + 1) ** 7
+    d = X**2 - Y * Z + 2
+    n = q * d
+    assert 190 <= len(n.terms) <= 230
+    calls = []
+    init = MultiPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+    quotient = poly_divexact(n, d)
+    monkeypatch.undo()
+    assert quotient == q
+    assert len(calls) <= 2
+
+
+def test_gcd_skips_trial_division_only_for_constant_gcd(monkeypatch):
+    x = MultiPoly.variable(1, 0)
+    divisions = []
+    divexact = exactalg.poly_divexact
+
+    def counting_divexact(p, d):
+        divisions.append(d)
+        return divexact(p, d)
+
+    monkeypatch.setattr(exactalg, "poly_divexact", counting_divexact)
+    assert poly_gcd((x + 1) * (x - 2), (x + 3) * (x - 5)) == MultiPoly.constant(1, 1)
+    assert divisions == []
+    assert poly_gcd((x + 1) * (x - 2), (x + 1) * (x - 5)) == x + 1
+    assert divisions == [x + 1, x + 1]
