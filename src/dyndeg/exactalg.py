@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import itertools
 import operator
-import random
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 NEG_INF = float("-inf")
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
+# Math. Comp. 86, 2017); below it the test is exact
+_MR_LIMIT = 3317044064679887385961981
 
 
 class DomainMismatchError(ValueError):
@@ -35,9 +38,12 @@ class NotDivisibleError(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact for n < _MR_LIMIT;
+    raises ValueError at or above it, where no fixed-base test is proven."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large for the primality test")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -524,25 +530,7 @@ def _heap_key(exps: tuple) -> tuple:
 
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact division p / d; raises NotDivisibleError when the quotient
-    would not be polynomial.
-
-    The remainder lives in one dict keyed by exponent vector, with a heap
-    of grlex keys over it; a key whose term cancelled stays in the heap and
-    is skipped when popped.  Each step pops the leading remainder term,
-    divides it by the leading term of d (or raises), and subtracts qc*d
-    term by term.  One quotient term costs len(d) - 1 coefficient updates
-    and at most as many heap pushes, so the whole division takes
-    O(len(q) * len(d)) coefficient operations and heap operations of
-    logarithmic cost; the quotient is built as one MultiPoly at the end.
-
-    Lemma (termination and exactness): in grlex order the leading term of
-    qc*d equals the popped leading term of the remainder, so every step
-    removes that monomial and adds only smaller ones; the leading monomial
-    strictly falls, and only finitely many monomials lie below the first.
-    The loop therefore ends, with an empty remainder exactly when d
-    divides p: if d*q = p, the leading term of any nonzero remainder
-    d*(q - partial quotient) is divisible by the leading term of d.
-    """
+    would not be polynomial."""
     p._check_compat(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -550,9 +538,35 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         return p
     if d.is_constant():
         return p * (_coerce(1, p.modulus) / d.terms[0][1])
-    (lead_e, lead_c), rest = d.terms[0], d.terms[1:]
+    quot = _divide_terms(dict(p.terms), d.terms)
+    if quot is None:
+        raise NotDivisibleError("leading term not divisible")
+    return MultiPoly(p.num_vars, quot, p.modulus)
+
+
+def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
+    """Quotient terms of rem / d, or None when d does not divide rem.
+
+    rem maps exponent vectors to nonzero coefficients and is consumed; d
+    lists (exponent vector, coefficient) pairs, grlex-leading term first.
+    Coefficients are field elements, or ints reduced mod p when p is given.
+    A heap of grlex keys runs over rem; a key whose term cancelled stays in
+    the heap and is skipped when popped.  Each step pops the leading
+    remainder term, divides it by the leading term of d (or gives up), and
+    subtracts qc*d term by term, so the division takes O(len(q) * len(d))
+    coefficient operations and heap operations of logarithmic cost.
+
+    Lemma (termination and exactness): in grlex order the leading term of
+    qc*d equals the popped leading term of the remainder, so every step
+    removes that monomial and adds only smaller ones; the leading monomial
+    strictly falls, and only finitely many monomials lie below the first.
+    The loop therefore ends, with an empty remainder exactly when d
+    divides rem: if d*q = rem, the leading term of any nonzero remainder
+    d*(q - partial quotient) is divisible by the leading term of d.
+    """
+    (lead_e, lead_c), rest = d[0], d[1:]
+    inv = pow(lead_c, -1, p) if p else 1 / lead_c
     sub, add, neg = operator.sub, operator.add, operator.neg
-    rem = dict(p.terms)
     heap = [_heap_key(e) for e in rem]
     heapq.heapify(heap)
     quot = []
@@ -563,51 +577,37 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         if rc is None:
             continue
         qe = tuple(map(sub, re, lead_e))
-        if any(e < 0 for e in qe):
-            raise NotDivisibleError("leading term not divisible")
-        qc = rc / lead_c
+        if min(qe) < 0:
+            return None
+        qc = rc * inv % p if p else rc * inv
         quot.append((qe, qc))
         for de, dc in rest:
             e = tuple(map(add, qe, de))
             prev = rem.get(e)
+            s = -qc * dc if prev is None else prev - qc * dc
+            if p:
+                s %= p
             if prev is None:
-                rem[e] = -qc * dc
+                rem[e] = s
                 heapq.heappush(heap, _heap_key(e))
+            elif s:
+                rem[e] = s
             else:
-                s = prev - qc * dc
-                if s:
-                    rem[e] = s
-                else:
-                    del rem[e]
-    return MultiPoly(p.num_vars, quot, p.modulus)
+                del rem[e]
+    return quot
 
 
 # -- GCD machinery ----------------------------------------------------------
 
 
-def _int_primitive(coeffs: list[int]) -> list[int]:
-    """Strip leading zeros, divide by content, force positive lead."""
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if not coeffs:
-        return []
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    if coeffs[0] < 0:
-        g = -g
-    return [c // g for c in coeffs]
-
-
-def _prem_lists(a: list, b: list, is_zero):
-    """Pseudo-remainder for descending coefficient lists over any domain.
+def _prem_lists(a: list, b: list) -> list:
+    """Pseudo-remainder for descending lists of polynomial coefficients,
+    deg a >= deg b.
 
     Returns lc(b)^(deg a - deg b + 1) * a  mod  b, possibly with leading
     zeros stripped.
     """
     da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return list(a)
     lb = b[0]
     r = list(a)
     reductions = 0
@@ -618,7 +618,7 @@ def _prem_lists(a: list, b: list, is_zero):
             r[i] = r[i] - lr * b[i]
         r.pop(0)
         reductions += 1
-        while r and is_zero(r[0]):
+        while r and r[0].is_zero():
             r.pop(0)
         if not r:
             break
@@ -629,120 +629,32 @@ def _prem_lists(a: list, b: list, is_zero):
     return r
 
 
-def _subresultant_prs(a: list, b: list, one, divexact, is_zero):
-    """Subresultant PRS over an integral domain.
+def _subresultant_prs(a: list, b: list):
+    """Subresultant PRS over a polynomial ring of a prime field.
 
-    a, b: descending coefficient lists (elements of the domain), deg a >=
-    deg b >= 0, both nonzero.  Returns the last nonzero remainder (a list),
-    which is a GCD up to content, or None when the GCD is constant.
+    a, b: descending lists of MultiPoly coefficients, deg a >= deg b >= 0,
+    both nonzero.  Returns the last nonzero remainder (a list), which is a
+    GCD up to content, or None when the GCD is constant.
     """
-    g = one
-    h = one
+    g = h = MultiPoly.constant(a[0].num_vars, 1, a[0].modulus)
     while True:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return None
         delta = da - db
-        r = _prem_lists(a, b, is_zero)
+        r = _prem_lists(a, b)
         if not r:
             return b
         if len(r) - 1 == 0:
             return None
         denom = g * h ** delta
         a = b
-        b = [divexact(c, denom) for c in r]
+        b = [poly_divexact(c, denom) for c in r]
         g = a[0]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = divexact(g ** delta, h ** (delta - 1))
-
-
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """GCD of integer univariate polynomials (descending lists), primitive
-    with positive leading coefficient."""
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [1]
-    res = _subresultant_prs(
-        a,
-        b,
-        1,
-        lambda x, y: _divexact_int(x, y),
-        lambda x: x == 0,
-    )
-    if res is None:
-        return [1]
-    return _int_primitive(res)
-
-
-def _int_poly_eval(coeffs: list[int], r: int) -> int:
-    total = 0
-    for c in coeffs:
-        total = total * r + c
-    return total
-
-
-def _int_poly_divexact_list(a: list[int], b: list[int]) -> list[int]:
-    """Exact division of descending integer coefficient lists."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return []
-    out: list[Fraction] = []
-    rem = [Fraction(c) for c in a]
-    lb = Fraction(b[0])
-    while len(rem) >= len(b):
-        q = rem[0] / lb
-        out.append(q)
-        for i in range(len(b)):
-            rem[i] -= q * b[i]
-        assert rem[0] == 0
-        rem.pop(0)
-    if any(rem):
-        raise NotDivisibleError("inexact univariate division")
-    result = []
-    for q in out:
-        if q.denominator != 1:
-            raise NotDivisibleError("non-integer quotient")
-        result.append(q.numerator)
-    return result
-
-
-def _newton_interpolate(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Exact polynomial interpolation; returns ascending coefficients."""
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]
-    for k in range(n):
-        for idx, c in enumerate(acc):
-            poly[idx] += coef[k] * c
-        new = [Fraction(0)] * (len(acc) + 1)
-        for idx, c in enumerate(acc):
-            new[idx] -= c * xs[k]
-            new[idx + 1] += c
-        acc = new
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _divexact_int(x: int, y: int) -> int:
-    q, r = divmod(x, y)
-    if r:
-        raise NotDivisibleError("inexact integer division in PRS")
-    return q
+            h = poly_divexact(g ** delta, h ** (delta - 1))
 
 
 def _monomial_content(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
@@ -812,64 +724,6 @@ def _rehomogenize(p: MultiPoly, v: int, num_vars: int) -> MultiPoly:
     return MultiPoly(num_vars, out, p.modulus)
 
 
-def _to_int_coeffs(coeffs: list[Fraction]) -> list[int]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in coeffs]
-
-
-def _univar_coeff_values(p: MultiPoly, v: int, point: list) -> list:
-    """Evaluate all variables except v, returning descending coefficients."""
-    d = p.degree_in(v)
-    vals = [_coerce(0, p.modulus)] * (d + 1)
-    for exps, c in p.terms:
-        term = c
-        for i, e in enumerate(exps):
-            if i != v and e:
-                term = term * point[i] ** e
-        vals[d - exps[v]] = vals[d - exps[v]] + term
-    return vals
-
-
-_FAST_PATH_TRIES = 4
-
-
-def _coprime_fast_path(p: MultiPoly, q: MultiPoly, shared: list[int]) -> bool:
-    """Certify gcd(p, q) = 1 by random evaluation.
-
-    For each shared variable v: evaluate the others at random integers such
-    that the leading v-coefficient of p survives, then check the univariate
-    gcd is constant.  A common factor with positive v-degree would survive
-    the specialization, so success is a proof; failure is merely
-    inconclusive.
-    """
-    if p.modulus is not None:
-        return False
-    rng = random.Random(0xC0FFEE ^ (p.degree * 1009 + q.degree))
-    lead_cache = {}
-    for v in shared:
-        certified = False
-        lead = lead_cache.get(v)
-        if lead is None:
-            lead = _as_univar(p, v)[0]
-            lead_cache[v] = lead
-        for _ in range(_FAST_PATH_TRIES):
-            point = [Fraction(rng.randint(-30, 30)) for _ in range(p.num_vars)]
-            if not lead.evaluate(point):
-                continue
-            pa = _to_int_coeffs(_univar_coeff_values(p, v, point))
-            qa = _to_int_coeffs(_univar_coeff_values(q, v, point))
-            if not qa:
-                continue
-            if len(_int_poly_gcd(pa, qa)) == 1:
-                certified = True
-                break
-        if not certified:
-            return False
-    return True
-
-
 def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
     coeffs = [c for c in _as_univar(p, v) if not c.is_zero()]
     return poly_gcd_many(coeffs)
@@ -890,221 +744,291 @@ def _lift_vars(p: MultiPoly, keep: list[int], num_vars: int) -> MultiPoly:
     return MultiPoly(num_vars, out, p.modulus)
 
 
-def _univar_int_list(p: MultiPoly, v: int) -> list[int]:
-    """Descending integer coefficients of a canonical univariate polynomial."""
-    d = p.degree_in(v)
-    out = [0] * (d + 1)
-    for exps, c in p.terms:
-        out[d - exps[v]] = int(c)
+# Images mod a prime p hold plain ints in [0, p): a univariate polynomial is
+# an ascending coefficient list without trailing zeros ([] is zero), a
+# multivariate one a dict {exponent vector: nonzero int}.
+
+
+def _up_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] * inv % p
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                r[i + j] = (r[i + j] - c * bj) % p
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _up_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd over F_p of two lists, not both zero (Euclid)."""
+    while b:
+        a, b = b, _up_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _up_eval(a: list, x: int, p: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % p
+    return v
+
+
+def _up_mul(a: list, b: list, p: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % p
     return out
 
 
-def _bivar_cols(p: MultiPoly, main: int, other: int) -> list[list[int]]:
-    """cols[j] = descending integer coefficient list (in `other`) of main**j."""
-    dx = p.degree_in(main)
-    buckets: list[dict[int, int]] = [dict() for _ in range(dx + 1)]
-    dys = [0] * (dx + 1)
-    for exps, c in p.terms:
-        j, k = exps[main], exps[other]
-        buckets[j][k] = int(c)
-        if k > dys[j]:
-            dys[j] = k
-    return [
-        [buckets[j].get(k, 0) for k in range(dys[j], -1, -1)] if buckets[j] else []
-        for j in range(dx + 1)
-    ]
+def _split_last(a: dict, p: int) -> dict:
+    """{exponents of the other variables: ascending list in the last one},
+    with the integer coefficients of a reduced mod p."""
+    out: dict = {}
+    for e, c in a.items():
+        c %= p
+        if c:
+            col = out.setdefault(e[:-1], [])
+            if len(col) <= e[-1]:
+                col.extend([0] * (e[-1] + 1 - len(col)))
+            col[e[-1]] = c
+    return out
 
 
-def _bivar_from_cols(
-    cols: Sequence[Sequence], main: int, other: int, modulus
-) -> MultiPoly:
-    out = {}
-    for j, col in enumerate(cols):
-        d = len(col) - 1
-        for i, c in enumerate(col):
-            if c:
-                e = [0, 0]
-                e[main] = j
-                e[other] = d - i
-                out[tuple(e)] = c
-    return MultiPoly(2, out, modulus)
+def _join_last(s: dict, p: int, scale: int = 1) -> dict:
+    """Inverse of _split_last, times a scalar."""
+    return {
+        m + (i,): c * scale % p for m, col in s.items() for i, c in enumerate(col) if c
+    }
 
 
-def _gcd_bivariate(p: MultiPoly, q: MultiPoly, shared: list[int]):
-    """Evaluation/interpolation gcd for bivariate rational polynomials.
+def _eval_last(s: dict, t: int, p: int) -> dict:
+    """A split polynomial with its last variable set to t, as a dict that
+    may hold zeros (_split_last drops them)."""
+    return {m: _up_eval(col, t, p) for m, col in s.items()}
 
-    Computes univariate integer gcds of the inputs specialized at integer
-    points, then interpolates the candidate and certifies it by exact trial
-    division.  A certified result is the true gcd: any common divisor
-    specializes (with surviving leading coefficient) into the pointwise gcd,
-    bounding its main-variable degree, and the candidate divides the gcd
-    while matching that bound.  Returns None if the point budget runs out.
+
+def _content_last(s: dict, p: int) -> list:
+    """Monic gcd of a split polynomial's coefficients in the last variable."""
+    g: list = []
+    for col in s.values():
+        g = _up_gcd(g, col, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
+    """Gcd of integer polynomials a, b, nonzero mod p, over F_p with lex
+    leading coefficient 1, by
+    Brown's recursion on the last variable t; lex order ranks the other
+    variables first, so leading coefficients lie in F_p[t].
+
+    With one variable this is Euclid.  Otherwise let c be the gcd of the
+    contents of a and b in F_p[t], G the gcd and G' = G / c its primitive
+    part.  At points t = 1, 2, 3, ... where the leading coefficients la of
+    a and lb of b do not vanish, the recursive gcd h of a(t), b(t) is
+    divisible by G(t), whose leading monomial is that of G because lc(G)
+    divides la: h never has a lower leading monomial than G, a constant h
+    proves G = c, and h = G(t) up to a scalar at all but finitely many
+    points (Brown 1971).  Images with the lowest leading monomial seen,
+    scaled to lead with gamma(t), gamma = gcd(la, lb), are values of the
+    one polynomial gamma * G / lc(G); Newton interpolation in t runs until
+    a new point leaves the interpolant unchanged.  Its primitive part C
+    has the leading monomial of the images, so if c * C divides a and b it
+    divides G without a lower leading monomial, and is G up to a scalar
+    (G' is primitive); if not, more points follow.
     """
-    main = max(shared, key=lambda w: min(p.degree_in(w), q.degree_in(w)))
-    other = 1 - main
-    p = p.canonical()
-    q = q.canonical()
-    pcols = _bivar_cols(p, main, other)
-    qcols = _bivar_cols(q, main, other)
-
-    def split_content(cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-        """(content in `other`, primitive columns)."""
-        g: list[int] = []
-        for col in cols:
-            if col:
-                g = _int_poly_gcd(g, col)
-            if len(g) == 1:
-                return g, cols
-        return g, [_int_poly_divexact_list(c, g) if c else [] for c in cols]
-
-    cont_p, pcols = split_content(pcols)
-    cont_q, qcols = split_content(qcols)
-    cont = _int_poly_gcd(cont_p, cont_q)
-    cont_poly = _bivar_from_cols([cont], main, other, p.modulus)
-
-    lcp, lcq = pcols[-1], qcols[-1]
-    gamma = _int_poly_gcd(lcp, lcq)
-    dy = min(
-        max((len(c) - 1 for c in pcols if c), default=0),
-        max((len(c) - 1 for c in qcols if c), default=0),
-    )
-    n_points = dy + len(gamma)
-    pp_poly = _bivar_from_cols(pcols, main, other, p.modulus)
-    qq_poly = _bivar_from_cols(qcols, main, other, p.modulus)
-
-    def eval_cols(cols: list[list[int]], r: int) -> list[int]:
-        vals = [_int_poly_eval(c, r) if c else 0 for c in cols]
-        return list(reversed(vals))
-
-    best_d: int | None = None
-    points: list[tuple[int, list[Fraction]]] = []
-    budget = 4 * n_points + 48
-    r, used = 0, 0
-    while used < budget:
-        r = -r if r > 0 else -r + 1
-        if _int_poly_eval(lcp, r) == 0 or _int_poly_eval(lcq, r) == 0:
+    sa, sb = _split_last(a, p), _split_last(b, p)
+    if len(next(iter(a))) == 1:
+        return _join_last({(): _up_gcd(sa[()], sb[()], p)}, p)
+    c = _up_gcd(_content_last(sa, p), _content_last(sb, p), p)
+    la, lb = sa[max(sa)], sb[max(sb)]
+    gamma = _up_gcd(la, lb, p)
+    lm, interp, nodes = None, {}, [1]
+    t = 0
+    while True:
+        t += 1
+        if not _up_eval(la, t, p) or not _up_eval(lb, t, p):
             continue
-        used += 1
-        gr = _int_poly_gcd(eval_cols(pcols, r), eval_cols(qcols, r))
-        dr = len(gr) - 1
-        if dr == 0:
-            return cont_poly
-        if best_d is None or dr < best_d:
-            best_d, points = dr, []
-        if dr > best_d:
+        h = _gcd_mod_p(_eval_last(sa, t, p), _eval_last(sb, t, p), p)
+        m = max(h)
+        if not any(m):
+            return _join_last({m: c}, p)
+        if lm is not None and m > lm:
             continue
-        scale = Fraction(_int_poly_eval(gamma, r), gr[0])
-        points.append((r, [c * scale for c in gr]))
-        if len(points) < n_points:
+        if m != lm:
+            lm, interp, nodes = m, {}, [1]
+        s = _up_eval(gamma, t, p)
+        w = pow(_up_eval(nodes, t, p), -1, p)
+        changed = False
+        for mono in interp.keys() | h.keys():
+            col = interp.get(mono, [])
+            v = (h.get(mono, 0) * s - _up_eval(col, t, p)) * w % p
+            if v:
+                new = [u * v % p for u in nodes]
+                for i, u in enumerate(col):
+                    new[i] = (new[i] + u) % p
+                interp[mono] = new
+                changed = True
+        nodes = [(u - t * v) % p for u, v in zip([0] + nodes, nodes + [0])]
+        if changed:
             continue
-        xs = [Fraction(pt[0]) for pt in points]
-        cand_cols: list[list[Fraction]] = [[] for _ in range(best_d + 1)]
-        for pos in range(best_d + 1):
-            ys = [pt[1][pos] for pt in points]
-            asc = _newton_interpolate(xs, ys)
-            cand_cols[best_d - pos] = list(reversed(asc))
-        den = 1
-        for col in cand_cols:
-            for c in col:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        int_cols = [[int(c * den) for c in col] for col in cand_cols]
-        _, int_cols = split_content(int_cols)
-        cand = _bivar_from_cols(int_cols, main, other, p.modulus).canonical()
+        g = _content_last(interp, p)
+        cand = {m: _up_mul(_up_divmod(col, g, p)[0], c, p) for m, col in interp.items()}
+        d = sorted(_join_last(cand, p).items(), key=lambda term: _heap_key(term[0]))
+        if all(_divide_terms(_join_last(f, p), d, p) is not None for f in (sa, sb)):
+            return _join_last(cand, p, pow(cand[max(cand)][-1], -1, p))
+
+
+def _integer_terms(p: MultiPoly) -> dict:
+    """{exponent vector: int}: p over Q times the lcm of its denominators."""
+    den = 1
+    for _, c in p.terms:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms}
+
+
+_PRIMES = [2**61 - 1]
+
+
+def _prime(i: int) -> int:
+    """The i-th prime counting down from 2^61 - 1, cached in _PRIMES."""
+    while len(_PRIMES) <= i:
+        n = _PRIMES[-1] - 2
+        while not is_prime(n):
+            n -= 2
+        _PRIMES.append(n)
+    return _PRIMES[i]
+
+
+def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Gcd of nonzero rational polynomials by Brown's dense modular
+    algorithm (J. ACM 18, 1971), canonically scaled.
+
+    With denominators cleared to give integer a, b, let la, lb be their
+    leading coefficients in lex order and gamma = gcd(la, lb).  Primes r
+    are taken downward from 2^61 - 1, skipping those dividing la * lb, and
+    each gives the image h = gcd(a mod r, b mod r) from _gcd_mod_p.
+
+    Lemma: G = gcd(a, b) has lc(G) dividing la, so r keeps the leading
+    monomial of G, and G mod r divides h: an image never has a lower
+    leading monomial than G, and a constant image proves G = 1.  The same
+    holds in _gcd_mod_p for an evaluation point t with la(t) * lb(t) != 0,
+    so gamma(t) != 0.  Only finitely many primes, and in _gcd_mod_p only
+    finitely many points, give h != G mod r up to a scalar; the others give
+    gamma * h = H mod r for the one integer polynomial H = gamma * G /
+    lc(G).  Images with a higher leading monomial than the lowest seen are
+    dropped; the rest are combined by CRT into the symmetric range, and
+    after each prime the primitive part C of that lift is trial-divided
+    into the inputs.  This division is the certificate: C then divides G and
+    has a leading monomial no lower than G's, so C = G up to a scalar.  If
+    it fails, another prime follows; once the lucky primes' product passes
+    2 * max|H| the lift is H, so the loop terminates.
+    """
+    a, b = _integer_terms(p), _integer_terms(q)
+    la, lb = a[max(a)], b[max(b)]
+    gamma = math.gcd(la, lb)
+    lm, mod, res = None, 1, {}
+    for i in itertools.count():
+        pr = _prime(i)
+        if not la % pr or not lb % pr:
+            continue
+        h = _gcd_mod_p(a, b, pr)
+        m = max(h)
+        if not any(m):
+            return MultiPoly.constant(p.num_vars, 1)
+        if lm is not None and m > lm:
+            continue
+        if m != lm:
+            lm, mod, res = m, 1, {}
+        s, w = gamma % pr, pow(mod, -1, pr)
+        for e in res.keys() | h.keys():
+            r = res.get(e, 0)
+            res[e] = r + mod * ((h.get(e, 0) * s - r) * w % pr)
+        mod *= pr
+        cand = MultiPoly(
+            p.num_vars, {e: r - mod if 2 * r > mod else r for e, r in res.items()}
+        ).canonical()
         try:
-            poly_divexact(pp_poly, cand)
-            poly_divexact(qq_poly, cand)
+            poly_divexact(p, cand)
+            poly_divexact(q, cand)
         except NotDivisibleError:
-            points.pop(0)
             continue
-        return cont_poly * cand
-    return None
+        return cand
 
 
 def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """GCD of two nonzero non-constant polynomials without monomial factors,
-    up to canonical scale.  Branches in order, each early exit a proof, and
-    one coprimality decision per ring shape:
+    up to canonical scale.  Three exact reductions, then one algorithm per
+    coefficient field:
 
     1. No shared variable: a nonconstant common factor has positive degree
        in some variable, and then so do both inputs.  The gcd is 1.
     2. Some variable in neither input: divisors involve only the variables
        of what they divide, so recurse without it and lift back.
-    3. One variable over Q: by Gauss's lemma the gcd is the primitive gcd
-       over Z[x], from the integer subresultant PRS.
-    4. Both homogeneous: divisors of forms are forms, and neither input is
+    3. Both homogeneous: divisors of forms are forms, and neither input is
        divisible by the last variable, so setting it to 1 keeps divisors
        and their degrees; recurse, then rehomogenise.
-    5. Two variables over Q: _gcd_bivariate, certified by trial division.
-    6. What is left over Q (three or more variables, not homogeneous, as
-       with symbolic parameters; or a bivariate pair that ran out of
-       points): _coprime_fast_path, whose success proves gcd 1.
-    7. Recursive subresultant PRS in the variable of least shared degree,
-       after splitting off contents.
+    4. Over Q: _gcd_modular, certified by its trial division.  Over a prime
+       field, with too few evaluation points for a modular method: the
+       recursive subresultant PRS in the variable of least shared degree,
+       after splitting off contents, which is exact and needs no check.
     """
-    one = MultiPoly.constant(p.num_vars, 1, p.modulus)
     shared = [
         v
         for v in range(p.num_vars)
         if p.degree_in(v) > 0 and q.degree_in(v) > 0
     ]
     if not shared:
-        return one
+        return MultiPoly.constant(p.num_vars, 1, p.modulus)
     active = sorted(
         v for v in range(p.num_vars) if p.degree_in(v) > 0 or q.degree_in(v) > 0
     )
     if len(active) < p.num_vars:
         g = poly_gcd(_project_vars(p, active), _project_vars(q, active))
         return _lift_vars(g, active, p.num_vars)
-    if p.num_vars == 1 and p.modulus is None:
-        g = _int_poly_gcd(
-            _univar_int_list(p.canonical(), 0), _univar_int_list(q.canonical(), 0)
-        )
-        return MultiPoly(1, {(len(g) - 1 - i,): c for i, c in enumerate(g)}, None)
     if p.is_homogeneous() and q.is_homogeneous():
         v = max(active)
         g = poly_gcd(_eliminate_var(p, v), _eliminate_var(q, v))
         return _rehomogenize(g, v, p.num_vars)
-    if p.num_vars == 2 and p.modulus is None:
-        g = _gcd_bivariate(p, q, shared)
-        if g is not None:
-            return g
-    if _coprime_fast_path(p, q, shared):
-        return one
+    if p.modulus is None:
+        return _gcd_modular(p, q)
     v = min(shared, key=lambda w: min(p.degree_in(w), q.degree_in(w)))
     cp = _content_wrt(p, v)
     cq = _content_wrt(q, v)
-    pp = poly_divexact(p, cp)
-    qq = poly_divexact(q, cq)
     cont = poly_gcd(cp, cq)
-    pu = _as_univar(pp, v)
-    qu = _as_univar(qq, v)
+    pu = _as_univar(poly_divexact(p, cp), v)
+    qu = _as_univar(poly_divexact(q, cq), v)
     if len(pu) < len(qu):
         pu, qu = qu, pu
-    res = _subresultant_prs(
-        pu,
-        qu,
-        one,
-        poly_divexact,
-        lambda x: x.is_zero(),
-    )
+    res = _subresultant_prs(pu, qu)
     if res is None:
         return cont
     g = _from_univar(res, v, p.num_vars, p.modulus)
-    gc = _content_wrt(g, v)
-    g = poly_divexact(g, gc)
-    return cont * g
+    return cont * poly_divexact(g, _content_wrt(g, v))
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, canonically normalized.
 
-    A zero input returns the other.  Otherwise the monomial content of each
-    input is split off: the gcd is the termwise-minimum monomial times the
-    gcd of the stripped parts, which is 1 if one of them is constant and
-    else comes from _gcd_core (see there for the branch order).  A
-    nonconstant result is verified by exact trial division into both
-    inputs.  A constant result needs no check: it is nonzero, and over a
-    field a nonzero constant divides every polynomial.
+    A zero input returns the other.  Otherwise the gcd is the termwise
+    minimum of the monomial contents times the gcd of the stripped parts:
+    1 if one is constant, else from _gcd_core, which tries in order no
+    shared variable, projection to the active variables and
+    dehomogenisation, then runs _gcd_modular over Q or the subresultant
+    PRS over a prime field.  Each reduction is exact, so the result is
+    certified once, by the trial division inside _gcd_modular (see its
+    lemma) or by the exactness of the PRS; no division runs here.
     """
     p._check_compat(q)
     if p.is_zero():
@@ -1118,11 +1042,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         core = MultiPoly.constant(p.num_vars, 1, p.modulus)
     else:
         core = _gcd_core(ps, qs)
-    g = (MultiPoly.monomial(p.num_vars, mg, 1, p.modulus) * core).canonical()
-    if not g.is_constant():
-        poly_divexact(p, g)
-        poly_divexact(q, g)
-    return g
+    return (MultiPoly.monomial(p.num_vars, mg, 1, p.modulus) * core).canonical()
 
 
 def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:

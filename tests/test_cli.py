@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dyndeg
 from dyndeg.cli import main
+
+SRC = os.path.dirname(os.path.dirname(dyndeg.__file__))
 
 UNSTABLE_MAP = '{"N":2,"coords":["X*Y","X*Y+Z^2","-1*Y*Z+Z^2"]}'
 STABLE_MAP = '{"N":2,"coords":["X*Y","X*Y+Z^2","Y*Z+Z^2"]}'
@@ -261,6 +267,16 @@ class TestPlumbing:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+        # degseq of an unstable fabc map, in two interpreters whose string
+        # hashes (and so set and dict orders) differ
+        script = "import sys; from dyndeg.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = [sys.executable, "-c", script, "degseq", "--map", UNSTABLE_MAP]
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and json.loads(outs[0])["drop_at"] == 3
 
     def test_invalid_inputs_exit_two(self, capsys):
         assert run_cli(capsys, "degseq", "--map", "not json")[0] == 2
@@ -270,6 +286,13 @@ class TestPlumbing:
         assert run_cli(capsys, "nonsense")[0] == 2
         assert run_cli(capsys, "degseq", "--map", STABLE_MAP, "--badflag")[0] == 2
         assert run_cli(capsys, "fabc-modp", "-a", "1", "-b", "1", "-c", "1", "-p", "6")[0] == 2
+
+    def test_strong_pseudoprime_modulus_exits_two(self, capsys):
+        n = 399165290221 * 798330580441  # passes Miller-Rabin to bases 2..37
+        doc = json.loads(STABLE_MAP)
+        doc["modulus"] = n
+        code, out, err = run_cli(capsys, "degseq", "--map", json.dumps(doc))
+        assert (code, out) == (2, "") and "not prime" in err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

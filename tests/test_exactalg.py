@@ -13,6 +13,7 @@ from dyndeg.exactalg import (
     NotDivisibleError,
     PolynomialParseError,
     format_poly,
+    is_prime,
     jacobian_det,
     parse_poly,
     poly_divexact,
@@ -67,6 +68,17 @@ class TestArithmetic:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             MultiPoly.variable(1, 0, modulus=6)
+
+    def test_strong_pseudoprime_to_bases_up_to_37_rejected(self):
+        n = 399165290221 * 798330580441
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            MultiPoly.variable(1, 0, modulus=n)
+
+    def test_primality_beyond_the_proven_range_refused(self):
+        assert is_prime(2**61 - 1)
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(exactalg._MR_LIMIT)
 
     def test_canonical_scaling(self):
         p = X * Fraction(-2, 3) + Y * Fraction(4, 3)
@@ -386,3 +398,20 @@ def test_gcd_skips_trial_division_only_for_constant_gcd(monkeypatch):
     assert divisions == []
     assert poly_gcd((x + 1) * (x - 2), (x + 1) * (x - 5)) == x + 1
     assert divisions == [x + 1, x + 1]
+
+
+def test_gcd_certifies_once(monkeypatch):
+    """A homogeneous pair with a planted quadratic factor is dehomogenised
+    and trial-divided once, in the modular gcd, and nowhere else."""
+    g = X**2 + 3 * X * Z - 2 * Y**2
+    a, b = g * (X + 2 * Y - Z), g * (Y**2 - X * Z + 5 * Z**2)
+    divisions = []
+    divexact = exactalg.poly_divexact
+
+    def counting_divexact(p, d):
+        divisions.append(d)
+        return divexact(p, d)
+
+    monkeypatch.setattr(exactalg, "poly_divexact", counting_divexact)
+    assert poly_gcd(a, b) == g
+    assert len(divisions) == 2
