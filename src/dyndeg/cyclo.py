@@ -87,7 +87,7 @@ def cos_min_poly(n: int) -> MultiPoly:
         d = phi.degree
         if d % 2 != 0:
             raise AssertionError("cyclotomic degree must be even for n >= 3")
-        coeffs = [Fraction(0)] * (d + 1)
+        coeffs = [0] * (d + 1)
         for exps, c in phi.terms:
             coeffs[exps[0]] = c
         if coeffs != coeffs[::-1]:
@@ -135,6 +135,6 @@ def rational_two_cos_values() -> frozenset[Fraction]:
         if p.degree == 1:
             coeffs = {exps[0]: c for exps, c in p.terms}
             lead = coeffs.get(1)
-            const = coeffs.get(0, Fraction(0))
-            values.add(-const / lead)
+            const = coeffs.get(0, 0)
+            values.add(Fraction(-const, lead))
     return frozenset(values)

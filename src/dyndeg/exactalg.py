@@ -1,14 +1,24 @@
 """Exact coefficient arithmetic and sparse multivariate polynomials.
 
-Coefficients are either `fractions.Fraction` (characteristic zero) or `Fp`
-elements (prime fields).  A polynomial is a sparse collection of terms,
-exponent vector -> nonzero coefficient, kept in descending graded
-lexicographic order so printing, hashing, and leading-term queries are
-deterministic.
+Over Q a coefficient is kept in Python's canonical form: an `int` when it
+is integral and a `fractions.Fraction` only when its denominator is above
+1, so the integer polynomials of the iterate pipeline run on plain int
+arithmetic.  Over a prime field coefficients are `Fp` elements.  A
+polynomial is a sparse collection of terms, exponent vector -> nonzero
+coefficient, kept in descending graded lexicographic order so printing,
+hashing, and leading-term queries are deterministic.
+
+Two places enforce the canonical form: `_coerce`, for values from outside,
+and `MultiPoly._set`, the one normalisation behind both the public
+constructor and the internal builder `MultiPoly._build` that arithmetic
+uses for its own results.  Every true division of coefficients is exact:
+`int / int` would give a float, so quotients over Q go through `Fraction`
+or, when exact, `//`.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import itertools
@@ -35,6 +45,22 @@ class PolynomialParseError(ValueError):
 
 class NotDivisibleError(ArithmeticError):
     """Exact polynomial division was requested but does not exist."""
+
+
+def _check_modulus(modulus) -> None:
+    """Refuse a modulus that is not a prime int below _MR_LIMIT; each
+    distinct modulus is tested for primality once per process.  The type
+    check runs before the cache, whose keys would let 7.0 or True pass as
+    7 or 1."""
+    if isinstance(modulus, bool) or not isinstance(modulus, int):
+        raise ValueError(f"modulus {modulus!r} is not an integer")
+    if not _modulus_is_prime(modulus):
+        raise ValueError(f"modulus {modulus} is not prime")
+
+
+@functools.lru_cache(maxsize=64)
+def _modulus_is_prime(modulus: int) -> bool:
+    return is_prime(modulus)
 
 
 def is_prime(n: int) -> bool:
@@ -71,8 +97,8 @@ class Fp:
     __slots__ = ("p", "v")
 
     def __init__(self, value: int, p: int, _checked: bool = False):
-        if not _checked and not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        if not _checked:
+            _check_modulus(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "v", value % p)
 
@@ -163,16 +189,18 @@ class Fp:
         return f"Fp({self.v}, {self.p})"
 
 
-Scalar = Union[Fraction, Fp, int]
+# A coefficient: over Q an int, or a Fraction whose denominator is above 1;
+# over a prime field an Fp.
+Scalar = Union[int, Fraction, Fp]
 
 
 def _coerce(value, modulus: int | None):
-    """Lift a raw scalar into the coefficient domain."""
+    """Lift a raw scalar into the coefficient domain, in canonical form."""
     if modulus is None:
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, Fp):
             raise DomainMismatchError("prime-field scalar in rational polynomial")
         raise TypeError(f"unsupported coefficient {value!r}")
@@ -187,8 +215,11 @@ def _coerce(value, modulus: int | None):
     raise TypeError(f"unsupported coefficient {value!r}")
 
 
-def grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
+def _grlex_term_key(term: tuple) -> tuple:
+    """Graded-lex sort key of a term (exponent vector, coefficient): total
+    degree, then the exponent vector."""
+    e = term[0]
+    return (sum(e), e)
 
 
 def _add_terms(acc: dict, terms: Iterable[tuple]) -> None:
@@ -223,8 +254,8 @@ class MultiPoly:
     ):
         if num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        if modulus is not None and not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+        if modulus is not None:
+            _check_modulus(modulus)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict = {}
         for exps, coeff in items:
@@ -232,17 +263,34 @@ class MultiPoly:
             if len(exps) != num_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {num_vars} variables")
             c = _coerce(coeff, modulus)
-            if exps in clean:
-                c = clean[exps] + c
-            if c:
-                clean[exps] = c
-            elif exps in clean:
-                del clean[exps]
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(clean.items(), key=lambda t: grlex_key(t[0]), reverse=True)),
-        )
+            prev = clean.get(exps)
+            clean[exps] = c if prev is None else prev + c
+        self._set(num_vars, clean, modulus)
+
+    @classmethod
+    def _build(cls, num_vars: int, terms: dict, modulus: int | None) -> "MultiPoly":
+        """Internal constructor for results of this module's own arithmetic:
+        terms maps tuples of num_vars nonnegative ints to coefficients of
+        the domain, so none of the constructor's checks or its coercion
+        runs."""
+        poly = object.__new__(cls)
+        poly._set(num_vars, terms, modulus)
+        return poly
+
+    def _set(self, num_vars: int, terms: dict, modulus: int | None) -> None:
+        """The one normalisation of every MultiPoly: drop zero coefficients,
+        turn integral Fractions into ints and store the terms in descending
+        grlex order."""
+        if modulus is None:
+            items = [
+                (e, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+                for e, c in terms.items()
+                if c
+            ]
+        else:
+            items = [t for t in terms.items() if t[1]]
+        items.sort(key=_grlex_term_key, reverse=True)
+        object.__setattr__(self, "terms", tuple(items))
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_hash", None)
@@ -335,13 +383,13 @@ class MultiPoly:
         self._check_compat(other)
         out = dict(self.terms)
         _add_terms(out, other.terms)
-        return MultiPoly(self.num_vars, out, self.modulus)
+        return MultiPoly._build(self.num_vars, out, self.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.num_vars, [(e, -c) for e, c in self.terms], self.modulus
+        return MultiPoly._build(
+            self.num_vars, {e: -c for e, c in self.terms}, self.modulus
         )
 
     def __sub__(self, other):
@@ -359,8 +407,10 @@ class MultiPoly:
             c0 = _coerce(other, self.modulus)
             if not c0:
                 return MultiPoly.zero(self.num_vars, self.modulus)
-            return MultiPoly(
-                self.num_vars, [(e, c * c0) for e, c in self.terms], self.modulus
+            if c0 == 1:
+                return self
+            return MultiPoly._build(
+                self.num_vars, {e: c * c0 for e, c in self.terms}, self.modulus
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -372,7 +422,7 @@ class MultiPoly:
                 e = tuple(map(add, ea, eb))
                 prev = out.get(e)
                 out[e] = ca * cb if prev is None else prev + ca * cb
-        return MultiPoly(self.num_vars, out, self.modulus)
+        return MultiPoly._build(self.num_vars, out, self.modulus)
 
     __rmul__ = __mul__
 
@@ -427,7 +477,7 @@ class MultiPoly:
                         cache[e] = p
                     term = term * p
             total = total + term
-        return total
+        return _coerce(total, self.modulus)
 
     def substitute(self, assignment: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute a polynomial for every variable."""
@@ -435,14 +485,14 @@ class MultiPoly:
 
     def partial(self, var: int) -> "MultiPoly":
         """Partial derivative with respect to one variable."""
-        out = []
+        out = {}
         for exps, coeff in self.terms:
             e = exps[var]
             if e:
                 new = list(exps)
                 new[var] = e - 1
-                out.append((tuple(new), coeff * e))
-        return MultiPoly(self.num_vars, out, self.modulus)
+                out[tuple(new)] = coeff * e
+        return MultiPoly._build(self.num_vars, out, self.modulus)
 
     # -- normalization -----------------------------------------------------
 
@@ -468,7 +518,7 @@ def _canonical_scale(polys: Sequence[MultiPoly]) -> Scalar:
     for p in polys:
         for _, c in p.terms:
             num = math.gcd(num, c.numerator * (den // c.denominator))
-    scale = Fraction(den, num)
+    scale = den // num if den % num == 0 else Fraction(den, num)
     return -scale if lead < 0 else scale
 
 
@@ -537,11 +587,12 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     if d.is_constant():
-        return p * (_coerce(1, p.modulus) / d.terms[0][1])
+        c = d.terms[0][1]
+        return p * (Fraction(1, c) if p.modulus is None else 1 / c)
     quot = _divide_terms(dict(p.terms), d.terms)
     if quot is None:
         raise NotDivisibleError("leading term not divisible")
-    return MultiPoly(p.num_vars, quot, p.modulus)
+    return MultiPoly._build(p.num_vars, dict(quot), p.modulus)
 
 
 def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
@@ -549,7 +600,10 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 
     rem maps exponent vectors to nonzero coefficients and is consumed; d
     lists (exponent vector, coefficient) pairs, grlex-leading term first.
-    Coefficients are field elements, or ints reduced mod p when p is given.
+    Coefficients are ints and Fractions over Q, Fp elements, or ints
+    reduced mod p when p is given.  Over Q a quotient coefficient is exact:
+    rc // lc when the divisor's int leading coefficient lc divides rc, a
+    Fraction otherwise.
     A heap of grlex keys runs over rem; a key whose term cancelled stays in
     the heap and is skipped when popped.  Each step pops the leading
     remainder term, divides it by the leading term of d (or gives up), and
@@ -565,7 +619,12 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
     d*(q - partial quotient) is divisible by the leading term of d.
     """
     (lead_e, lead_c), rest = d[0], d[1:]
-    inv = pow(lead_c, -1, p) if p else 1 / lead_c
+    if p:
+        inv = pow(lead_c, -1, p)
+    elif lead_c.__class__ is int:
+        inv = None
+    else:
+        inv = 1 / lead_c
     sub, add, neg = operator.sub, operator.add, operator.neg
     heap = [_heap_key(e) for e in rem]
     heapq.heapify(heap)
@@ -579,7 +638,14 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
         qe = tuple(map(sub, re, lead_e))
         if min(qe) < 0:
             return None
-        qc = rc * inv % p if p else rc * inv
+        if p:
+            qc = rc * inv % p
+        elif inv is None:
+            qc, r = divmod(rc, lead_c)
+            if r:
+                qc = Fraction(rc, lead_c)
+        else:
+            qc = rc * inv
         quot.append((qe, qc))
         for de, dc in rest:
             e = tuple(map(add, qe, de))
@@ -666,9 +732,9 @@ def _monomial_content(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
                 mins[i] = e
     if not any(mins):
         return tuple(mins), p
-    stripped = MultiPoly(
+    stripped = MultiPoly._build(
         p.num_vars,
-        [(tuple(map(operator.sub, e, mins)), c) for e, c in p.terms],
+        {tuple(map(operator.sub, e, mins)): c for e, c in p.terms},
         p.modulus,
     )
     return tuple(mins), stripped
@@ -687,8 +753,7 @@ def _as_univar(p: MultiPoly, v: int) -> list[MultiPoly]:
         k = e[v]
         e[v] = 0
         buckets[k][tuple(e)] = c
-    out = [MultiPoly(p.num_vars, buckets[d - i], p.modulus) for i in range(d + 1)]
-    return out
+    return [MultiPoly._build(p.num_vars, buckets[d - i], p.modulus) for i in range(d + 1)]
 
 
 def _from_univar(coeffs: list[MultiPoly], v: int, num_vars: int, modulus) -> MultiPoly:
@@ -700,7 +765,7 @@ def _from_univar(coeffs: list[MultiPoly], v: int, num_vars: int, modulus) -> Mul
             total,
             [(e[:v] + (e[v] + d - i,) + e[v + 1 :], coeff) for e, coeff in c.terms],
         )
-    return MultiPoly(num_vars, total, modulus)
+    return MultiPoly._build(num_vars, total, modulus)
 
 
 def _eliminate_var(p: MultiPoly, v: int) -> MultiPoly:
@@ -710,7 +775,7 @@ def _eliminate_var(p: MultiPoly, v: int) -> MultiPoly:
         e = exps[:v] + exps[v + 1 :]
         prev = out.get(e)
         out[e] = c if prev is None else prev + c
-    return MultiPoly(p.num_vars - 1, out, p.modulus)
+    return MultiPoly._build(p.num_vars - 1, out, p.modulus)
 
 
 def _rehomogenize(p: MultiPoly, v: int, num_vars: int) -> MultiPoly:
@@ -721,7 +786,7 @@ def _rehomogenize(p: MultiPoly, v: int, num_vars: int) -> MultiPoly:
         pad = d - sum(exps)
         e = exps[:v] + (pad,) + exps[v:]
         out[e] = c
-    return MultiPoly(num_vars, out, p.modulus)
+    return MultiPoly._build(num_vars, out, p.modulus)
 
 
 def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
@@ -730,8 +795,8 @@ def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
 
 
 def _project_vars(p: MultiPoly, keep: list[int]) -> MultiPoly:
-    terms = [(tuple(exps[v] for v in keep), c) for exps, c in p.terms]
-    return MultiPoly(len(keep), terms, p.modulus)
+    terms = {tuple(exps[v] for v in keep): c for exps, c in p.terms}
+    return MultiPoly._build(len(keep), terms, p.modulus)
 
 
 def _lift_vars(p: MultiPoly, keep: list[int], num_vars: int) -> MultiPoly:
@@ -741,7 +806,7 @@ def _lift_vars(p: MultiPoly, keep: list[int], num_vars: int) -> MultiPoly:
         for i, v in enumerate(keep):
             e[v] = exps[i]
         out[tuple(e)] = c
-    return MultiPoly(num_vars, out, p.modulus)
+    return MultiPoly._build(num_vars, out, p.modulus)
 
 
 # Images mod a prime p hold plain ints in [0, p): a univariate polynomial is
@@ -956,8 +1021,8 @@ def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             r = res.get(e, 0)
             res[e] = r + mod * ((h.get(e, 0) * s - r) * w % pr)
         mod *= pr
-        cand = MultiPoly(
-            p.num_vars, {e: r - mod if 2 * r > mod else r for e, r in res.items()}
+        cand = MultiPoly._build(
+            p.num_vars, {e: r - mod if 2 * r > mod else r for e, r in res.items()}, None
         ).canonical()
         try:
             poly_divexact(p, cand)
@@ -969,7 +1034,7 @@ def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """GCD of two nonzero non-constant polynomials without monomial factors,
-    up to canonical scale.  Three exact reductions, then one algorithm per
+    canonically scaled.  Three exact reductions, then one algorithm per
     coefficient field:
 
     1. No shared variable: a nonconstant common factor has positive degree
@@ -978,7 +1043,9 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
        of what they divide, so recurse without it and lift back.
     3. Both homogeneous: divisors of forms are forms, and neither input is
        divisible by the last variable, so setting it to 1 keeps divisors
-       and their degrees; recurse, then rehomogenise.
+       and their degrees; recurse, then rehomogenise and rescale (the
+       grlex leading term of the dehomogenised gcd need not lead after
+       rehomogenising).
     4. Over Q: _gcd_modular, certified by its trial division.  Over a prime
        field, with too few evaluation points for a modular method: the
        recursive subresultant PRS in the variable of least shared degree,
@@ -1000,7 +1067,7 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_homogeneous() and q.is_homogeneous():
         v = max(active)
         g = poly_gcd(_eliminate_var(p, v), _eliminate_var(q, v))
-        return _rehomogenize(g, v, p.num_vars)
+        return _rehomogenize(g, v, p.num_vars).canonical()
     if p.modulus is None:
         return _gcd_modular(p, q)
     v = min(shared, key=lambda w: min(p.degree_in(w), q.degree_in(w)))
@@ -1015,20 +1082,28 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if res is None:
         return cont
     g = _from_univar(res, v, p.num_vars, p.modulus)
-    return cont * poly_divexact(g, _content_wrt(g, v))
+    return (cont * poly_divexact(g, _content_wrt(g, v))).canonical()
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, canonically normalized.
 
-    A zero input returns the other.  Otherwise the gcd is the termwise
-    minimum of the monomial contents times the gcd of the stripped parts:
-    1 if one is constant, else from _gcd_core, which tries in order no
-    shared variable, projection to the active variables and
-    dehomogenisation, then runs _gcd_modular over Q or the subresultant
+    A zero input returns the other.  Otherwise the gcd is the monomial
+    x^m, m the termwise minimum of the monomial contents, times the gcd of
+    the stripped parts: 1 if one is constant, else from _gcd_core, which
+    tries in order no shared variable, projection to the active variables
+    and dehomogenisation, then runs _gcd_modular over Q or the subresultant
     PRS over a prime field.  Each reduction is exact, so the result is
     certified once, by the trial division inside _gcd_modular (see its
     lemma) or by the exactness of the PRS; no division runs here.
+
+    The result is built once: x^m itself when the stripped gcd is 1, else
+    the core from _gcd_core with its exponents shifted by m.  Lemma: the
+    core is canonical, and so is x^m times it.  Multiplying by a monic
+    monomial changes no coefficient, so over Q they stay coprime integers
+    and over a prime field the leading one stays 1; and grlex is a monomial
+    order, so e > e' implies e + m > e' + m and the leading term stays
+    leading, with its sign.
     """
     p._check_compat(q)
     if p.is_zero():
@@ -1039,10 +1114,15 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     mq, qs = _monomial_content(q)
     mg = tuple(map(min, mp, mq))
     if ps.is_constant() or qs.is_constant():
-        core = MultiPoly.constant(p.num_vars, 1, p.modulus)
-    else:
-        core = _gcd_core(ps, qs)
-    return (MultiPoly.monomial(p.num_vars, mg, 1, p.modulus) * core).canonical()
+        return MultiPoly.monomial(p.num_vars, mg, 1, p.modulus)
+    core = _gcd_core(ps, qs)
+    if not any(mg):
+        return core
+    return MultiPoly._build(
+        p.num_vars,
+        {tuple(map(operator.add, e, mg)): c for e, c in core.terms},
+        p.modulus,
+    )
 
 
 def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
@@ -1230,6 +1310,8 @@ def parse_poly(
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise PolynomialParseError("unexpected end of polynomial text")
         t = tokens[pos]
         pos += 1
         return t
@@ -1257,6 +1339,8 @@ def parse_poly(
                     d = take()
                     if not d.isdigit():
                         raise PolynomialParseError("bad fraction denominator")
+                    if int(d) == 0:
+                        raise PolynomialParseError("zero denominator")
                     val = val / int(d)
                 coeff *= val
                 saw_factor = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from .exactalg import (
@@ -73,7 +74,11 @@ class ProjectivePoint:
         pivot = next((v for v in vals if v), None)
         if pivot is None:
             raise ValueError("all coordinates are zero")
-        object.__setattr__(self, "coords", tuple(v / pivot for v in vals))
+        if modulus is None:
+            coords = tuple(_coerce(Fraction(v, pivot), None) for v in vals)
+        else:
+            coords = tuple(v / pivot for v in vals)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, *a):  # pragma: no cover

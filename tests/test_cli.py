@@ -294,6 +294,21 @@ class TestPlumbing:
         code, out, err = run_cli(capsys, "degseq", "--map", json.dumps(doc))
         assert (code, out) == (2, "") and "not prime" in err
 
+    @pytest.mark.parametrize("modulus", [2.5, "7"])
+    def test_non_integer_modulus_exits_two(self, capsys, modulus):
+        doc = json.loads(STABLE_MAP)
+        doc["modulus"] = modulus
+        code, out, err = run_cli(capsys, "degseq", "--map", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: modulus {modulus!r} is not an integer\n"
+
+    def test_zero_denominator_exits_two(self, capsys):
+        doc = '{"N":2,"coords":["1/0*X*Y","X*Y+Z^2","Y*Z+Z^2"]}'
+        code, out, err = run_cli(capsys, "degseq", "--map", doc)
+        assert (code, out, err) == (2, "", "error: zero denominator\n")
+        code, out, err = run_cli(capsys, "fabc-locus", "-a", "1", "-b", "1", "-c", "1/0*T")
+        assert (code, out, err) == (2, "", "error: zero denominator\n")
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -304,3 +319,19 @@ class TestPlumbing:
         assert code == 0
         assert "status: unstable" in out
         assert "zeta_order: 4" in out
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)]
+)
+def test_golden_stdout(capsys, case):
+    """Exact stdout, byte for byte, of commands whose answers carry exact
+    rationals, so a change of their printed form (say `3/1` for `3`) fails.
+    The fabc-locus case also pins the float roots and heights that numpy's
+    eigenvalue solver gives for it."""
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, out, err) == (0, case["stdout"], "")
