@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -303,8 +304,19 @@ def _cmd_verify(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a token made of '-' and then anything but a lowercase letter or
+    a second '-' as a value, not as an option, so that `-b -1/2` and
+    `-c -3*T` work as `-b -1` already does.  Every option of dyndeg is '-'
+    and a lowercase letter, or starts with '--'."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[^-a-z]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dyndeg",
         description="Exact degree sequences, stability classifiers, and "
         "dynamical-degree certificates for rational self-maps.",

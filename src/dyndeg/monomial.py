@@ -64,7 +64,7 @@ class MonomialMap:
     map is dominant exactly when det(A) != 0, which is enforced here.
     """
 
-    __slots__ = ("matrix", "n", "det")
+    __slots__ = ("matrix", "n", "det", "_powers")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         rows = _validate_rows(matrix)
@@ -87,17 +87,30 @@ class MonomialMap:
     def __repr__(self):
         return f"MonomialMap({[list(r) for r in self.matrix]})"
 
+    @property
+    def powers(self) -> tuple[Rows, ...]:
+        """A^0, A^1, ..., A^N, built once (N - 1 products) on first use."""
+        if not hasattr(self, "_powers"):
+            object.__setattr__(self, "_powers", _powers(self.matrix))
+        return self._powers
+
 
 def identity_rows(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Rows:
-    n = len(a)
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def _powers(rows: Rows) -> tuple[Rows, ...]:
+    out = [identity_rows(len(rows)), rows]
+    for _ in range(len(rows) - 1):
+        out.append(mat_mul(out[-1], rows))
+    return tuple(out)
 
 
 def mat_pow(a: Sequence[Sequence[int]], k: int) -> Rows:
@@ -159,20 +172,15 @@ def homogenize(m: MonomialMap) -> ProjectiveMap:
 
 
 def char_poly(m: MonomialMap) -> list[int]:
-    """Coefficients of det(xI - A), descending, computed exactly."""
-    n = m.n
-    a = m.matrix
+    """Coefficients of det(xI - A), descending, computed exactly from the
+    power sums p_k = tr A^k by Newton's identities:
+    k*c_k = -(p_k + sum_{0<j<k} c_j*p_{k-j})."""
+    p = [sum(a[i][i] for i in range(m.n)) for a in m.powers]
     coeffs = [1]
-    mat = identity_rows(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, mat)
-        tr = sum(am[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        assert r == 0, "trace step must divide exactly"
+    for k in range(1, m.n + 1):
+        q, r = divmod(-(p[k] + sum(coeffs[j] * p[k - j] for j in range(1, k))), k)
+        assert r == 0, "Newton step must divide exactly"
         coeffs.append(q)
-        mat = tuple(
-            tuple(am[i][j] + (q if i == j else 0) for j in range(n)) for i in range(n)
-        )
     return coeffs
 
 
@@ -207,7 +215,7 @@ class RadiusEnclosure:
     high: Fraction
 
 
-def _float_radius_estimate(coeffs: list[int]) -> float | None:
+def _float_radius_estimate(coeffs: Sequence[int]) -> float | None:
     try:
         arr = np.array([float(c) for c in coeffs], dtype=float)
     except OverflowError:
@@ -230,7 +238,7 @@ def _to_frac(x: float) -> Fraction:
     return Fraction(round(x * _ROUND_DEN), _ROUND_DEN)
 
 
-def _certify_radius(coeffs: list[int], rel_tol: float) -> RadiusEnclosure:
+def _certify_radius(coeffs: Sequence[int], rel_tol: float) -> RadiusEnclosure:
     """Enclose the max root modulus of a monic integer polynomial whose roots
     have modulus product >= 1 (so the radius is >= 1)."""
     lo = Fraction(1)
@@ -268,6 +276,91 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError("rel_tol must lie in (0, 1e-3]")
 
 
+def _gamma(n: int) -> float:
+    """gamma_N = (2^(1/N) - 1) / (2 N^2), the constant of the degree-ratio bound."""
+    return (2 ** (1 / n) - 1) / (2 * n * n)
+
+
+@dataclass(frozen=True)
+class LowerBoundCheck:
+    """Result of comparing the spectral radius against the degree-ratio
+    lower bound (2^(1/N)-1)/(2N^2) * min_k D(A^(k+1))/D(A^k)."""
+
+    holds: bool
+    lhs: float
+    rhs: float
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """Exact invariants of a monomial map plus the radius certified at
+    rel_tol, computed once by analyze; the checks below read only these."""
+
+    n: int
+    degree: int
+    sup_norm: int
+    char_poly: tuple[int, ...]
+    radius: RadiusEnclosure
+    powers: tuple[Rows, ...]  # A^0, ..., A^N
+    rel_tol: float
+
+    def contraction_index(self) -> int:
+        """Least k in [0, N-1] with ||A^(k+1)|| * (2^(1/N) - 1) <= lam * ||A^k||,
+        using the certified radius with a (1 + 2*rel_tol) guard band.  Such a
+        k always exists; failure to find one signals a bug."""
+        factor = 2 ** (1 / self.n) - 1
+        guarded = self.radius.value * (1 + 2 * self.rel_tol)
+        norms = [sup_norm(a) for a in self.powers]
+        for k in range(self.n):
+            if norms[k + 1] * factor <= guarded * norms[k]:
+                return k
+        raise RuntimeError("no contraction index in [0, N-1]; invariant violated")
+
+    def degree_ratio_check(self) -> LowerBoundCheck:
+        """Check lam(A) >= gamma_N * min over 0 <= k <= N-1 of
+        D(A^(k+1))/D(A^k), with D(A^0) = 1; lhs carries a (1 + 2*rel_tol)
+        guard band."""
+        degs = [_degree_of_rows(a) for a in self.powers]
+        ratio = min(Fraction(degs[k + 1], degs[k]) for k in range(self.n))
+        lhs = self.radius.value
+        rhs = _gamma(self.n) * float(ratio)
+        return LowerBoundCheck(holds=lhs * (1 + 2 * self.rel_tol) >= rhs, lhs=lhs, rhs=rhs)
+
+    def m_epsilon(self, epsilon: float, m_cap: int = 64) -> int | None:
+        """Least m <= m_cap such that for every 0 <= k < N,
+        (gamma_N * D(A^((k+1)m)) / D(A^(km)))^(1/m) >= lam(A) - epsilon,
+        or None if no m within the cap works."""
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        target = self.radius.value - epsilon
+        log_gamma = math.log(_gamma(self.n))
+        for mm in range(1, m_cap + 1):
+            degs = [_degree_of_rows(a) for a in _powers(mat_pow(self.powers[1], mm))]
+            if all(
+                math.exp((log_gamma + math.log(degs[k + 1]) - math.log(degs[k])) / mm)
+                >= target
+                for k in range(self.n)
+            ):
+                return mm
+        return None
+
+
+def analyze(m: MonomialMap, rel_tol: float = 1e-6) -> SpectralData:
+    """The map's spectral data: its powers, its characteristic polynomial
+    (read off their traces) and one certified radius enclosure."""
+    _check_rel_tol(rel_tol)
+    coeffs = tuple(char_poly(m))
+    return SpectralData(
+        n=m.n,
+        degree=degree_D(m),
+        sup_norm=sup_norm(m.matrix),
+        char_poly=coeffs,
+        radius=_certify_radius(coeffs, rel_tol),
+        powers=m.powers,
+        rel_tol=rel_tol,
+    )
+
+
 def spectral_radius_enclosure(m: MonomialMap, rel_tol: float = 1e-6) -> RadiusEnclosure:
     """Largest eigenvalue modulus with a certified rational enclosure.
 
@@ -275,8 +368,7 @@ def spectral_radius_enclosure(m: MonomialMap, rel_tol: float = 1e-6) -> RadiusEn
     exact all-roots-inside-disk test, so [low, high) always contains the true
     value and high/low - 1 <= rel_tol.
     """
-    _check_rel_tol(rel_tol)
-    return _certify_radius(char_poly(m), rel_tol)
+    return analyze(m, rel_tol).radius
 
 
 def spectral_radius(m: MonomialMap, rel_tol: float = 1e-6) -> float:
@@ -292,65 +384,25 @@ def verify_norm_equivalence(m: MonomialMap) -> bool:
 
 
 def find_k_contraction(m: MonomialMap, rel_tol: float = 1e-6) -> int:
-    """Least k in [0, N-1] with ||A^(k+1)|| * (2^(1/N) - 1) <= lam * ||A^k||,
-    using the certified radius with a (1 + 2*rel_tol) guard band.  Such a k
-    always exists; failure to find one signals a bug."""
-    _check_rel_tol(rel_tol)
-    lam = spectral_radius(m, rel_tol)
-    factor = 2 ** (1 / m.n) - 1
-    current = identity_rows(m.n)
-    for k in range(m.n):
-        nxt = mat_mul(current, m.matrix)
-        if sup_norm(nxt) * factor <= lam * (1 + 2 * rel_tol) * sup_norm(current):
-            return k
-        current = nxt
-    raise RuntimeError("no contraction index in [0, N-1]; invariant violated")
-
-
-@dataclass(frozen=True)
-class LowerBoundCheck:
-    """Result of comparing the spectral radius against the degree-ratio
-    lower bound (2^(1/N)-1)/(2N^2) * min_k D(A^(k+1))/D(A^k)."""
-
-    holds: bool
-    lhs: float
-    rhs: float
+    """Least contraction index k of the map (SpectralData.contraction_index)."""
+    return analyze(m, rel_tol).contraction_index()
 
 
 def degree_ratio_lower_bound(m: MonomialMap, rel_tol: float = 1e-6) -> LowerBoundCheck:
-    """Check lam(A) >= gamma_N * min over 0 <= k <= N-1 of D(A^(k+1))/D(A^k),
-    with D(A^0) = 1 and gamma_N = (2^(1/N)-1)/(2N^2); lhs carries a
-    (1 + 2*rel_tol) guard band."""
-    _check_rel_tol(rel_tol)
-    n = m.n
-    gamma = (2 ** (1 / n) - 1) / (2 * n * n)
-    degs = [1]
-    current = identity_rows(n)
-    for _ in range(n):
-        current = mat_mul(current, m.matrix)
-        degs.append(_degree_of_rows(current))
-    ratio = min(Fraction(degs[k + 1], degs[k]) for k in range(n))
-    lhs = spectral_radius(m, rel_tol)
-    rhs = gamma * float(ratio)
-    return LowerBoundCheck(holds=lhs * (1 + 2 * rel_tol) >= rhs, lhs=lhs, rhs=rhs)
+    """The map's degree-ratio lower-bound check (SpectralData.degree_ratio_check)."""
+    return analyze(m, rel_tol).degree_ratio_check()
 
 
 def _adjugate(rows: Rows) -> Rows:
     n = len(rows)
     if n == 1:
         return ((1,),)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            row.append((-1) ** (i + j) * int_det(minor))
-        out.append(tuple(row))
-    return tuple(out)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+        return (-1) ** (i + j) * int_det(minor)
+
+    return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
 
 
 def inverse_map(m: MonomialMap) -> MonomialMap:
@@ -363,71 +415,26 @@ def inverse_map(m: MonomialMap) -> MonomialMap:
     return MonomialMap(tuple(tuple(-x for x in row) for row in adj))
 
 
-def inverse_degree_bound_check(m: MonomialMap) -> bool:
-    """Exact check of D(A^-1) <= D(A)^(N-1) for a birational monomial map."""
-    inv = inverse_map(m)
+def inverse_degree_bound_check(m: MonomialMap, inv: MonomialMap | None = None) -> bool:
+    """Exact check of D(A^-1) <= D(A)^(N-1) for a birational monomial map.
+    A caller that already holds inverse_map(m) passes it as inv."""
+    if inv is None:
+        inv = inverse_map(m)
     return degree_D(inv) <= degree_D(m) ** (m.n - 1)
 
 
 def find_m_epsilon(
     m: MonomialMap, epsilon: float, rel_tol: float = 1e-6, m_cap: int = 64
 ) -> int | None:
-    """Least m <= m_cap such that for every 0 <= k < N,
-    (gamma_N * D(A^((k+1)m)) / D(A^(km)))^(1/m) >= lam(A) - epsilon,
-    or None if no m within the cap works."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    _check_rel_tol(rel_tol)
-    n = m.n
-    gamma = (2 ** (1 / n) - 1) / (2 * n * n)
-    target = spectral_radius(m, rel_tol) - epsilon
-    log_gamma = math.log(gamma)
-    for mm in range(1, m_cap + 1):
-        step = mat_pow(m.matrix, mm)
-        degs = [1]
-        current = identity_rows(n)
-        for _ in range(n):
-            current = mat_mul(current, step)
-            degs.append(_degree_of_rows(current))
-        ok = True
-        for k in range(n):
-            value = math.exp(
-                (log_gamma + math.log(degs[k + 1]) - math.log(degs[k])) / mm
-            )
-            if value < target:
-                ok = False
-                break
-        if ok:
-            return mm
-    return None
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Exact invariants of a monomial map plus the certified radius."""
-
-    n: int
-    degree: int
-    sup_norm: int
-    char_poly: tuple[int, ...]
-    radius: RadiusEnclosure
-
-
-def analyze(m: MonomialMap, rel_tol: float = 1e-6) -> SpectralData:
-    return SpectralData(
-        n=m.n,
-        degree=degree_D(m),
-        sup_norm=sup_norm(m.matrix),
-        char_poly=tuple(char_poly(m)),
-        radius=spectral_radius_enclosure(m, rel_tol),
-    )
+    """Least m whose degree ratios reach lam - epsilon (SpectralData.m_epsilon)."""
+    return analyze(m, rel_tol).m_epsilon(epsilon, m_cap)
 
 
 def full_report(m: MonomialMap, rel_tol: float = 1e-6) -> dict:
     """All invariants and inequality checks in one JSON-friendly record."""
     data = analyze(m, rel_tol)
-    bound = degree_ratio_lower_bound(m, rel_tol)
-    report = {
+    bound = data.degree_ratio_check()
+    return {
         "N": data.n,
         "D": data.degree,
         "sup_norm": data.sup_norm,
@@ -435,14 +442,7 @@ def full_report(m: MonomialMap, rel_tol: float = 1e-6) -> dict:
         "lambda": data.radius.value,
         "lambda_interval": [float(data.radius.low), float(data.radius.high)],
         "norm_equivalence": verify_norm_equivalence(m),
-        "contraction_k": find_k_contraction(m, rel_tol),
-        "degree_ratio_bound": {
-            "holds": bound.holds,
-            "lhs": bound.lhs,
-            "rhs": bound.rhs,
-        },
-        "inverse_degree_bound": (
-            inverse_degree_bound_check(m) if abs(m.det) == 1 else None
-        ),
+        "contraction_k": data.contraction_index(),
+        "degree_ratio_bound": {"holds": bound.holds, "lhs": bound.lhs, "rhs": bound.rhs},
+        "inverse_degree_bound": inverse_degree_bound_check(m) if abs(m.det) == 1 else None,
     }
-    return report

@@ -26,15 +26,12 @@ from .gfam import (
 )
 from .monomial import (
     MonomialMap,
-    char_poly,
+    analyze,
     degree_D,
-    degree_ratio_lower_bound,
-    find_k_contraction,
     homogenize,
     inverse_degree_bound_check,
     inverse_map,
     mat_mul,
-    spectral_radius_enclosure,
     verify_norm_equivalence,
 )
 from .ratmap import ProjectivePoint, degree_drop_index
@@ -90,16 +87,17 @@ def _random_monomial_map(rng: random.Random) -> MonomialMap:
 
 
 def _check_monomial_instance(m: MonomialMap, rel_tol: float) -> list[str]:
+    data = analyze(m, rel_tol)
     problems = []
     if not verify_norm_equivalence(m):
         problems.append("norm-equivalence bounds failed")
     try:
-        k = find_k_contraction(m, rel_tol=rel_tol)
+        k = data.contraction_index()
         if not 0 <= k < m.n:
             problems.append(f"contraction index {k} outside [0, {m.n - 1}]")
     except RuntimeError as exc:
         problems.append(f"no contraction index: {exc}")
-    check = degree_ratio_lower_bound(m, rel_tol=rel_tol)
+    check = data.degree_ratio_check()
     if not check.holds:
         problems.append(
             f"degree-ratio lower bound failed ({check.lhs} < {check.rhs})"
@@ -107,13 +105,12 @@ def _check_monomial_instance(m: MonomialMap, rel_tol: float) -> list[str]:
     # characteristic coefficients are elementary symmetric functions of
     # eigenvalues of modulus <= lambda, so |c_j| <= C(N, j) * lambda^j;
     # testing against the certified upper end keeps the comparison exact
-    high = spectral_radius_enclosure(m, rel_tol=rel_tol).high
-    coeffs = char_poly(m)
+    high = data.radius.high
     for j in range(1, m.n + 1):
-        if abs(coeffs[j]) > math.comb(m.n, j) * high**j:
+        if abs(data.char_poly[j]) > math.comb(m.n, j) * high**j:
             problems.append(f"characteristic coefficient {j} exceeds its bound")
             break
-    if m.n <= 3 and homogenize(m).degree != degree_D(m):
+    if m.n <= 3 and homogenize(m).degree != data.degree:
         problems.append("homogenization degree disagrees with degree formula")
     return problems
 
@@ -178,7 +175,7 @@ def unimodular_suite(count: int = 500, seed: int = DEFAULT_SEED + 1) -> SuiteRes
                 tuple(1 if r == s else 0 for s in range(m.n)) for r in range(m.n)
             ):
                 problems.append("inverse does not invert")
-            if not inverse_degree_bound_check(m):
+            if not inverse_degree_bound_check(m, inv):
                 problems.append(
                     f"D(inverse) = {degree_D(inv)} exceeds "
                     f"D = {degree_D(m)} to the power {m.n - 1}"

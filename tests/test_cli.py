@@ -321,6 +321,42 @@ class TestPlumbing:
         assert "zeta_order: 4" in out
 
 
+class TestNegativeValues:
+    """A value that starts with '-' but is no plain number (-1/2, -3*T) is
+    still read as the option's value when it comes as a separate argument."""
+
+    @pytest.mark.parametrize(
+        "argv, option, key, value",
+        [
+            (["fabc-classify", "-a", "2", "-b", "-1/2", "-c", "1"], "-b", "b", "-1/2"),
+            (["gfam", "-a", "1", "-b", "-3/2", "--nmax", "6"], "-b", "b", "-3/2"),
+            (["gfam", "-a", "-1/2", "-b", "1", "-t", "-7/4", "--nmax", "6"], "-t", None, None),
+            (["fabc-locus", "-a", "1", "-b", "2", "-c", "-3*T", "--nmax", "8"], "-c", None, None),
+            (["fabc-intersect", "--first", "-1;T;2", "--second", "1;2;T", "--nmax", "6"],
+             "--first", None, None),
+        ],
+    )
+    def test_separate_negative_value(self, capsys, argv, option, key, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if key is not None:
+            assert json.loads(out)[key] == value
+        i = argv.index(option)
+        joined = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2:]
+        assert run_cli(capsys, *joined) == (0, out, "")
+
+    def test_locus_of_negative_coefficient(self, capsys):
+        code, doc = run_json(
+            capsys, "fabc-locus", "-a", "1", "-b", "2", "-c", "-3*T", "--nmax", "6"
+        )
+        assert code == 0
+        assert doc["entries"][0]["poly"] == "9*T^2 + 2"
+
+    def test_unknown_option_still_refused(self, capsys):
+        code, _, err = run_cli(capsys, "fabc-classify", "-a", "2", "-x", "-1/2", "-c", "1")
+        assert code == 2 and "error:" in err
+
+
 with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")) as fh:
     GOLDEN = json.load(fh)
 

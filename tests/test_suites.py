@@ -2,6 +2,7 @@
 
 import pytest
 
+from dyndeg import monomial, suites
 from dyndeg.suites import (
     SuiteResult,
     available_suites,
@@ -64,3 +65,43 @@ class TestReducedRuns:
         assert run_suite("monomial", count=10).ok
         assert run_suite("unimodular", count=10).ok
         assert run_suite("gfam").ok
+
+
+def _spy(monkeypatch, module, name, record=lambda *args: None):
+    """Count the calls of module.name, which keeps working as before."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestWorkDoneOnce:
+    """Each suite instance pays once for its spectral data and its inverse."""
+
+    def test_monomial_suite_certifies_one_radius_per_instance(self, monkeypatch):
+        radii = _spy(monkeypatch, monomial, "_certify_radius")
+        assert monomial_suite(count=50, seed=9).ok
+        assert len(radii) == 50
+
+    def test_monomial_suite_makes_at_most_n_products_per_instance(self, monkeypatch):
+        products = _spy(monkeypatch, monomial, "mat_mul")
+        per_instance = _spy(
+            monkeypatch,
+            suites,
+            "_check_monomial_instance",
+            lambda m, rel_tol: (m.n, len(products)),
+        )
+        assert monomial_suite(count=50, seed=9).ok
+        ends = [start for _, start in per_instance[1:]] + [len(products)]
+        for (n, start), end in zip(per_instance, ends):
+            assert end - start <= n
+
+    def test_unimodular_suite_builds_one_adjugate_per_instance(self, monkeypatch):
+        adjugates = _spy(monkeypatch, monomial, "_adjugate")
+        assert unimodular_suite(count=50, seed=9).ok
+        assert len(adjugates) == 50
