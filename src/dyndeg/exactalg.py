@@ -976,6 +976,29 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
+def _univariate_image(p: MultiPoly) -> list | None:
+    """Ascending coefficient list of a nonzero univariate polynomial over Q,
+    denominators cleared, mod r = _prime(0); None when r divides its
+    leading coefficient.
+
+    Lemma (the one of _gcd_modular, with one prime and no points): let a, b
+    be integer polynomials with r dividing neither lc(a) nor lc(b).  A
+    primitive G = gcd(a, b) over Z has lc(G) dividing lc(a) (Gauss), so
+    G mod r keeps the degree of G and divides both images.  If _up_gcd of
+    the two images is constant, G is constant and gcd(a, b) = 1 over Q.  A
+    nonconstant image gcd proves nothing, so callers then run poly_gcd.
+    """
+    r = _prime(0)
+    a = _integer_terms(p)
+    top = max(a)
+    if not a[top] % r:
+        return None
+    out = [0] * (top[0] + 1)
+    for (e,), c in a.items():
+        out[e] = c % r
+    return out
+
+
 def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Gcd of nonzero rational polynomials by Brown's dense modular
     algorithm (J. ACM 18, 1971), canonically scaled.

@@ -29,6 +29,9 @@ from .exactalg import (
     parse_poly,
     poly_divexact,
     poly_gcd,
+    _prime,
+    _univariate_image,
+    _up_gcd,
 )
 from .ratmap import (
     INDETERMINATE,
@@ -389,23 +392,38 @@ def _strip_shared_factors(poly: MultiPoly, other: MultiPoly) -> MultiPoly:
         poly = poly_divexact(poly, g)
 
 
-def _psi_numerator(n: int, neg_w_num: MultiPoly, ab: MultiPoly) -> MultiPoly:
-    """Numerator of Psi_n(w) at w = neg_w_num / ab, cleared by ab^deg."""
+class _PsiPowers:
+    """The powers of neg_w_num and ab, and each product
+    neg_w_num^j * ab^(d - j), built once per locus and shared by its orders
+    (many orders n share the degree d of Psi_n)."""
+
+    def __init__(self, neg_w_num: MultiPoly, ab: MultiPoly):
+        one = MultiPoly.constant(1, 1)
+        self._bases = (neg_w_num, ab)
+        self._pows = ([one], [one])
+        self._products: dict[tuple[int, int], MultiPoly] = {}
+
+    def _power(self, which: int, k: int) -> MultiPoly:
+        pows = self._pows[which]
+        while len(pows) <= k:
+            pows.append(pows[-1] * self._bases[which])
+        return pows[k]
+
+    def product(self, j: int, d: int) -> MultiPoly:
+        key = (j, d)
+        if key not in self._products:
+            self._products[key] = self._power(0, j) * self._power(1, d - j)
+        return self._products[key]
+
+
+def _psi_numerator(n: int, powers: _PsiPowers) -> MultiPoly:
+    """Numerator of Psi_n(w) at w = neg_w_num / ab, the bases of powers,
+    cleared by ab^deg."""
     psi = cos_min_poly(n)
     d = psi.degree
-    coeffs = [Fraction(0)] * (d + 1)
-    for exps, coeff in psi.terms:
-        coeffs[exps[0]] = coeff
     total = MultiPoly.zero(1)
-    num_pow = MultiPoly.constant(1, 1)
-    ab_pows = [MultiPoly.constant(1, 1)]
-    for _ in range(d):
-        ab_pows.append(ab_pows[-1] * ab)
-    for j in range(d + 1):
-        if coeffs[j]:
-            total = total + coeffs[j] * num_pow * ab_pows[d - j]
-        if j < d:
-            num_pow = num_pow * neg_w_num
+    for exps, coeff in psi.terms:
+        total = total + coeff * powers.product(exps[0], d)
     return total
 
 
@@ -448,17 +466,46 @@ def _numeric_roots(poly: MultiPoly) -> tuple[complex, ...]:
     return tuple(ordered)
 
 
+def _height_from_roots(poly: MultiPoly, roots: tuple[complex, ...]) -> float:
+    """mahler_height of poly, given its numeric roots."""
+    d = poly.degree
+    if d < 1:
+        raise ValueError("height needs a non-constant polynomial")
+    total = math.log(abs(float(poly.leading()[1])))
+    for r in roots:
+        total += math.log(max(1.0, abs(r)))
+    return total / d
+
+
 def mahler_height(poly: MultiPoly) -> float:
     """Degree-normalized log Mahler measure:
     (log|lead| + sum over roots of log max(1, |root|)) / deg."""
-    coeffs = _poly_coeffs_desc(poly)
-    d = len(coeffs) - 1
-    if d < 1:
-        raise ValueError("height needs a non-constant polynomial")
-    total = math.log(abs(float(coeffs[0])))
-    for r in _numeric_roots(poly):
-        total += math.log(max(1.0, abs(r)))
-    return total / d
+    return _height_from_roots(poly, _numeric_roots(poly))
+
+
+def _locus_polys(
+    f: FamilyParams, n_max: int
+) -> tuple[list[tuple[int, MultiPoly]], MultiPoly, MultiPoly]:
+    """The exact part of family_exceptional_locus: the (order, polynomial)
+    slices, abc and the zeta = 1 polynomial c^2 + 4ab."""
+    if n_max < 3:
+        raise ValueError("n_max must be >= 3")
+    generic = family_generic_stability(f)
+    if generic.status != "GenericallyStable":
+        raise ValueError("family is generically unstable; locus undefined")
+    ab = f.a_poly * f.b_poly
+    c2 = f.c_poly * f.c_poly
+    abc = (f.a_poly * f.b_poly * f.c_poly).canonical()
+    powers = _PsiPowers(-(2 * ab + c2), ab)  # numerator of w = -2 - c^2/(ab)
+    slices = []
+    for n in range(3, n_max + 1):
+        raw = _psi_numerator(n, powers)
+        if raw.is_zero():
+            raise RuntimeError(f"order-{n} numerator vanished unexpectedly")
+        poly = _strip_shared_factors(raw.canonical(), abc).canonical()
+        if not poly.is_constant():
+            slices.append((n, poly))
+    return slices, abc, (c2 + 4 * ab).canonical()
 
 
 def family_exceptional_locus(f: FamilyParams, n_max: int) -> ExceptionalLocus:
@@ -472,26 +519,11 @@ def family_exceptional_locus(f: FamilyParams, n_max: int) -> ExceptionalLocus:
     c^2 + 4ab = 0 never meets these entries (its 2cos value is 2, not a
     root of any Psi_n with n >= 3) and is reported on the side.
     """
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
-    generic = family_generic_stability(f)
-    if generic.status != "GenericallyStable":
-        raise ValueError("family is generically unstable; locus undefined")
-    ab = f.a_poly * f.b_poly
-    c2 = f.c_poly * f.c_poly
-    abc = (f.a_poly * f.b_poly * f.c_poly).canonical()
-    neg_w_num = -(2 * ab + c2)  # numerator of w = -2 - c^2/(ab)
-    zeta_one = (c2 + 4 * ab).canonical()
+    slices, abc, zeta_one = _locus_polys(f, n_max)
     entries = []
-    for n in range(3, n_max + 1):
-        raw = _psi_numerator(n, neg_w_num, ab)
-        if raw.is_zero():
-            raise RuntimeError(f"order-{n} numerator vanished unexpectedly")
-        poly = _strip_shared_factors(raw.canonical(), abc).canonical()
-        if poly.is_constant():
-            continue
+    for n, poly in slices:
         roots = _numeric_roots(poly)
-        h = mahler_height(poly)
+        h = _height_from_roots(poly, roots)
         entries.append(
             LocusEntry(order=n, poly=poly, roots=roots, heights=(h,) * len(roots))
         )
@@ -512,7 +544,20 @@ def _squarefree_part(poly: MultiPoly) -> MultiPoly:
     return poly_divexact(poly, g).canonical()
 
 
-def _distinct_root_count(poly: MultiPoly) -> int:
+def _distinct_root_count(poly: MultiPoly, image: list | None) -> int:
+    """Degree of the squarefree part of poly, given its _univariate_image.
+
+    When the image is coprime to its derivative, poly is squarefree: the
+    derivative of the cleared polynomial has leading coefficient deg * lc,
+    which the image prime (far above any degree) does not divide, so the
+    lemma of _univariate_image applies.  Otherwise the exact squarefree
+    part decides.
+    """
+    if image is not None:
+        r = _prime(0)
+        derivative = [i * c % r for i, c in enumerate(image)][1:]
+        if len(_up_gcd(image, derivative, r)) == 1:
+            return poly.degree
     return max(_squarefree_part(poly).degree, 0)
 
 
@@ -547,6 +592,41 @@ def same_ratio_invariant(first: FamilyParams, second: FamilyParams) -> bool:
     return (lhs - rhs).is_zero()
 
 
+def _slice_overlaps(
+    first: list[tuple[int, MultiPoly]], second: list[tuple[int, MultiPoly]]
+) -> tuple[tuple[PairOverlap, ...], int, int]:
+    """Nontrivial common factors between two lists of (order, polynomial)
+    slices, and each list's distinct root count.
+
+    Each slice is reduced once by _univariate_image.  A pair whose images
+    have a constant gcd is coprime by that function's lemma; the exact
+    poly_gcd runs only on the other pairs, those with a nonconstant image
+    gcd or an image prime dividing a leading coefficient.
+    """
+    r = _prime(0)
+    imaged1 = [(n, p, _univariate_image(p)) for n, p in first]
+    imaged2 = [(n, p, _univariate_image(p)) for n, p in second]
+    overlaps = []
+    for n1, p1, i1 in imaged1:
+        for n2, p2, i2 in imaged2:
+            if i1 is not None and i2 is not None and len(_up_gcd(i1, i2, r)) == 1:
+                continue
+            g = poly_gcd(p1, p2)
+            if g.is_constant():
+                continue
+            overlaps.append(
+                PairOverlap(
+                    order_first=n1,
+                    order_second=n2,
+                    poly=g,
+                    distinct_roots=_distinct_root_count(g, _univariate_image(g)),
+                )
+            )
+    size1 = sum(_distinct_root_count(p, i) for _, p, i in imaged1)
+    size2 = sum(_distinct_root_count(p, i) for _, p, i in imaged2)
+    return tuple(overlaps), size1, size2
+
+
 def unlikely_intersection_explorer(
     first: FamilyParams, second: FamilyParams, n_max: int
 ) -> IntersectionReport:
@@ -555,33 +635,17 @@ def unlikely_intersection_explorer(
     Slices of one family's locus at different orders are automatically
     coprime (a parameter pins down a single 2cos value), so sizes add over
     orders and the intersection is the union of pairwise gcd root sets.
+    Only the exact slices are compared; no numeric root is computed.
     """
-    l1 = family_exceptional_locus(first, n_max)
-    l2 = family_exceptional_locus(second, n_max)
+    slices1 = _locus_polys(first, n_max)[0]
+    slices2 = _locus_polys(second, n_max)[0]
     phi_equal = same_ratio_invariant(first, second)
-    overlaps = []
-    inter = 0
-    for e1 in l1.entries:
-        for e2 in l2.entries:
-            g = poly_gcd(e1.poly, e2.poly)
-            if g.is_constant():
-                continue
-            count = _distinct_root_count(g)
-            inter += count
-            overlaps.append(
-                PairOverlap(
-                    order_first=e1.order,
-                    order_second=e2.order,
-                    poly=g,
-                    distinct_roots=count,
-                )
-            )
-    size1 = sum(_distinct_root_count(e.poly) for e in l1.entries)
-    size2 = sum(_distinct_root_count(e.poly) for e in l2.entries)
+    overlaps, size1, size2 = _slice_overlaps(slices1, slices2)
+    inter = sum(o.distinct_roots for o in overlaps)
     return IntersectionReport(
         truncation=n_max,
         phi_equal=phi_equal,
-        overlaps=tuple(overlaps),
+        overlaps=overlaps,
         first_size=size1,
         second_size=size2,
         intersection_size=inter,

@@ -394,15 +394,34 @@ def degree_ratio_lower_bound(m: MonomialMap, rel_tol: float = 1e-6) -> LowerBoun
 
 
 def _adjugate(rows: Rows) -> Rows:
+    """adj(A) of a nonsingular A by one fraction-free (Bareiss) Gauss-Jordan
+    elimination of [A | I].
+
+    After pivot step k every entry is a minor of [A | I] (Sylvester's
+    identity), so each division by the previous pivot is exact.  The row
+    operations E give E A = d I with d the last pivot, so the right block
+    is E = d A^-1; row swaps make d = sign * det(A), hence
+    adj(A) = det(A) A^-1 = sign * E.
+    """
     n = len(rows)
-    if n == 1:
-        return ((1,),)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-        return (-1) ** (i + j) * int_det(minor)
-
-    return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                raise SingularMatrixError("adjugate by elimination needs det != 0")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row, factor = a[i], a[i][k]
+            for j in range(2 * n):
+                row[j] = (pivot * row[j] - factor * pivot_row[j]) // prev
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def inverse_map(m: MonomialMap) -> MonomialMap:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyndeg import fabc
 from dyndeg.cyclo import cos_min_poly
 from dyndeg.exactalg import MultiPoly, parse_poly, poly_gcd
 from dyndeg.fabc import (
@@ -463,3 +464,61 @@ class TestExplorer:
         # roots with f1's purely imaginary loci, so intersection is empty.
         assert rep.intersection_size == 0
         assert not by_pair
+
+
+def _reference_psi_numerator(n, neg_w_num, ab):
+    """Numerator of Psi_n(neg_w_num / ab) cleared by ab^deg, summed term by
+    term from freshly built powers."""
+    psi = cos_min_poly(n)
+    d = psi.degree
+    total = MultiPoly.zero(1)
+    for exps, coeff in psi.terms:
+        j = exps[0]
+        total = total + coeff * neg_w_num**j * ab ** (d - j)
+    return total
+
+
+class TestLocusWorkDoneOnce:
+    def _spy_roots(self, monkeypatch):
+        calls = []
+        original = fabc._numeric_roots
+
+        def spy(poly):
+            calls.append(poly)
+            return original(poly)
+
+        monkeypatch.setattr(fabc, "_numeric_roots", spy)
+        return calls
+
+    def test_explorer_computes_no_numeric_root(self, monkeypatch):
+        calls = self._spy_roots(monkeypatch)
+        f1 = FamilyParams("1", "-2", "3*T")
+        rep = unlikely_intersection_explorer(f1, FamilyParams("2", "-4", "6*T"), 12)
+        assert rep.intersection_size == rep.first_size > 0
+        unlikely_intersection_explorer(f1, FamilyParams("T", "1+T", "T^2"), 12)
+        assert calls == []
+
+    def test_locus_computes_roots_once_per_entry(self, monkeypatch):
+        calls = self._spy_roots(monkeypatch)
+        loc = family_exceptional_locus(FamilyParams("T", "1+T", "T^2"), 12)
+        assert len(calls) == len(loc.entries) + 1
+        assert calls[:-1] == [e.poly for e in loc.entries]
+        for e in loc.entries:
+            assert e.heights == (mahler_height(e.poly),) * len(e.roots)
+
+    def test_shared_psi_powers_give_the_same_polynomials(self):
+        fam = FamilyParams("T", "1+T", "T^2")
+        ab = fam.a_poly * fam.b_poly
+        neg_w_num = -(2 * ab + fam.c_poly * fam.c_poly)
+        powers = fabc._PsiPowers(neg_w_num, ab)
+        for n in range(3, 31):
+            got = fabc._psi_numerator(n, powers)
+            assert got.terms == _reference_psi_numerator(n, neg_w_num, ab).terms
+
+    def test_slices_are_the_locus_polynomials(self):
+        fam = FamilyParams("T", "1+T", "T^2")
+        slices, abc, zeta_one = fabc._locus_polys(fam, 20)
+        loc = family_exceptional_locus(fam, 20)
+        assert slices == [(e.order, e.poly) for e in loc.entries]
+        assert zeta_one == loc.zeta_one_poly
+        assert abc == (fam.a_poly * fam.b_poly * fam.c_poly).canonical()

@@ -1,0 +1,107 @@
+"""Coprimality of locus slices decided on their images mod 2^61 - 1.
+
+`_slice_overlaps` skips the exact gcd of a pair only when the images of
+both slices exist (the prime divides neither leading coefficient) and have
+a constant gcd; `_distinct_root_count` skips the exact squarefree part only
+when an image is coprime to its derivative.  The cases here plant common
+and repeated factors, one of them with leading coefficient 2^61 - 1, and
+compare against the exact gcd and sympy's squarefree part.  sympy is an
+oracle for tests only.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dyndeg.exactalg import MultiPoly, _prime, _univariate_image, poly_gcd
+from dyndeg.fabc import PairOverlap, _distinct_root_count, _slice_overlaps
+
+sympy = pytest.importorskip("sympy")
+
+T = MultiPoly.variable(1, 0)
+P = 2**61 - 1
+
+
+def sqf_degree(poly: MultiPoly) -> int:
+    t = sympy.Symbol("T")
+    expr = sum(
+        sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * t ** e[0]
+        for e, c in poly.terms
+    )
+    return sympy.Poly(sympy.sqf_part(expr), t).degree()
+
+
+def test_image_prime_is_the_first_modular_prime():
+    assert _prime(0) == P
+    assert _univariate_image(3 * T**2 - 1) == [P - 1, 0, 3]
+    assert _univariate_image(Fraction(1, 2) * T + Fraction(1, 3)) == [2, 3]
+    assert _univariate_image(P * T + 1) is None
+    assert _univariate_image((P + 1) * T - 1) == [P - 1, 1]
+
+
+def test_leading_coefficient_guard_keeps_a_shared_factor():
+    # (P*T + 1) is 1 mod P, so the two images are T + 2 and T + 3, which are
+    # coprime; only the guard on lc sends the pair to the exact gcd.
+    shared = P * T + 1
+    first = [(3, shared * (T + 2))]
+    second = [(4, shared * (T + 3))]
+    overlaps, size1, size2 = _slice_overlaps(first, second)
+    assert overlaps == (
+        PairOverlap(order_first=3, order_second=4, poly=shared, distinct_roots=1),
+    )
+    assert (size1, size2) == (2, 2)
+
+
+def test_repeated_factor_is_counted_once():
+    poly = (P * T + 1) ** 2 * (T**2 + 1)
+    assert _distinct_root_count(poly, _univariate_image(poly)) == 3
+    poly = (2 * T - 1) ** 3 * (T + 5)
+    assert _distinct_root_count(poly, _univariate_image(poly)) == 2
+    poly = (2 * T - 1) * (T + 5) * (T**2 - 3)
+    assert _distinct_root_count(poly, _univariate_image(poly)) == 4
+
+
+FACTORS = (
+    T + 1,
+    T - 2,
+    2 * T + 3,
+    T**2 + 1,
+    T**2 - T - 1,
+    3 * T**2 - 2,
+    P * T + 1,
+    Fraction(1, 2) * T**3 + 2 * T - 5,
+)
+
+
+@st.composite
+def slices(draw):
+    """(order, poly) lists whose polynomials are products of pool factors,
+    so factors are shared between lists and repeated within a polynomial."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    out = []
+    for order in range(3, 3 + count):
+        picks = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+        scale = draw(st.sampled_from((1, -1, 2, Fraction(3, 2))))
+        poly = MultiPoly.constant(1, scale)
+        for factor in picks:
+            poly = poly * factor
+        out.append((order, poly))
+    return out
+
+
+@given(slices(), slices())
+@settings(max_examples=60, deadline=None)
+def test_overlaps_and_sizes_match_exact_gcd_and_sympy(first, second):
+    overlaps, size1, size2 = _slice_overlaps(first, second)
+    table = []
+    for n1, p1 in first:
+        for n2, p2 in second:
+            g = poly_gcd(p1, p2)
+            if not g.is_constant():
+                table.append(PairOverlap(n1, n2, g, sqf_degree(g)))
+    assert list(overlaps) == table
+    assert size1 == sum(sqf_degree(p) for _, p in first)
+    assert size2 == sum(sqf_degree(p) for _, p in second)
+    for _, p in first + second:
+        assert _distinct_root_count(p, _univariate_image(p)) == sqf_degree(p)
