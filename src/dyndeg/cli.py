@@ -20,6 +20,7 @@ from .exactalg import (
     PolynomialParseError,
     TermCapExceeded,
     format_poly,
+    is_prime,
     parse_poly,
 )
 from .fabc import (
@@ -171,11 +172,7 @@ def _cmd_fabc_modp(args) -> tuple[int, dict]:
         payload = {"schema": 1, **entry}
         code = EXIT_RESOURCE_CAP if entry["status"] == "NotFoundWithinCap" else EXIT_OK
         return code, payload
-    table = [
-        row(q)
-        for q in range(2, args.pmax + 1)
-        if all(q % d for d in range(2, int(q**0.5) + 1))
-    ]
+    table = [row(q) for q in range(2, args.pmax + 1) if is_prime(q)]
     payload = {"schema": 1, "pmax": args.pmax, "table": table}
     capped = any(r["status"] == "NotFoundWithinCap" for r in table)
     return (EXIT_RESOURCE_CAP if capped else EXIT_OK), payload

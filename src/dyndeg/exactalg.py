@@ -1,19 +1,27 @@
 """Exact coefficient arithmetic and sparse multivariate polynomials.
 
-Over Q a coefficient is kept in Python's canonical form: an `int` when it
-is integral and a `fractions.Fraction` only when its denominator is above
-1, so the integer polynomials of the iterate pipeline run on plain int
-arithmetic.  Over a prime field coefficients are `Fp` elements.  A
-polynomial is a sparse collection of terms, exponent vector -> nonzero
-coefficient, kept in descending graded lexicographic order so printing,
-hashing, and leading-term queries are deterministic.
+Every coefficient is a plain Python number.  Over Q it is kept in
+canonical form: an `int` when it is integral and a `fractions.Fraction`
+only when its denominator is above 1, so the integer polynomials of the
+iterate pipeline run on plain int arithmetic.  Over the prime field F_p it
+is an `int` in [1, p).  A polynomial is a sparse collection of terms,
+exponent vector -> nonzero coefficient, kept in descending graded
+lexicographic order so printing, hashing, and leading-term queries are
+deterministic.
 
-Two places enforce the canonical form: `_coerce`, for values from outside,
-and `MultiPoly._set`, the one normalisation behind both the public
-constructor and the internal builder `MultiPoly._build` that arithmetic
-uses for its own results.  Every true division of coefficients is exact:
-`int / int` would give a float, so quotients over Q go through `Fraction`
-or, when exact, `//`.
+Two places enforce the canonical form: `_coerce`, for values from outside
+(the one place an int or Fraction enters F_p), and `MultiPoly._set`, the
+one normalisation behind both the public constructor and the internal
+builder `MultiPoly._build` that arithmetic uses for its own results.
+
+Lemma (prime-field coefficients): `_set` is the only place a MultiPoly's
+terms are stored, and over F_p it reduces each coefficient mod p and drops
+those that vanish, so every stored F_p coefficient is an int in [1, p).
+Arithmetic may therefore combine coefficients with plain int +, - and *
+and leave the reduction to `_set`.  Every true division of coefficients
+is exact: `int / int` would give a float, so quotients go through
+`Fraction` (which `_coerce` maps into F_p), `//` when exact over Q, or
+`pow(c, -1, p)`.
 """
 
 from __future__ import annotations
@@ -91,128 +99,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Fp:
-    """Element of the prime field Z/pZ.  Immutable."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, value: int, p: int, _checked: bool = False):
-        if not _checked:
-            _check_modulus(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", value % p)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Fp elements are immutable")
-
-    def _lift(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise DomainMismatchError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p, _checked=True)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise DomainMismatchError("denominator vanishes mod p")
-            num = other.numerator % self.p
-            den = pow(other.denominator % self.p, -1, self.p)
-            return Fp(num * den, self.p, _checked=True)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp(self.v + o.v, self.p, _checked=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp(self.v - o.v, self.p, _checked=True)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp(o.v - self.v, self.p, _checked=True)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp(self.v * o.v, self.p, _checked=True)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return Fp(self.v * pow(o.v, -1, self.p), self.p, _checked=True)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.v == 0:
-                raise ZeroDivisionError("inverse of zero in prime field")
-            return Fp(pow(self.v, n, self.p), self.p, _checked=True)
-        return Fp(pow(self.v, n, self.p), self.p, _checked=True)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p, _checked=True)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return f"Fp({self.v}, {self.p})"
-
-
 # A coefficient: over Q an int, or a Fraction whose denominator is above 1;
-# over a prime field an Fp.
-Scalar = Union[int, Fraction, Fp]
+# over F_p an int in [1, p).  F_p values such as `evaluate` returns are
+# ints in [0, p).
+Scalar = Union[int, Fraction]
 
 
 def _coerce(value, modulus: int | None):
-    """Lift a raw scalar into the coefficient domain, in canonical form."""
-    if modulus is None:
-        if isinstance(value, int):
-            return int(value)
-        if isinstance(value, Fraction):
-            return value.numerator if value.denominator == 1 else value
-        if isinstance(value, Fp):
-            raise DomainMismatchError("prime-field scalar in rational polynomial")
+    """Lift a raw int or Fraction into the coefficient domain, in canonical
+    form: the one place an outside value enters F_p.  `numerator` turns a
+    bool or another int subclass into a plain int."""
+    if not isinstance(value, (int, Fraction)):
         raise TypeError(f"unsupported coefficient {value!r}")
-    if isinstance(value, Fp):
-        if value.p != modulus:
-            raise DomainMismatchError(f"mixed moduli {modulus} and {value.p}")
-        return value
-    if isinstance(value, int):
-        return Fp(value, modulus, _checked=True)
-    if isinstance(value, Fraction):
-        return Fp(0, modulus, _checked=True)._lift(value)
-    raise TypeError(f"unsupported coefficient {value!r}")
+    if modulus is None:
+        return value.numerator if value.denominator == 1 else value
+    if value.denominator % modulus == 0:
+        raise DomainMismatchError("denominator vanishes mod p")
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
 
 
 def _grlex_term_key(term: tuple) -> tuple:
@@ -278,9 +181,10 @@ class MultiPoly:
         return poly
 
     def _set(self, num_vars: int, terms: dict, modulus: int | None) -> None:
-        """The one normalisation of every MultiPoly: drop zero coefficients,
-        turn integral Fractions into ints and store the terms in descending
-        grlex order."""
+        """The one normalisation of every MultiPoly: over Q drop zero
+        coefficients and turn integral Fractions into ints, over F_p reduce
+        the int coefficients mod p and drop those that vanish; then store
+        the terms in descending grlex order."""
         if modulus is None:
             items = [
                 (e, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
@@ -288,7 +192,7 @@ class MultiPoly:
                 if c
             ]
         else:
-            items = [t for t in terms.items() if t[1]]
+            items = [(e, r) for e, c in terms.items() if (r := c % modulus)]
         items.sort(key=_grlex_term_key, reverse=True)
         object.__setattr__(self, "terms", tuple(items))
         object.__setattr__(self, "num_vars", num_vars)
@@ -361,7 +265,7 @@ class MultiPoly:
         for exps, c in self.terms:
             if sum(exps) == 0:
                 return c
-        return _coerce(0, self.modulus)
+        return 0
 
     def _check_compat(self, other: "MultiPoly"):
         if self.num_vars != other.num_vars:
@@ -376,7 +280,7 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Fp)):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.num_vars, other, self.modulus)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -393,7 +297,7 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Fp)):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.num_vars, other, self.modulus)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -403,7 +307,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Fp)):
+        if isinstance(other, (int, Fraction)):
             c0 = _coerce(other, self.modulus)
             if not c0:
                 return MultiPoly.zero(self.num_vars, self.modulus)
@@ -464,8 +368,8 @@ class MultiPoly:
         if len(values) != self.num_vars:
             raise ValueError("wrong number of values")
         vals = [_coerce(v, self.modulus) for v in values]
-        total = _coerce(0, self.modulus)
-        pow_cache: list[dict] = [{0: _coerce(1, self.modulus)} for _ in vals]
+        total = 0
+        pow_cache: list[dict] = [{0: 1} for _ in vals]
         for exps, coeff in self.terms:
             term = coeff
             for i, e in enumerate(exps):
@@ -508,8 +412,8 @@ def _canonical_scale(polys: Sequence[MultiPoly]) -> Scalar:
     coefficients coprime integers and the leading coefficient of the first
     nonzero one positive; over a prime field it makes that coefficient 1."""
     lead = next(p for p in polys if p.terms).terms[0][1]
-    if isinstance(lead, Fp):
-        return Fp(1, lead.p, _checked=True) / lead
+    if polys[0].modulus is not None:
+        return pow(lead, -1, polys[0].modulus)
     den = 1
     for p in polys:
         for _, c in p.terms:
@@ -587,9 +491,8 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     if d.is_constant():
-        c = d.terms[0][1]
-        return p * (Fraction(1, c) if p.modulus is None else 1 / c)
-    quot = _divide_terms(dict(p.terms), d.terms)
+        return p * Fraction(1, d.terms[0][1])
+    quot = _divide_terms(dict(p.terms), d.terms, p.modulus)
     if quot is None:
         raise NotDivisibleError("leading term not divisible")
     return MultiPoly._build(p.num_vars, dict(quot), p.modulus)
@@ -600,8 +503,8 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 
     rem maps exponent vectors to nonzero coefficients and is consumed; d
     lists (exponent vector, coefficient) pairs, grlex-leading term first.
-    Coefficients are ints and Fractions over Q, Fp elements, or ints
-    reduced mod p when p is given.  Over Q a quotient coefficient is exact:
+    Coefficients are ints and Fractions over Q, or ints reduced mod p when
+    p is given.  Over Q a quotient coefficient is exact:
     rc // lc when the divisor's int leading coefficient lc divides rc, a
     Fraction otherwise.
     A heap of grlex keys runs over rem; a key whose term cancelled stays in
@@ -1238,15 +1141,10 @@ def format_poly(p: MultiPoly, var_names: Sequence[str] | None = None) -> str:
         return "0"
     pieces = []
     for exps, coeff in p.terms:
-        if p.modulus is None:
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            coeff_txt = str(mag)
-            unit = mag == 1
-        else:
-            neg = False
-            coeff_txt = str(coeff.v)
-            unit = coeff.v == 1
+        neg = coeff < 0
+        mag = -coeff if neg else coeff
+        coeff_txt = str(mag)
+        unit = mag == 1
         factors = []
         for name, e in zip(var_names, exps):
             if e == 1:

@@ -22,13 +22,14 @@ import numpy as np
 from .cyclo import cos_min_poly, rational_two_cos_values
 from .exactalg import (
     DomainMismatchError,
-    Fp,
     MultiPoly,
     is_prime,
     jacobian_det,
     parse_poly,
     poly_divexact,
     poly_gcd,
+    _check_modulus,
+    _coerce,
     _prime,
     _univariate_image,
     _up_gcd,
@@ -67,16 +68,15 @@ def _xyz(num_vars: int = 3, modulus=None) -> tuple[MultiPoly, MultiPoly, MultiPo
 
 
 def _lift_params(p: FabcParams, modulus: int | None):
-    if modulus is None:
-        return p.a, p.b, p.c
-    zero = Fp(0, modulus)
+    if modulus is not None:
+        _check_modulus(modulus)
     try:
-        lifted = tuple(zero._lift(v) for v in (p.a, p.b, p.c))
+        lifted = tuple(_coerce(v, modulus) for v in (p.a, p.b, p.c))
     except DomainMismatchError as exc:
         raise DegenerateParameterError(
             f"denominator vanishes modulo {modulus}"
         ) from exc
-    if any(v.v == 0 for v in lifted):
+    if not all(lifted):
         raise DegenerateParameterError(f"a*b*c = 0 modulo {modulus}")
     return lifted
 
@@ -221,13 +221,12 @@ def vn_sequence(p: FabcParams, n_max: int, modulus: int | None = None) -> list:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     a, b, c = _lift_params(p, modulus)
-    one = Fp(1, modulus) if modulus is not None else Fraction(1)
     ab = a * b
-    out = [one]
+    out = [1]
     if n_max >= 1:
         out.append(c)
     for _ in range(2, n_max + 1):
-        out.append(c * out[-1] + ab * out[-2])
+        out.append(_coerce(c * out[-1] + ab * out[-2], modulus))
     return out
 
 

@@ -74,10 +74,7 @@ class ProjectivePoint:
         pivot = next((v for v in vals if v), None)
         if pivot is None:
             raise ValueError("all coordinates are zero")
-        if modulus is None:
-            coords = tuple(_coerce(Fraction(v, pivot), None) for v in vals)
-        else:
-            coords = tuple(v / pivot for v in vals)
+        coords = tuple(_coerce(Fraction(v, pivot), modulus) for v in vals)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "modulus", modulus)
 

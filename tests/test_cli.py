@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -116,6 +117,7 @@ class TestFabcModp:
         assert rows[7]["m"] == 2
         assert rows[11]["m"] == 9
         assert rows[31]["m"] == 4
+        assert [r["p"] for r in doc["table"]] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
     def test_cap_exit_code(self, capsys):
         code, doc = run_json(
@@ -287,6 +289,11 @@ class TestPlumbing:
         assert run_cli(capsys, "degseq", "--map", STABLE_MAP, "--badflag")[0] == 2
         assert run_cli(capsys, "fabc-modp", "-a", "1", "-b", "1", "-c", "1", "-p", "6")[0] == 2
 
+    def test_denominator_vanishing_mod_p_exits_two(self, capsys):
+        doc = '{"N":2,"coords":["X*Y","X*Y+3*Z^2","1/7*Y*Z+3*Z^2"],"modulus":7}'
+        code, out, err = run_cli(capsys, "degseq", "--map", doc, "--nmax", "4")
+        assert (code, out, err) == (2, "", "error: denominator vanishes mod p\n")
+
     def test_strong_pseudoprime_modulus_exits_two(self, capsys):
         n = 399165290221 * 798330580441  # passes Miller-Rabin to bases 2..37
         doc = json.loads(STABLE_MAP)
@@ -371,3 +378,14 @@ def test_golden_stdout(capsys, case):
     eigenvalue solver gives for it."""
     code, out, err = run_cli(capsys, *case["argv"])
     assert (code, out, err) == (0, case["stdout"], "")
+
+
+def test_public_names_resolve_and_versions_agree():
+    """Every exported name exists, the prime-field element class removed in
+    0.2.0 is not exported, and the package version matches pyproject.toml (read with a
+    regex: Python 3.10 has no tomllib)."""
+    assert all(hasattr(dyndeg, name) for name in dyndeg.__all__)
+    assert "Fp" not in dyndeg.__all__ and not hasattr(dyndeg, "Fp")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as fh:
+        match = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+    assert match and match.group(1) == dyndeg.__version__

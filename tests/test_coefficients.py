@@ -1,5 +1,6 @@
-"""The coefficient representation over Q: an int when integral, a Fraction
-only when its denominator is above 1, and never a float or a bool."""
+"""The coefficient representation: over Q an int when integral, a Fraction
+only when its denominator is above 1; over F_p an int in [1, p); never a
+float or a bool."""
 
 from fractions import Fraction
 
@@ -20,17 +21,20 @@ from dyndeg.exactalg import (
 from dyndeg.ratmap import ProjectivePoint
 
 
-def is_canonical(c) -> bool:
+def is_canonical(c, modulus=None) -> bool:
+    if modulus is not None:
+        return type(c) is int and 0 <= c < modulus
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def assert_canonical(poly: MultiPoly) -> None:
-    bad = [c for _, c in poly.terms if not is_canonical(c)]
+    bad = [c for _, c in poly.terms if not (c and is_canonical(c, poly.modulus))]
     assert not bad, f"non-canonical coefficients {bad!r} in {poly!r}"
 
 
 # Inputs mix ints, bools, integral and proper Fractions, so sums and
-# products of proper Fractions can come out integral.
+# products of proper Fractions can come out integral.  Denominators stay
+# prime to the modulus 7, so every input reduces into F_7.
 scalars = st.one_of(
     st.integers(min_value=-4, max_value=4),
     st.booleans(),
@@ -55,9 +59,29 @@ def rational_polys(draw, num_vars=2, max_degree=3, max_terms=4):
     return MultiPoly(num_vars, terms)
 
 
-@given(rational_polys(), rational_polys(), rational_polys(), scalars, scalars)
-@settings(max_examples=80, deadline=None)
-def test_results_hold_canonical_coefficients(p, q, r, s, t):
+def _ring_results(p, q, r, s, t):
+    return (p + q, p - q, p * q, p**3, *substitute_system([p, q], [q + s, r - t]))
+
+
+@given(
+    rational_polys(),
+    rational_polys(),
+    rational_polys(),
+    scalars,
+    scalars,
+    st.sampled_from([None, 7]),
+)
+@settings(max_examples=160, deadline=None)
+def test_results_hold_canonical_coefficients(p, q, r, s, t, modulus):
+    if modulus is not None:
+        # The reduction oracle: the rational results reduced mod p are the
+        # prime-field results on the reduced inputs.
+        def reduce(poly):
+            return MultiPoly(poly.num_vars, poly.terms, modulus)
+
+        rational = _ring_results(p, q, r, s, t)
+        p, q, r = reduce(p), reduce(q), reduce(r)
+        assert _ring_results(p, q, r, s, t) == tuple(map(reduce, rational))
     for poly in (p, q, r):
         assert_canonical(poly)
     for poly in (p + q, p - q, p * q, p * s, s * p, p + s, p - s, -p, p**3):
@@ -70,8 +94,8 @@ def test_results_hold_canonical_coefficients(p, q, r, s, t):
     assert_canonical(p.canonical())
     for poly in substitute_system([p, q], [q + s, r - t]):
         assert_canonical(poly)
-    assert is_canonical(p.evaluate([s, t]))
-    assert is_canonical(p.constant_value())
+    assert is_canonical(p.evaluate([s, t]), modulus)
+    assert is_canonical(p.constant_value(), modulus)
 
 
 def test_coerce_maps_bools_and_integral_fractions_to_int():

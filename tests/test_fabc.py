@@ -1,5 +1,6 @@
 """The quadratic family: maps, fibers, recurrence, classifiers, loci."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from dyndeg.ratmap import (
     INDETERMINATE,
     ProjectiveMap,
     ProjectivePoint,
+    degree_drop_index,
     degree_sequence,
     identity_map,
 )
@@ -226,7 +228,7 @@ class TestVnSequence:
         p = FabcParams(-2, 1, 3)
         rational = vn_sequence(p, 30)
         mod7 = vn_sequence(p, 30, modulus=7)
-        assert [v.v for v in mod7] == [int(x) % 7 for x in rational]
+        assert mod7 == [int(x) % 7 for x in rational]
 
     def test_fraction_params(self):
         v = vn_sequence(FabcParams(Fraction(1, 2), 2, Fraction(1, 3)), 3)
@@ -305,6 +307,21 @@ class TestClassifyModP:
             assert res.status == "ExceptionalAt"
             assert res.m == order - 1
             assert res.m <= p * p - 1
+
+    def test_recurrence_predicts_mod_p_degree_drop(self):
+        # The degree engine over F_p against the V_n recurrence: the iterates
+        # first drop at m + 1, m the least index with V_m = 0 mod p.  Every
+        # third point of the grid p in {5, 7, 11, 13}, a, c in 1..3,
+        # b in -2..2 without 0 covers drops at 3 and 4 and stable cases.
+        grid = itertools.product((5, 7, 11, 13), (1, 2, 3), (-2, -1, 1, 2), (1, 2, 3))
+        seen = set()
+        for p, a, b, c in itertools.islice(grid, 0, None, 3):
+            m = classify_mod_p(a, b, c, p).m
+            want = m + 1 if m is not None and m + 1 <= 4 else None
+            f = build_map(FabcParams(a, b, c), modulus=p)
+            assert degree_drop_index(f, 4) == want, (p, a, b, c)
+            seen.add(want)
+        assert seen == {3, 4, None}
 
     def test_cap_and_validation(self):
         res = classify_mod_p(-2, 1, 3, 5, search_cap=2)

@@ -42,7 +42,7 @@ def sympy_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     opts = {"modulus": p.modulus} if p.modulus is not None else {"domain": "QQ"}
 
     def to_sympy(f):
-        coeff = (lambda c: c.v) if f.modulus is not None else (
+        coeff = (lambda c: c) if f.modulus is not None else (
             lambda c: sympy.Rational(c.numerator, c.denominator)
         )
         return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms}, gens, **opts)
