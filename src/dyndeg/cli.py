@@ -84,7 +84,13 @@ def _parse_map_document(text: str) -> ProjectiveMap:
     modulus = doc.get("modulus")
     num_vars = n + 1
     polys = [parse_poly(c, num_vars, modulus=modulus) for c in coords]
-    return ProjectiveMap(polys)
+    f = ProjectiveMap(polys)
+    if f.degree == 0:
+        raise ValueError(
+            "the map is constant: its forms have degree 0 after cancelling "
+            "their common factor"
+        )
+    return f
 
 
 def _parse_matrix_document(text: str) -> MonomialMap:
@@ -209,9 +215,19 @@ def _cmd_fabc_locus(args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
+def _family_option(option: str, text: str) -> FamilyParams:
+    parts = text.split(";")
+    if len(parts) != 3:
+        raise ValueError(
+            f"{option} must be three ';'-separated polynomials a;b;c in T, "
+            f"not {len(parts)}"
+        )
+    return _family_from_args(*parts)
+
+
 def _cmd_fabc_intersect(args) -> tuple[int, dict]:
-    first = _family_from_args(*args.first.split(";"))
-    second = _family_from_args(*args.second.split(";"))
+    first = _family_option("--first", args.first)
+    second = _family_option("--second", args.second)
     rep = unlikely_intersection_explorer(first, second, args.nmax)
     payload = {
         "schema": 1,
@@ -406,10 +422,16 @@ def _emit_human(payload: dict, stream) -> None:
     walk("", payload)
 
 
+# Built on the first call of main and reused: parsing leaves it unchanged.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if exc.code == 0 else EXIT_INVALID_INPUT

@@ -8,6 +8,7 @@ act as symbolic parameters and ride through composition untouched.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -22,6 +23,9 @@ from .exactalg import (
     substitute_system,
     _canonical_scale,
     _coerce,
+    _prime,
+    _up_gcd,
+    _up_mul,
 )
 
 DEFAULT_TERM_CAP = 200_000
@@ -150,6 +154,20 @@ class ProjectiveMap:
         object.__setattr__(self, "num_params", nv - (n + 1))
         object.__setattr__(self, "modulus", mod)
 
+    @classmethod
+    def _coprime(cls, f: "ProjectiveMap", raw: Sequence[MultiPoly], degree: int):
+        """Internal constructor for forms already known to be homogeneous of
+        `degree`, coprime and not all zero, on the point variables and
+        parameters of f: only the canonical scale runs."""
+        scale = _canonical_scale(raw)
+        m = object.__new__(cls)
+        object.__setattr__(m, "coords", tuple(c * scale for c in raw))
+        object.__setattr__(m, "n", f.n)
+        object.__setattr__(m, "degree", degree)
+        object.__setattr__(m, "num_params", f.num_params)
+        object.__setattr__(m, "modulus", f.modulus)
+        return m
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ProjectiveMap is immutable")
 
@@ -261,22 +279,135 @@ class Orbit:
         return self.hit_indeterminacy_at is None
 
 
-def iter_degrees(
+# Seed of the lines the coprimality certificate restricts iterates to.
+_LINE_SEED = 20160
+
+
+def _generic_line(n: int, r: int, rng: random.Random) -> list[list[int]]:
+    """A line P^1 -> P^n for the coprimality certificate, s*P + t*Q for two
+    points P, Q mod r drawn from rng, as n+1 linear binary forms [Q_i, P_i]."""
+    return [[rng.randrange(r), rng.randrange(r)] for _ in range(n + 1)]
+
+
+# A binary form of degree D mod r is a list of D+1 ints in [0, r), entry k
+# the coefficient of s^k t^(D-k); entries may be 0, so its length gives D.
+
+
+def _line_compose(f: ProjectiveMap, forms: list[list[int]], r: int) -> list[list[int]]:
+    """The forms of f, with integer coefficients, evaluated on binary forms
+    of one degree D, mod r: binary forms of degree deg(f) * D."""
+    size = f.degree * (len(forms[0]) - 1) + 1
+    pows: list[list[list[int]]] = [[[1]] for _ in forms]
+    products: dict = {}
+    out = []
+    for c in f.coords:
+        acc = [0] * size
+        for exps, coeff in c.terms:
+            prod = products.get(exps)
+            if prod is None:
+                prod = [1]
+                for i, e in enumerate(exps):
+                    if e:
+                        lst = pows[i]
+                        while len(lst) <= e:
+                            lst.append(_up_mul(lst[-1], forms[i], r))
+                        prod = _up_mul(prod, lst[e], r)
+                products[exps] = prod
+            acc = [(u + coeff * v) % r for u, v in zip(acc, prod)]
+        out.append(acc)
+    return out
+
+
+def _line_coprime(forms: list[list[int]], r: int) -> bool:
+    """Whether binary forms mod r, not all zero, have a gcd of degree 0: some
+    form keeps its s^D coefficient (t divides not all of them) and the
+    forms at t = 1 have a constant gcd."""
+    if not any(form[-1] for form in forms):
+        return False
+    g: list = []
+    for form in forms:
+        a = list(form)
+        while a and not a[-1]:
+            a.pop()
+        if a:
+            g = _up_gcd(g, a, r)
+            if len(g) == 1:
+                return True
+    return False
+
+
+def _iterates(
     f: ProjectiveMap, n_max: int, term_cap: int | None = None
-) -> Iterator[int]:
-    """Yield deg(f^n) for n = 1..n_max, composing f with the previous reduced
-    iterate and cancelling common factors each step.  Raises TermCapExceeded,
-    carrying n, when a form of the raw composition passes the term cap."""
+) -> Iterator[tuple[ProjectiveMap, bool]]:
+    """Yield (f^n, certified) for n = 1..n_max: each reduced iterate is f
+    composed with the previous one, and `certified` says whether a line
+    certificate, not poly_gcd_many, proved the composition coprime.
+    Raises TermCapExceeded, carrying n, when a form of the raw composition
+    passes the term cap.
+
+    Coprimality certificate (a Bellon-Viallet restriction to a line).
+    For maps without symbolic parameters, fix r = 2^61 - 1 over Q (the
+    forms of a reduced map have coprime integer coefficients) or r = p
+    over F_p, a line l: P^1 -> P^N mod r and G_1 = f o l mod r, and let
+    G_n = f(G_{n-1}) mod r.  Lemma: if G_{n-1} = c * (f^{n-1} o l) mod r
+    with c a unit, then G_n = c^d * (R_n o l) for the raw composition
+    R_n = f(f^{n-1}), d = deg f.  A primitive common factor g of R_n
+    divides each R_n,i in Z[X] (Gauss's lemma; over F_p in F_p[X]) and
+    so restricts to a binary form g o l dividing each R_n,i o l mod r;
+    once some R_n,i o l is nonzero mod r, g o l is nonzero, of degree
+    deg g.  So if the forms of G_n are not all zero and their gcd has
+    degree 0, deg g = 0: gcd(R_n) = 1, and f^n is R_n times its
+    canonical scale s with deg f^n = d * deg f^(n-1).  Some coefficient
+    of R_n is then nonzero mod r, so s is a unit mod r and
+    G_n = (c^d / s) * (f^n o l) carries the invariant to step n+1.  A
+    line gcd of positive degree proves nothing (the line may meet the
+    base locus of R_n, or r may be unlucky), and stays positive at every
+    later step, so poly_gcd_many cancels the common factor; if none
+    cancels, a fresh line restarts the invariant at f^n.  Maps with
+    symbolic parameters stay on the poly_gcd_many path.
+    """
     cap = term_cap if term_cap is not None else term_cap_default()
-    yield f.degree
+    yield f, False
     current = f
+    line = None
+    if not f.num_params:
+        r = f.modulus if f.modulus is not None else _prime(0)
+        rng = random.Random(_LINE_SEED)
+        line = _line_compose(f, _generic_line(f.n, r, rng), r)
     for n in range(2, n_max + 1):
         try:
             raw = _compose_forms(f, current.coords, cap)
         except TermCapExceeded:
             raise TermCapExceeded(cap, n) from None
+        degree = f.degree * current.degree
+        if line is not None:
+            line = _line_compose(f, line, r)
+            if _line_coprime(line, r):
+                current = ProjectiveMap._coprime(f, raw, degree)
+                yield current, True
+                continue
         current = ProjectiveMap(raw)
-        yield current.degree
+        if line is not None:
+            # Nothing cancelled, so the line met a common zero of its own
+            # (or r was unlucky): restart the invariant on a fresh line.
+            # After a cancellation later iterates mostly cancel too, so the
+            # exact path keeps them.
+            line = (
+                _line_compose(current, _generic_line(f.n, r, rng), r)
+                if current.degree == degree
+                else None
+            )
+        yield current, False
+
+
+def iter_degrees(
+    f: ProjectiveMap, n_max: int, term_cap: int | None = None
+) -> Iterator[int]:
+    """Yield deg(f^n) for n = 1..n_max, composing f with the previous reduced
+    iterate and cancelling common factors each step, or proving there are
+    none on a line (see _iterates).  Raises TermCapExceeded, carrying n,
+    when a form of the raw composition passes the term cap."""
+    return (m.degree for m, _ in _iterates(f, n_max, term_cap))
 
 
 def degree_sequence(

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import dyndeg
+from dyndeg import cli
 from dyndeg.cli import main
 
 SRC = os.path.dirname(os.path.dirname(dyndeg.__file__))
@@ -166,6 +167,25 @@ class TestFabcLocus:
 
 
 class TestFabcIntersect:
+    @pytest.mark.parametrize(
+        "first, second, option, count",
+        [
+            ("1;1;T", "1;2", "--second", 2),
+            ("1;1;T;3", "1;2;T", "--first", 4),
+        ],
+    )
+    def test_wrong_part_count_names_the_option(
+        self, capsys, first, second, option, count
+    ):
+        code, out, err = run_cli(
+            capsys, "fabc-intersect", f"--first={first}", f"--second={second}"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {option} must be three ';'-separated polynomials a;b;c "
+            f"in T, not {count}\n"
+        )
+
     def test_same_family(self, capsys):
         code, doc = run_json(
             capsys, "fabc-intersect", "--first", "1;1;T", "--second", "1;1;T",
@@ -318,6 +338,39 @@ class TestPlumbing:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("command", ["degseq", "stability"])
+    @pytest.mark.parametrize(
+        "coords", [["0", "0", "X"], ["X^2", "X^2", "X^2"]]
+    )
+    def test_constant_map_exits_two(self, capsys, command, coords):
+        doc = json.dumps({"N": 2, "coords": coords})
+        code, out, err = run_cli(capsys, command, "--map", doc, "--nmax", "3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the map is constant: its forms have degree 0 after "
+            "cancelling their common factor\n"
+        )
+
+    def test_parser_built_once_and_reused(self, capsys, monkeypatch):
+        calls = [
+            ["degseq", "--map", UNSTABLE_MAP, "--nmax", "4"],
+            ["degseq", "--map", STABLE_MAP, "--badflag"],
+            ["--help"],
+            ["fabc-classify", "-a", "1", "-b", "-2", "-c", "2"],
+        ]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run_cli(capsys, *argv)[:2])
+        assert [code for code, _ in fresh] == [0, 2, 0, 0]
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        shared = [run_cli(capsys, *argv)[:2] for argv in calls]
+        assert shared == fresh
+        assert len(builds) == 1
 
     def test_human_format(self, capsys):
         code, out, _ = run_cli(
