@@ -78,8 +78,12 @@ def _parse_map_document(text: str) -> ProjectiveMap:
     if not isinstance(doc, dict) or "coords" not in doc:
         raise ValueError('map document must be a JSON object with a "coords" list')
     coords = doc["coords"]
+    if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
+        raise ValueError('"coords" must be a list of strings')
     n = doc.get("N", len(coords) - 1)
-    if not isinstance(coords, list) or len(coords) != n + 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError('"N" must be an integer >= 1')
+    if len(coords) != n + 1:
         raise ValueError("coords must list exactly N+1 forms")
     modulus = doc.get("modulus")
     num_vars = n + 1

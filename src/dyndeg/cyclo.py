@@ -54,24 +54,14 @@ def cyclotomic(n: int) -> MultiPoly:
     return numerator
 
 
-def _chebyshev_like(j: int) -> MultiPoly:
-    """Polynomial C_j with C_j(z + 1/z) = z^j + z^-j."""
-    if j == 0:
-        return MultiPoly.constant(1, 2)
-    prev = MultiPoly.constant(1, 2)
-    cur = _X
-    for _ in range(j - 1):
-        prev, cur = cur, _X * cur - prev
-    return cur
-
-
 def cos_min_poly(n: int) -> MultiPoly:
     """Minimal polynomial of 2*cos(2*pi/n), monic over the integers.
 
     For n >= 3 the n-th cyclotomic polynomial is palindromic of even degree
     d; dividing by z^(d/2) and rewriting z^j + z^-j in the variable
     w = z + 1/z yields a monic polynomial of degree d/2 whose root is
-    2*cos(2*pi/n).
+    2*cos(2*pi/n).  The rewriting walks C_0 = 2, C_1 = w,
+    C_{j+1} = w*C_j - C_{j-1}, with C_j(z + 1/z) = z^j + z^-j, once.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -94,8 +84,11 @@ def cos_min_poly(n: int) -> MultiPoly:
             raise AssertionError("cyclotomic polynomial must be palindromic")
         half = d // 2
         result = MultiPoly.constant(1, coeffs[half])
+        prev, cur = MultiPoly.constant(1, 2), _X
         for j in range(1, half + 1):
-            result = result + _chebyshev_like(j) * coeffs[half + j]
+            if j > 1:
+                prev, cur = cur, _X * cur - prev
+            result = result + cur * coeffs[half + j]
     _cos_min_poly_cache[n] = result
     return result
 

@@ -454,23 +454,24 @@ def substitute_system(
         raise DomainMismatchError("assignment polynomials disagree")
     if any(p.modulus != mod for p in polys):
         raise DomainMismatchError("assignment domain differs from polynomial")
-    pows = [[MultiPoly.constant(nv, 1, mod)] for _ in assignment]
+    pows = [[q] for q in assignment]  # pows[i][e - 1] = assignment[i]^e
     products: dict = {}
     out = []
     for p in polys:
         result = MultiPoly.zero(nv, mod)
         for exps, coeff in p.terms:
             prod = products.get(exps)
-            if prod is None:
-                prod = MultiPoly.constant(nv, 1, mod)
+            if prod is None and any(exps):
                 for i, e in enumerate(exps):
                     if e:
                         lst = pows[i]
-                        while len(lst) <= e:
+                        while len(lst) < e:
                             lst.append(lst[-1] * assignment[i])
-                        prod = prod * lst[e]
+                        prod = lst[e - 1] if prod is None else prod * lst[e - 1]
                 products[exps] = prod
-            result = result + prod * coeff
+            result = result + (
+                MultiPoly.constant(nv, coeff, mod) if prod is None else prod * coeff
+            )
             if term_cap is not None and len(result.terms) > term_cap:
                 raise TermCapExceeded(term_cap)
         out.append(result)

@@ -28,6 +28,7 @@ from .exactalg import (
     parse_poly,
     poly_divexact,
     poly_gcd,
+    substitute_system,
     _check_modulus,
     _coerce,
     _prime,
@@ -391,41 +392,6 @@ def _strip_shared_factors(poly: MultiPoly, other: MultiPoly) -> MultiPoly:
         poly = poly_divexact(poly, g)
 
 
-class _PsiPowers:
-    """The powers of neg_w_num and ab, and each product
-    neg_w_num^j * ab^(d - j), built once per locus and shared by its orders
-    (many orders n share the degree d of Psi_n)."""
-
-    def __init__(self, neg_w_num: MultiPoly, ab: MultiPoly):
-        one = MultiPoly.constant(1, 1)
-        self._bases = (neg_w_num, ab)
-        self._pows = ([one], [one])
-        self._products: dict[tuple[int, int], MultiPoly] = {}
-
-    def _power(self, which: int, k: int) -> MultiPoly:
-        pows = self._pows[which]
-        while len(pows) <= k:
-            pows.append(pows[-1] * self._bases[which])
-        return pows[k]
-
-    def product(self, j: int, d: int) -> MultiPoly:
-        key = (j, d)
-        if key not in self._products:
-            self._products[key] = self._power(0, j) * self._power(1, d - j)
-        return self._products[key]
-
-
-def _psi_numerator(n: int, powers: _PsiPowers) -> MultiPoly:
-    """Numerator of Psi_n(w) at w = neg_w_num / ab, the bases of powers,
-    cleared by ab^deg."""
-    psi = cos_min_poly(n)
-    d = psi.degree
-    total = MultiPoly.zero(1)
-    for exps, coeff in psi.terms:
-        total = total + coeff * powers.product(exps[0], d)
-    return total
-
-
 @dataclass(frozen=True)
 class LocusEntry:
     """One order's slice of the exceptional locus: the defining polynomial,
@@ -495,10 +461,18 @@ def _locus_polys(
     ab = f.a_poly * f.b_poly
     c2 = f.c_poly * f.c_poly
     abc = (f.a_poly * f.b_poly * f.c_poly).canonical()
-    powers = _PsiPowers(-(2 * ab + c2), ab)  # numerator of w = -2 - c^2/(ab)
+    # Psi_n(w) at w = -(2ab + c^2)/(ab), cleared by (ab)^deg: substitute into
+    # Psi_n homogenised in (w, u), sum of c_j w^j u^(deg - j)
+    orders = range(3, n_max + 1)
+    homogenised = []
+    for n in orders:
+        psi = cos_min_poly(n)
+        homogenised.append(
+            MultiPoly(2, {(j, psi.degree - j): c for (j,), c in psi.terms})
+        )
+    numerators = substitute_system(homogenised, [-(2 * ab + c2), ab])
     slices = []
-    for n in range(3, n_max + 1):
-        raw = _psi_numerator(n, powers)
+    for n, raw in zip(orders, numerators):
         if raw.is_zero():
             raise RuntimeError(f"order-{n} numerator vanished unexpectedly")
         poly = _strip_shared_factors(raw.canonical(), abc).canonical()

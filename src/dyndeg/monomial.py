@@ -28,7 +28,11 @@ class SingularMatrixError(ValueError):
 
 
 def _validate_rows(matrix: Sequence[Sequence[int]]) -> Rows:
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(tuple(row) for row in matrix)
+    for row in rows:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"matrix entry {x!r} is not an integer")
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square and nonempty")

@@ -20,8 +20,6 @@ from .gfam import (
     GFamilyParams,
     NoHitWithin,
     build_g,
-    exceptional_set,
-    marked_point,
     orbit_marked_point,
 )
 from .monomial import (
@@ -29,12 +27,13 @@ from .monomial import (
     analyze,
     degree_D,
     homogenize,
+    identity_rows,
     inverse_degree_bound_check,
     inverse_map,
     mat_mul,
     verify_norm_equivalence,
 )
-from .ratmap import ProjectivePoint, degree_drop_index
+from .ratmap import degree_drop_index
 
 __all__ = [
     "SuiteResult",
@@ -142,7 +141,7 @@ def monomial_suite(count: int = 1000, seed: int = DEFAULT_SEED, rel_tol: float =
 
 def _random_unimodular_map(rng: random.Random) -> MonomialMap:
     n = rng.choice((2, 3, 4))
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [list(row) for row in identity_rows(n)]
     if rng.random() < 0.5:
         rows[0][0] = -1  # determinant -1 is unimodular too
     for _ in range(rng.randint(4, 8)):
@@ -151,9 +150,8 @@ def _random_unimodular_map(rng: random.Random) -> MonomialMap:
         if i == j:
             continue
         c = rng.choice((-2, -1, 1, 2))
-        elem = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-        elem[i][j] = c
-        rows = mat_mul(rows, elem)
+        for row in rows:  # rows times I + c*E_ij
+            row[j] += c * row[i]
     return MonomialMap(rows)
 
 
@@ -171,9 +169,7 @@ def unimodular_suite(count: int = 500, seed: int = DEFAULT_SEED + 1) -> SuiteRes
             problems.append(f"determinant {m.det} is not a unit")
         else:
             inv = inverse_map(m)
-            if mat_mul(m.matrix, inv.matrix) != tuple(
-                tuple(1 if r == s else 0 for s in range(m.n)) for r in range(m.n)
-            ):
+            if mat_mul(m.matrix, inv.matrix) != identity_rows(m.n):
                 problems.append("inverse does not invert")
             if not inverse_degree_bound_check(m, inv):
                 problems.append(
@@ -276,14 +272,7 @@ def gfam_suite(bound: int = 2, orbit_window: int = 12) -> SuiteResult:
             p = GFamilyParams(a, b)
             tag = f"pair ({a},{b})"
             try:
-                track = exceptional_set(p, orbit_window)
-                g = build_g(p, t)
-                current = marked_point()
-                for n in range(orbit_window + 1):
-                    if current != ProjectivePoint([track[n], 0, 1]):
-                        raise RuntimeError(f"orbit diverges from track at step {n}")
-                    if n < orbit_window:
-                        current = g.apply(current)
+                # raises RuntimeError when the orbit leaves the closed-form track
                 outcome = orbit_marked_point(p, t, orbit_window)
                 if outcome != NoHitWithin(orbit_window):
                     raise RuntimeError(f"unexpected orbit outcome {outcome}")

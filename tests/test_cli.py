@@ -336,6 +336,33 @@ class TestPlumbing:
         code, out, err = run_cli(capsys, "fabc-locus", "-a", "1", "-b", "1", "-c", "1/0*T")
         assert (code, out, err) == (2, "", "error: zero denominator\n")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"N":"2","coords":["X","Y","Z"]}', '"N" must be an integer >= 1'),
+            ('{"N":true,"coords":["X","Y"]}', '"N" must be an integer >= 1'),
+            ('{"coords":[1,2,"Z"]}', '"coords" must be a list of strings'),
+        ],
+    )
+    def test_ill_typed_map_document_names_the_field(self, capsys, doc, message):
+        code, out, err = run_cli(capsys, "degseq", "--map", doc)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "matrix, entry",
+        [
+            ("[[1.5,0],[0,1]]", "1.5"),
+            ("[[1.0,0],[0,1]]", "1.0"),
+            ('[["2",0],[0,1]]', "'2'"),
+            ("[[true,0],[0,1]]", "True"),
+            ("[[1e400,0],[0,1]]", "inf"),
+        ],
+    )
+    def test_non_integer_matrix_entry_exits_two(self, capsys, matrix, entry):
+        code, out, err = run_cli(capsys, "monomial", "--matrix", matrix)
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix entry {entry} is not an integer\n"
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 

@@ -131,6 +131,33 @@ class TestSubstitutionAndDerivatives:
         single = [f.substitute(assignment) for f in forms]
         assert batched == single
 
+    @pytest.mark.parametrize("modulus", [None, 7])
+    def test_substitute_system_multiplies_nothing_by_one(self, monkeypatch, modulus):
+        x, y, z = (MultiPoly.variable(3, i, modulus) for i in range(3))
+        one = MultiPoly.constant(3, 1, modulus)
+        forms = [x * y + 3, x**3 - y**2 * z, z + 2 * x * z**2]
+        assignment = [x + y, y * z - 1, 2 * z + x]
+        a, b, c = assignment
+        expected = [
+            sum(
+                (k * a ** e[0] * b ** e[1] * c ** e[2] for e, k in f.terms),
+                MultiPoly.zero(3, modulus),
+            )
+            for f in forms
+        ]
+        original = MultiPoly.__mul__
+        operands = []
+
+        def spy(left, right):
+            operands.extend((left, right))
+            return original(left, right)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", spy)
+        got = substitute_system(forms, assignment)
+        monkeypatch.undo()
+        assert got == expected
+        assert operands and all(operand != one for operand in operands)
+
 
 class TestDivisionAndGcd:
     def test_divexact(self):

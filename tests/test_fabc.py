@@ -9,7 +9,7 @@ import pytest
 
 from dyndeg import fabc
 from dyndeg.cyclo import cos_min_poly
-from dyndeg.exactalg import MultiPoly, parse_poly, poly_gcd
+from dyndeg.exactalg import MultiPoly, parse_poly, poly_gcd, substitute_system
 from dyndeg.fabc import (
     DegenerateParameterError,
     FabcParams,
@@ -523,14 +523,24 @@ class TestLocusWorkDoneOnce:
         for e in loc.entries:
             assert e.heights == (mahler_height(e.poly),) * len(e.roots)
 
-    def test_shared_psi_powers_give_the_same_polynomials(self):
+    def test_shared_psi_powers_give_the_same_polynomials(self, monkeypatch):
+        """One substitute_system call gives every Psi_n numerator."""
         fam = FamilyParams("T", "1+T", "T^2")
         ab = fam.a_poly * fam.b_poly
         neg_w_num = -(2 * ab + fam.c_poly * fam.c_poly)
-        powers = fabc._PsiPowers(neg_w_num, ab)
-        for n in range(3, 31):
-            got = fabc._psi_numerator(n, powers)
-            assert got.terms == _reference_psi_numerator(n, neg_w_num, ab).terms
+        batches = []
+
+        def spy(polys, assignment, **kwargs):
+            out = substitute_system(polys, assignment, **kwargs)
+            batches.append(out)
+            return out
+
+        monkeypatch.setattr(fabc, "substitute_system", spy)
+        fabc._locus_polys(fam, 30)
+        assert len(batches) == 1
+        assert [p.terms for p in batches[0]] == [
+            _reference_psi_numerator(n, neg_w_num, ab).terms for n in range(3, 31)
+        ]
 
     def test_slices_are_the_locus_polynomials(self):
         fam = FamilyParams("T", "1+T", "T^2")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dyndeg import monomial, suites
+from dyndeg import gfam, monomial, suites
 from dyndeg.suites import (
     SuiteResult,
     available_suites,
@@ -55,6 +55,21 @@ class TestReducedRuns:
         res = gfam_suite()
         assert res.ok
         assert res.total == 23  # 20 grid pairs + 3 showcase parameters
+
+    def test_gfam_suite_fails_when_the_track_is_shifted(self, monkeypatch):
+        """The orbit check inside orbit_marked_point is the suite's only
+        track check: shifting one closed-form value fails every pair."""
+        original = gfam.exceptional_set
+
+        def shifted(p, n_max):
+            track = original(p, n_max)
+            track[5] += 1
+            return track
+
+        monkeypatch.setattr(gfam, "exceptional_set", shifted)
+        res = gfam_suite()
+        assert res.failed == 20
+        assert all("left its predicted track at step 5" in f for f in res.failures)
 
     def test_fabc_small_grid(self):
         res = fabc_grid_suite(bound=2, degree_bound=1)
