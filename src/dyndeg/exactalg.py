@@ -125,21 +125,6 @@ def _grlex_term_key(term: tuple) -> tuple:
     return (sum(e), e)
 
 
-def _add_terms(acc: dict, terms: Iterable[tuple]) -> None:
-    """Add (exponent vector, nonzero coefficient) pairs into the dict acc in
-    place, deleting entries that cancel to zero."""
-    for e, c in terms:
-        prev = acc.get(e)
-        if prev is None:
-            acc[e] = c
-        else:
-            s = prev + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-
-
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -286,7 +271,9 @@ class MultiPoly:
             return NotImplemented
         self._check_compat(other)
         out = dict(self.terms)
-        _add_terms(out, other.terms)
+        for e, c in other.terms:
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
         return MultiPoly._build(self.num_vars, out, self.modulus)
 
     __radd__ = __add__
@@ -570,63 +557,6 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 # -- GCD machinery ----------------------------------------------------------
 
 
-def _prem_lists(a: list, b: list) -> list:
-    """Pseudo-remainder for descending lists of polynomial coefficients,
-    deg a >= deg b.
-
-    Returns lc(b)^(deg a - deg b + 1) * a  mod  b, possibly with leading
-    zeros stripped.
-    """
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[0]
-    r = list(a)
-    reductions = 0
-    while len(r) - 1 >= db:
-        lr = r[0]
-        r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[i] = r[i] - lr * b[i]
-        r.pop(0)
-        reductions += 1
-        while r and r[0].is_zero():
-            r.pop(0)
-        if not r:
-            break
-    needed = da - db + 1
-    if reductions < needed and r:
-        factor = lb ** (needed - reductions)
-        r = [factor * c for c in r]
-    return r
-
-
-def _subresultant_prs(a: list, b: list):
-    """Subresultant PRS over a polynomial ring of a prime field.
-
-    a, b: descending lists of MultiPoly coefficients, deg a >= deg b >= 0,
-    both nonzero.  Returns the last nonzero remainder (a list), which is a
-    GCD up to content, or None when the GCD is constant.
-    """
-    g = h = MultiPoly.constant(a[0].num_vars, 1, a[0].modulus)
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return None
-        delta = da - db
-        r = _prem_lists(a, b)
-        if not r:
-            return b
-        if len(r) - 1 == 0:
-            return None
-        denom = g * h ** delta
-        a = b
-        b = [poly_divexact(c, denom) for c in r]
-        g = a[0]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = poly_divexact(g ** delta, h ** (delta - 1))
-
-
 def _monomial_content(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
     """Split off the largest monomial dividing every term."""
     mins = list(p.terms[0][0])
@@ -642,34 +572,6 @@ def _monomial_content(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
         p.modulus,
     )
     return tuple(mins), stripped
-
-
-def _as_univar(p: MultiPoly, v: int) -> list[MultiPoly]:
-    """Descending coefficient list of p viewed as univariate in variable v.
-
-    Coefficients are polynomials in the same ambient ring with zero
-    v-exponent.
-    """
-    d = p.degree_in(v)
-    buckets: list[dict] = [dict() for _ in range(d + 1)]
-    for exps, c in p.terms:
-        e = list(exps)
-        k = e[v]
-        e[v] = 0
-        buckets[k][tuple(e)] = c
-    return [MultiPoly._build(p.num_vars, buckets[d - i], p.modulus) for i in range(d + 1)]
-
-
-def _from_univar(coeffs: list[MultiPoly], v: int, num_vars: int, modulus) -> MultiPoly:
-    """Inverse of _as_univar: sum of coeffs[i] * x_v^(d - i)."""
-    d = len(coeffs) - 1
-    total: dict = {}
-    for i, c in enumerate(coeffs):
-        _add_terms(
-            total,
-            [(e[:v] + (e[v] + d - i,) + e[v + 1 :], coeff) for e, coeff in c.terms],
-        )
-    return MultiPoly._build(num_vars, total, modulus)
 
 
 def _eliminate_var(p: MultiPoly, v: int) -> MultiPoly:
@@ -693,11 +595,6 @@ def _rehomogenize(p: MultiPoly, v: int, num_vars: int) -> MultiPoly:
     return MultiPoly._build(num_vars, out, p.modulus)
 
 
-def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
-    coeffs = [c for c in _as_univar(p, v) if not c.is_zero()]
-    return poly_gcd_many(coeffs)
-
-
 def _project_vars(p: MultiPoly, keep: list[int]) -> MultiPoly:
     terms = {tuple(exps[v] for v in keep): c for exps, c in p.terms}
     return MultiPoly._build(len(keep), terms, p.modulus)
@@ -713,9 +610,9 @@ def _lift_vars(p: MultiPoly, keep: list[int], num_vars: int) -> MultiPoly:
     return MultiPoly._build(num_vars, out, p.modulus)
 
 
-# Images mod a prime p hold plain ints in [0, p): a univariate polynomial is
-# an ascending coefficient list without trailing zeros ([] is zero), a
-# multivariate one a dict {exponent vector: nonzero int}.
+# Images mod a prime p hold plain ints in [0, p), and _Ext too over a _Field:
+# a univariate polynomial is an ascending coefficient list without trailing
+# zeros ([] is zero), a multivariate one a dict {exponent vector: nonzero}.
 
 
 def _up_divmod(a: list, b: list, p: int) -> tuple[list, list]:
@@ -797,14 +694,15 @@ def _content_last(s: dict, p: int) -> list:
 
 
 def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
-    """Gcd of integer polynomials a, b, nonzero mod p, over F_p with lex
-    leading coefficient 1, by
+    """Gcd of polynomials a, b, nonzero mod p, over the field K = F_p (or
+    the _Field p) with lex leading coefficient 1, by
     Brown's recursion on the last variable t; lex order ranks the other
-    variables first, so leading coefficients lie in F_p[t].
+    variables first, so leading coefficients lie in K[t].
 
     With one variable this is Euclid.  Otherwise let c be the gcd of the
-    contents of a and b in F_p[t], G the gcd and G' = G / c its primitive
-    part.  At points t = 1, 2, 3, ... where the leading coefficients la of
+    contents of a and b in K[t], G the gcd and G' = G / c its primitive
+    part.  At the nonzero points t of K (1, ..., p - 1 over F_p), taken
+    once each, where the leading coefficients la of
     a and lb of b do not vanish, the recursive gcd h of a(t), b(t) is
     divisible by G(t), whose leading monomial is that of G because lc(G)
     divides la: h never has a lower leading monomial than G, a constant h
@@ -815,7 +713,8 @@ def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
     a new point leaves the interpolant unchanged.  Its primitive part C
     has the leading monomial of the images, so if c * C divides a and b it
     divides G without a lower leading monomial, and is G up to a scalar
-    (G' is primitive); if not, more points follow.
+    (G' is primitive); if not, more points follow.  _PointsExhausted is
+    raised when none is left, as over small fields but not near 2^61.
     """
     sa, sb = _split_last(a, p), _split_last(b, p)
     if len(next(iter(a))) == 1:
@@ -824,9 +723,7 @@ def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
     la, lb = sa[max(sa)], sb[max(sb)]
     gamma = _up_gcd(la, lb, p)
     lm, interp, nodes = None, {}, [1]
-    t = 0
-    while True:
-        t += 1
+    for t in p.points() if isinstance(p, _Field) else range(1, p):
         if not _up_eval(la, t, p) or not _up_eval(lb, t, p):
             continue
         h = _gcd_mod_p(_eval_last(sa, t, p), _eval_last(sb, t, p), p)
@@ -857,6 +754,124 @@ def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
         d = sorted(_join_last(cand, p).items(), key=lambda term: _heap_key(term[0]))
         if all(_divide_terms(_join_last(f, p), d, p) is not None for f in (sa, sb)):
             return _join_last(cand, p, pow(cand[max(cand)][-1], -1, p))
+    raise _PointsExhausted(p)
+
+
+class _PointsExhausted(ArithmeticError):
+    """_gcd_mod_p has tried every nonzero point of its field."""
+
+
+class _Field(int):
+    """F_{p^k} = F_p[s]/(m), m = self.m monic irreducible of degree k >= 2,
+    standing in for the prime p in _gcd_mod_p and the helpers it calls.  As
+    an int it is p, so elements of F_p stay plain ints and `% F`,
+    `pow(x, -1, F)` act on them as before; the other elements are _Ext.
+    Its points are the nonzero elements, i = 1, ..., p^k - 1 read as the
+    base-p digits of their coefficients in s, so those of F_p come first."""
+
+    def points(self):
+        k = len(self.m) - 1
+        return (_ext([i // self**j for j in range(k)], self) for i in range(1, self**k))
+
+
+class _Ext:
+    """An element of a _Field F outside F_p: its ascending coefficient list
+    in s, reduced mod p and m, of length at least 2."""
+
+    __slots__ = ("c", "F")
+
+    def __init__(self, c: list, F: _Field):
+        self.c, self.F = c, F
+
+    def __add__(self, o):
+        pairs = itertools.zip_longest(self.c, _coeffs(o), fillvalue=0)
+        return _ext([u + v for u, v in pairs], self.F)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _ext([-u for u in self.c], self.F)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        return _ext(_up_mul(self.c, _coeffs(o), self.F), self.F)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, F):
+        return self
+
+    def __pow__(self, e: int, mod=None):
+        """self^e by squaring in F, whatever mod is; x^(p^k - 1) = 1 for
+        x != 0, so e = -1 gives the inverse."""
+        F = self.F
+        e %= F ** (len(F.m) - 1) - 1
+        out, x = 1, self
+        while e:
+            if e & 1:
+                out = x * out % F
+            e >>= 1
+            x = x * x % F
+        return out
+
+
+def _coeffs(x) -> list:
+    """Ascending coefficient list in s of an int or _Ext."""
+    return x.c if isinstance(x, _Ext) else [x] if x else []
+
+
+def _ext(c: list, F: _Field):
+    """The element of F with coefficients c in s: an int when it lies in F_p."""
+    r = _up_divmod([u % F for u in c], F.m, F)[1]
+    return _Ext(r, F) if len(r) > 1 else r[0] if r else 0
+
+
+@functools.lru_cache(maxsize=64)
+def _extension(p: int, k: int) -> _Field:
+    """F_{p^k} with m = s^k + (lower terms whose coefficients are the base-p
+    digits of i), for the least i giving an irreducible m.  Ben-Or's test:
+    m is irreducible iff gcd(s^(p^j) - s, m) = 1 for j = 1, ..., k // 2.
+    Powers of _Ext only multiply, so they are sound before m is known to be
+    irreducible."""
+    field = _Field(p)
+    for i in itertools.count():
+        field.m = [i // p**j % p for j in range(k)] + [1]
+        s = x = _Ext([0, 1], field)
+        for _ in range(k // 2):
+            x = pow(x, p, field)
+            if len(_up_gcd(field.m, _coeffs(x - s), p)) > 1:
+                break
+        else:
+            return field
+
+
+def _gcd_prime_field(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Gcd of nonzero polynomials over F_p, canonically scaled: _gcd_mod_p
+    over F_p, and while that runs out of points, over F_{p^k} for
+    k = 2, 4, 8, ...
+
+    Lemma (extension fields): for a, b over F_p, their gcd G over F_{p^k}
+    with lex leading coefficient 1 is their gcd over F_p.  Applying
+    x -> x^p to every coefficient is a ring automorphism of F_{p^k}[X]
+    that fixes a and b, so it maps G to a gcd with leading coefficient 1,
+    that is to G; hence G has coefficients in F_p.  So do the quotients
+    a / G and b / G, which are unique and likewise fixed, so G divides a
+    and b over F_p, and every common divisor over F_p divides G.  Brown's
+    lemma in _gcd_mod_p holds over any field, so its trial division over
+    F_{p^k} certifies G, and _ext hands its coefficients back as ints.
+    """
+    for k in itertools.count():
+        field = _extension(p.modulus, 2**k) if k else p.modulus
+        try:
+            g = _gcd_mod_p(dict(p.terms), dict(q.terms), field)
+        except _PointsExhausted:
+            continue
+        return MultiPoly._build(p.num_vars, g, p.modulus).canonical()
 
 
 def _integer_terms(p: MultiPoly) -> dict:
@@ -961,8 +976,7 @@ def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """GCD of two nonzero non-constant polynomials without monomial factors,
-    canonically scaled.  Three exact reductions, then one algorithm per
-    coefficient field:
+    canonically scaled.  Three exact reductions, then one algorithm:
 
     1. No shared variable: a nonconstant common factor has positive degree
        in some variable, and then so do both inputs.  The gcd is 1.
@@ -973,10 +987,8 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
        and their degrees; recurse, then rehomogenise and rescale (the
        grlex leading term of the dehomogenised gcd need not lead after
        rehomogenising).
-    4. Over Q: _gcd_modular, certified by its trial division.  Over a prime
-       field, with too few evaluation points for a modular method: the
-       recursive subresultant PRS in the variable of least shared degree,
-       after splitting off contents, which is exact and needs no check.
+    4. Brown's recursion, certified by its trial division: _gcd_modular
+       over Q, _gcd_prime_field over a prime field.
     """
     shared = [
         v
@@ -997,19 +1009,7 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return _rehomogenize(g, v, p.num_vars).canonical()
     if p.modulus is None:
         return _gcd_modular(p, q)
-    v = min(shared, key=lambda w: min(p.degree_in(w), q.degree_in(w)))
-    cp = _content_wrt(p, v)
-    cq = _content_wrt(q, v)
-    cont = poly_gcd(cp, cq)
-    pu = _as_univar(poly_divexact(p, cp), v)
-    qu = _as_univar(poly_divexact(q, cq), v)
-    if len(pu) < len(qu):
-        pu, qu = qu, pu
-    res = _subresultant_prs(pu, qu)
-    if res is None:
-        return cont
-    g = _from_univar(res, v, p.num_vars, p.modulus)
-    return (cont * poly_divexact(g, _content_wrt(g, v))).canonical()
+    return _gcd_prime_field(p, q)
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -1019,10 +1019,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     x^m, m the termwise minimum of the monomial contents, times the gcd of
     the stripped parts: 1 if one is constant, else from _gcd_core, which
     tries in order no shared variable, projection to the active variables
-    and dehomogenisation, then runs _gcd_modular over Q or the subresultant
-    PRS over a prime field.  Each reduction is exact, so the result is
-    certified once, by the trial division inside _gcd_modular (see its
-    lemma) or by the exactness of the PRS; no division runs here.
+    and dehomogenisation, then runs Brown's recursion: _gcd_modular over Q,
+    _gcd_prime_field over a prime field.  Each reduction is exact, so the
+    result is certified once, by the trial division inside _gcd_mod_p or
+    _gcd_modular (see their lemmas); no division runs here.
 
     The result is built once: x^m itself when the stripped gcd is 1, else
     the core from _gcd_core with its exponents shifted by m.  Lemma: the

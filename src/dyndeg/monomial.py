@@ -28,6 +28,9 @@ class SingularMatrixError(ValueError):
 
 
 def _validate_rows(matrix: Sequence[Sequence[int]]) -> Rows:
+    for row in matrix:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"matrix row {row!r} is not a list")
     rows = tuple(tuple(row) for row in matrix)
     for row in rows:
         for x in row:

@@ -363,6 +363,13 @@ class TestPlumbing:
         assert (code, out) == (2, "")
         assert err == f"error: matrix entry {entry} is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "matrix, row", [("[1,2]", "1"), ("[[1,2],3]", "3"), ('["12","34"]', "'12'")]
+    )
+    def test_non_list_matrix_row_exits_two(self, capsys, matrix, row):
+        code, out, err = run_cli(capsys, "monomial", "--matrix", matrix)
+        assert (code, out, err) == (2, "", f"error: matrix row {row} is not a list\n")
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 

@@ -383,14 +383,6 @@ def test_product_divided_by_factor_mod_7(p, q):
     assert poly_divexact(p * q, q) == p
 
 
-@given(polys(), st.integers(min_value=0, max_value=2))
-@settings(max_examples=40, deadline=None)
-def test_univar_round_trip(p, v):
-    if p.is_zero():
-        return
-    assert exactalg._from_univar(exactalg._as_univar(p, v), v, 3, None) == p
-
-
 def test_divexact_builds_no_polynomial_per_quotient_term(monkeypatch):
     q = (X + 2 * Y + 3 * Z + 1) ** 7
     d = X**2 - Y * Z + 2

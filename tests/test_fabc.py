@@ -310,18 +310,18 @@ class TestClassifyModP:
 
     def test_recurrence_predicts_mod_p_degree_drop(self):
         # The degree engine over F_p against the V_n recurrence: the iterates
-        # first drop at m + 1, m the least index with V_m = 0 mod p.  Every
-        # third point of the grid p in {5, 7, 11, 13}, a, c in 1..3,
-        # b in -2..2 without 0 covers drops at 3 and 4 and stable cases.
+        # first drop at m + 1, m the least index with V_m = 0 mod p.  The
+        # whole grid p in {5, 7, 11, 13}, a, c in 1..3, b in -2..2 without 0
+        # covers drops at 3, 4 and 5 and stable cases.
         grid = itertools.product((5, 7, 11, 13), (1, 2, 3), (-2, -1, 1, 2), (1, 2, 3))
         seen = set()
-        for p, a, b, c in itertools.islice(grid, 0, None, 3):
+        for p, a, b, c in grid:
             m = classify_mod_p(a, b, c, p).m
-            want = m + 1 if m is not None and m + 1 <= 4 else None
+            want = m + 1 if m is not None and m + 1 <= 5 else None
             f = build_map(FabcParams(a, b, c), modulus=p)
-            assert degree_drop_index(f, 4) == want, (p, a, b, c)
+            assert degree_drop_index(f, 5) == want, (p, a, b, c)
             seen.add(want)
-        assert seen == {3, 4, None}
+        assert seen == {3, 4, 5, None}
 
     def test_cap_and_validation(self):
         res = classify_mod_p(-2, 1, 3, 5, search_cap=2)

@@ -5,10 +5,13 @@ seeded random polynomials, checks that the expected path ran, and asserts
 that poly_gcd equals sympy's gcd up to the canonical scale.  More rational
 cases reach the corners of the modular gcd: a discarded candidate, a
 skipped prime, a CRT over several primes, a coefficient that vanishes mod
-the first prime, and unlucky evaluation points.  sympy is an oracle for
-tests only.
+the first prime, and unlucky evaluation points.  Over small prime fields
+the gcd runs out of points and moves to an extension field; its pairs,
+its two known hard inputs over F_7 and its choice of modulus m are checked
+against sympy too.  sympy is an oracle for tests only.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -62,7 +65,7 @@ SHAPES = [
     ("bivariate", "_gcd_modular", dict(num_vars=2)),
     ("homogeneous", "_eliminate_var", dict(num_vars=3, homogeneous=True)),
     ("symbolic", "_gcd_modular", dict(num_vars=4)),
-    ("mod-p", "_subresultant_prs", dict(num_vars=2, modulus=101)),
+    ("mod-p", "_gcd_prime_field", dict(num_vars=2, modulus=101)),
 ]
 
 
@@ -170,3 +173,86 @@ def test_unlucky_evaluation_points_are_discarded():
     )
     assert image == {(0, 0): 1}
     assert poly_gcd(a, b) == sympy_gcd(a, b) == MultiPoly.constant(2, 1)
+
+
+@pytest.fixture
+def extensions_used(monkeypatch):
+    fields = []
+    inner = exactalg._extension
+
+    def spy(p, k):
+        fields.append((p, k))
+        return inner(p, k)
+
+    monkeypatch.setattr(exactalg, "_extension", spy)
+    return fields
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_small_field_gcd_matches_sympy(p, extensions_used):
+    """Seeded planted and coprime pairs in 2 and 3 variables.  F_2 has one
+    nonzero point, so most pairs need an extension; at degree 2, F_7 has
+    enough points for these, and the two inputs below reach its extension."""
+    pairs_in_extension = 0
+    for num_vars, planted, seed in itertools.product((2, 3), (True, False), range(10)):
+        rng = random.Random(f"small-field-{p}-{num_vars}-{planted}-{seed}")
+        a, b = (random_poly(rng, num_vars, 2, 4, modulus=p) for _ in range(2))
+        if planted:
+            g = random_poly(rng, num_vars, 2, 3, modulus=p)
+            a, b = g * a, g * b
+        before = len(extensions_used)
+        got = poly_gcd(a, b)
+        assert got == sympy_gcd(a, b), (num_vars, planted, seed)
+        if planted:
+            assert not got.is_constant()
+        pairs_in_extension += len(extensions_used) > before
+    assert pairs_in_extension > 0 or p == 7
+
+
+Y0, Y1 = MultiPoly.variable(2, 0, 7), MultiPoly.variable(2, 1, 7)
+
+
+@pytest.mark.parametrize(
+    "g,a,b",
+    [
+        # the leading coefficient Y^7 - Y vanishes at every point of F_7
+        (Y0 + Y1 + 1, (Y1**7 - Y1) * Y0 + 1, (Y1**7 - Y1) * Y0 + 2),
+        # a Y-degree of 7 needs 8 points to interpolate, F_7 has 6
+        (Y1**7 + Y0 + Y1 + 1, Y0 + 2, Y0 + 3),
+    ],
+    ids=["vanishing-leading-coefficient", "degree-7-in-the-last-variable"],
+)
+def test_f7_runs_out_of_points_and_extends(g, a, b, extensions_used):
+    a, b = g * a, g * b
+    with pytest.raises(exactalg._PointsExhausted):
+        exactalg._gcd_mod_p(dict(a.terms), dict(b.terms), 7)
+    assert poly_gcd(a, b) == sympy_gcd(a, b) == g
+    assert extensions_used == [(7, 2)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_extension_modulus_is_the_first_irreducible(p, k):
+    """m = s^k + lower terms whose coefficients are the base-p digits of i,
+    for the least i with m irreducible: sympy must find m irreducible and
+    every earlier candidate reducible."""
+    s = sympy.symbols("s")
+
+    def candidate(i):
+        digits = [i // p**j % p for j in range(k)] + [1]
+        return sympy.Poly(list(reversed(digits)), s, modulus=p)
+
+    field = exactalg._extension(p, k)
+    i = sum(c * p**j for j, c in enumerate(field.m[:-1]))
+    assert field.m[-1] == 1 and len(field.m) == k + 1
+    assert candidate(i).is_irreducible
+    assert not any(candidate(j).is_irreducible for j in range(i))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2), (5, 2)])
+def test_every_extension_point_is_invertible(p, k):
+    field = exactalg._extension(p, k)
+    points = list(field.points())
+    assert len({tuple(exactalg._coeffs(t)) for t in points}) == p**k - 1
+    assert all(t * pow(t, -1, field) % field == 1 for t in points)
+    assert points[: p - 1] == list(range(1, p))
