@@ -557,57 +557,38 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 # -- GCD machinery ----------------------------------------------------------
 
 
-def _monomial_content(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
-    """Split off the largest monomial dividing every term."""
-    mins = list(p.terms[0][0])
-    for exps, _ in p.terms[1:]:
-        for i, e in enumerate(exps):
-            if e < mins[i]:
-                mins[i] = e
-    if not any(mins):
-        return tuple(mins), p
-    stripped = MultiPoly._build(
-        p.num_vars,
-        {tuple(map(operator.sub, e, mins)): c for e, c in p.terms},
-        p.modulus,
-    )
-    return tuple(mins), stripped
+def _reduce(a: dict, b: dict):
+    """(a', b', lift) for nonconstant a, b {exponent vector: coefficient}
+    without monomial content: the pair in a smaller ring, and the map that
+    takes a divisor or quotient of a', b' back.  With nothing to drop it
+    returns a, b and the identity.
 
+    Lemma.  Variables neither input uses are dropped: divisors involve only
+    the variables of what they divide.  When both are forms, the last
+    remaining variable z is then set to 1.  Divisors and quotients h of
+    forms are forms, and z divides neither input, so neither h: h(z = 1)
+    keeps the degree of h, and lift rehomogenises it to h.  Setting z = 1
+    is a ring map, one to one on forms of one degree, so h' * k' = a(z = 1)
+    lifts to lift(h') * lift(k') = a, and lift(gcd(a', b')) is a gcd of a, b.
+    """
+    n = len(next(iter(a)))
+    slots = [v for v in range(n) if any(e[v] for f in (a, b) for e in f)]
+    forms = len({sum(e) for e in a}) == 1 == len({sum(e) for e in b})
+    keep = slots[:-1] if forms else slots
+    if len(keep) == n:
+        return a, b, lambda g: g
 
-def _eliminate_var(p: MultiPoly, v: int) -> MultiPoly:
-    """Set variable v to 1 and drop it from the ring."""
-    out: dict = {}
-    for exps, c in p.terms:
-        e = exps[:v] + exps[v + 1 :]
-        prev = out.get(e)
-        out[e] = c if prev is None else prev + c
-    return MultiPoly._build(p.num_vars - 1, out, p.modulus)
+    def lift(g: dict) -> dict:
+        d, out = max(map(sum, g)), {}
+        for e, c in g.items():
+            full = [0] * n
+            for v, k in zip(slots, e + (d - sum(e),)):  # z = slots[-1] if set to 1
+                full[v] = k
+            out[tuple(full)] = c
+        return out
 
-
-def _rehomogenize(p: MultiPoly, v: int, num_vars: int) -> MultiPoly:
-    """Inverse of _eliminate_var for polynomials of known total degree."""
-    d = p.degree
-    out = {}
-    for exps, c in p.terms:
-        pad = d - sum(exps)
-        e = exps[:v] + (pad,) + exps[v:]
-        out[e] = c
-    return MultiPoly._build(num_vars, out, p.modulus)
-
-
-def _project_vars(p: MultiPoly, keep: list[int]) -> MultiPoly:
-    terms = {tuple(exps[v] for v in keep): c for exps, c in p.terms}
-    return MultiPoly._build(len(keep), terms, p.modulus)
-
-
-def _lift_vars(p: MultiPoly, keep: list[int], num_vars: int) -> MultiPoly:
-    out = {}
-    for exps, c in p.terms:
-        e = [0] * num_vars
-        for i, v in enumerate(keep):
-            e[v] = exps[i]
-        out[tuple(e)] = c
-    return MultiPoly._build(num_vars, out, p.modulus)
+    a, b = ({tuple(e[v] for v in keep): c for e, c in f.items()} for f in (a, b))
+    return a, b, lift
 
 
 # Images mod a prime p hold plain ints in [0, p), and _Ext too over a _Field:
@@ -693,7 +674,7 @@ def _content_last(s: dict, p: int) -> list:
     return g
 
 
-def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
+def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
     """Gcd of polynomials a, b, nonzero mod p, over the field K = F_p (or
     the _Field p) with lex leading coefficient 1, by
     Brown's recursion on the last variable t; lex order ranks the other
@@ -715,10 +696,12 @@ def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
     divides G without a lower leading monomial, and is G up to a scalar
     (G' is primitive); if not, more points follow.  _PointsExhausted is
     raised when none is left, as over small fields but not near 2^61.
+    Given a list `quotients`, a / G and b / G are appended to it unless
+    G = 1.
     """
     sa, sb = _split_last(a, p), _split_last(b, p)
     if len(next(iter(a))) == 1:
-        return _join_last({(): _up_gcd(sa[()], sb[()], p)}, p)
+        return _gcd_in_last(_up_gcd(sa[()], sb[()], p), (sa, sb), p, quotients)
     c = _up_gcd(_content_last(sa, p), _content_last(sb, p), p)
     la, lb = sa[max(sa)], sb[max(sb)]
     gamma = _up_gcd(la, lb, p)
@@ -729,7 +712,7 @@ def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
         h = _gcd_mod_p(_eval_last(sa, t, p), _eval_last(sb, t, p), p)
         m = max(h)
         if not any(m):
-            return _join_last({m: c}, p)
+            return _gcd_in_last(c, (sa, sb), p, quotients)
         if lm is not None and m > lm:
             continue
         if m != lm:
@@ -752,9 +735,24 @@ def _gcd_mod_p(a: dict, b: dict, p: int) -> dict:
         g = _content_last(interp, p)
         cand = {m: _up_mul(_up_divmod(col, g, p)[0], c, p) for m, col in interp.items()}
         d = sorted(_join_last(cand, p).items(), key=lambda term: _heap_key(term[0]))
-        if all(_divide_terms(_join_last(f, p), d, p) is not None for f in (sa, sb)):
-            return _join_last(cand, p, pow(cand[max(cand)][-1], -1, p))
+        qa = _divide_terms(_join_last(sa, p), d, p)
+        qb = None if qa is None else _divide_terms(_join_last(sb, p), d, p)
+        if qb is not None:
+            lc = cand[max(cand)][-1]
+            if quotients is not None:
+                quotients += ({e: u * lc % p for e, u in f} for f in (qa, qb))
+            return _join_last(cand, p, pow(lc, -1, p))
     raise _PointsExhausted(p)
+
+
+def _gcd_in_last(c: list, splits: tuple, p: int, quotients: list | None) -> dict:
+    """_gcd_mod_p's gcd c in the last variable alone, with the quotients."""
+    if quotients is not None and len(c) > 1:
+        quotients += (
+            _join_last({m: _up_divmod(col, c, p)[0] for m, col in s.items()}, p)
+            for s in splits
+        )
+    return _join_last({(0,) * len(next(iter(splits[0]))): c}, p)
 
 
 class _PointsExhausted(ArithmeticError):
@@ -850,10 +848,11 @@ def _extension(p: int, k: int) -> _Field:
             return field
 
 
-def _gcd_prime_field(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Gcd of nonzero polynomials over F_p, canonically scaled: _gcd_mod_p
+def _gcd_prime_field(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...] | None:
+    """(G, p / G, q / G) for polynomials over F_p that _reduce accepts, G
+    canonically scaled, or None when G = 1: _gcd_mod_p on the reduced pair
     over F_p, and while that runs out of points, over F_{p^k} for
-    k = 2, 4, 8, ...
+    k = 2, 4, 8, ...; _reduce's lift takes G and the quotients back.
 
     Lemma (extension fields): for a, b over F_p, their gcd G over F_{p^k}
     with lex leading coefficient 1 is their gcd over F_p.  Applying
@@ -865,13 +864,22 @@ def _gcd_prime_field(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     lemma in _gcd_mod_p holds over any field, so its trial division over
     F_{p^k} certifies G, and _ext hands its coefficients back as ints.
     """
+    a, b, lift = _reduce(dict(p.terms), dict(q.terms))
     for k in itertools.count():
         field = _extension(p.modulus, 2**k) if k else p.modulus
+        quotients: list = []
         try:
-            g = _gcd_mod_p(dict(p.terms), dict(q.terms), field)
+            g = _gcd_mod_p(a, b, field, quotients)
         except _PointsExhausted:
             continue
-        return MultiPoly._build(p.num_vars, g, p.modulus).canonical()
+        if not any(max(g)):
+            return None
+        g = lift(g)
+        s = max(g.items(), key=_grlex_term_key)[1]  # the canonical scale is 1 / s
+        return tuple(
+            MultiPoly._build(p.num_vars, {e: c * w for e, c in f.items()}, p.modulus)
+            for f, w in zip([g, *map(lift, quotients)], (pow(s, -1, p.modulus), s, s))
+        )
 
 
 def _integer_terms(p: MultiPoly) -> dict:
@@ -918,31 +926,35 @@ def _univariate_image(p: MultiPoly) -> list | None:
     return out
 
 
-def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Gcd of nonzero rational polynomials by Brown's dense modular
-    algorithm (J. ACM 18, 1971), canonically scaled.
+def _gcd_modular(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...] | None:
+    """(G, p / G, q / G) for nonzero rational polynomials that _reduce
+    accepts, G by Brown's dense modular algorithm (J. ACM 18, 1971),
+    canonically scaled, or None when G = 1.
 
-    With denominators cleared to give integer a, b, let la, lb be their
-    leading coefficients in lex order and gamma = gcd(la, lb).  Primes r
-    are taken downward from 2^61 - 1, skipping those dividing la * lb, and
-    each gives the image h = gcd(a mod r, b mod r) from _gcd_mod_p.
+    With denominators cleared and the ring reduced by _reduce, to give
+    integer a, b, let la, lb be their leading coefficients in lex order and
+    gamma = gcd(la, lb).  Primes r are taken downward from 2^61 - 1,
+    skipping those dividing la * lb, and each gives the image
+    h = gcd(a mod r, b mod r) from _gcd_mod_p.
 
-    Lemma: G = gcd(a, b) has lc(G) dividing la, so r keeps the leading
-    monomial of G, and G mod r divides h: an image never has a lower
-    leading monomial than G, and a constant image proves G = 1.  The same
+    Lemma: G' = gcd(a, b) has lc(G') dividing la, so r keeps the leading
+    monomial of G', and G' mod r divides h: an image never has a lower
+    leading monomial than G', and a constant image proves G' = 1.  The same
     holds in _gcd_mod_p for an evaluation point t with la(t) * lb(t) != 0,
     so gamma(t) != 0.  Only finitely many primes, and in _gcd_mod_p only
-    finitely many points, give h != G mod r up to a scalar; the others give
-    gamma * h = H mod r for the one integer polynomial H = gamma * G /
-    lc(G).  Images with a higher leading monomial than the lowest seen are
-    dropped; the rest are combined by CRT into the symmetric range, and
-    after each prime the primitive part C of that lift is trial-divided
-    into the inputs.  This division is the certificate: C then divides G and
-    has a leading monomial no lower than G's, so C = G up to a scalar.  If
-    it fails, another prime follows; once the lucky primes' product passes
-    2 * max|H| the lift is H, so the loop terminates.
+    finitely many points, give h != G' mod r up to a scalar; the others
+    give gamma * h = H mod r for the one integer polynomial
+    H = gamma * G' / lc(G').  Images with a higher leading monomial than
+    the lowest seen are dropped; the rest are combined by CRT into the
+    symmetric range, and after each prime the primitive part C of that
+    lift is lifted by _reduce and trial-divided into p and q.  This
+    division is the certificate and gives the quotients: then C divides a
+    and b (reducing is a ring map), so C divides G' with a leading
+    monomial no lower than G''s: C = G' and lift(C) = G up to a scalar.
+    If it fails, another prime follows; once the lucky primes' product
+    passes 2 * max|H| the lift is H, so the loop terminates.
     """
-    a, b = _integer_terms(p), _integer_terms(q)
+    a, b, lift = _reduce(_integer_terms(p), _integer_terms(q))
     la, lb = a[max(a)], b[max(b)]
     gamma = math.gcd(la, lb)
     lm, mod, res = None, 1, {}
@@ -953,7 +965,7 @@ def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         h = _gcd_mod_p(a, b, pr)
         m = max(h)
         if not any(m):
-            return MultiPoly.constant(p.num_vars, 1)
+            return None
         if lm is not None and m > lm:
             continue
         if m != lm:
@@ -963,104 +975,82 @@ def _gcd_modular(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             r = res.get(e, 0)
             res[e] = r + mod * ((h.get(e, 0) * s - r) * w % pr)
         mod *= pr
-        cand = MultiPoly._build(
-            p.num_vars, {e: r - mod if 2 * r > mod else r for e, r in res.items()}, None
-        ).canonical()
+        cand = {e: r - mod if 2 * r > mod else r for e, r in res.items()}
+        cand = MultiPoly._build(p.num_vars, lift(cand), None).canonical()
         try:
-            poly_divexact(p, cand)
-            poly_divexact(q, cand)
+            return cand, poly_divexact(p, cand), poly_divexact(q, cand)
         except NotDivisibleError:
             continue
-        return cand
 
 
-def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD of two nonzero non-constant polynomials without monomial factors,
-    canonically scaled.  Three exact reductions, then one algorithm:
-
-    1. No shared variable: a nonconstant common factor has positive degree
-       in some variable, and then so do both inputs.  The gcd is 1.
-    2. Some variable in neither input: divisors involve only the variables
-       of what they divide, so recurse without it and lift back.
-    3. Both homogeneous: divisors of forms are forms, and neither input is
-       divisible by the last variable, so setting it to 1 keeps divisors
-       and their degrees; recurse, then rehomogenise and rescale (the
-       grlex leading term of the dehomogenised gcd need not lead after
-       rehomogenising).
-    4. Brown's recursion, certified by its trial division: _gcd_modular
-       over Q, _gcd_prime_field over a prime field.
-    """
-    shared = [
-        v
-        for v in range(p.num_vars)
-        if p.degree_in(v) > 0 and q.degree_in(v) > 0
-    ]
-    if not shared:
-        return MultiPoly.constant(p.num_vars, 1, p.modulus)
-    active = sorted(
-        v for v in range(p.num_vars) if p.degree_in(v) > 0 or q.degree_in(v) > 0
+def _shift(p: MultiPoly, up: tuple, down: tuple) -> MultiPoly:
+    """p * x^up / x^down, for monomials x^up and x^down."""
+    m = tuple(map(operator.sub, up, down))
+    if not any(m):
+        return p
+    return MultiPoly._build(
+        p.num_vars, {tuple(map(operator.add, e, m)): c for e, c in p.terms}, p.modulus
     )
-    if len(active) < p.num_vars:
-        g = poly_gcd(_project_vars(p, active), _project_vars(q, active))
-        return _lift_vars(g, active, p.num_vars)
-    if p.is_homogeneous() and q.is_homogeneous():
-        v = max(active)
-        g = poly_gcd(_eliminate_var(p, v), _eliminate_var(q, v))
-        return _rehomogenize(g, v, p.num_vars).canonical()
-    if p.modulus is None:
-        return _gcd_modular(p, q)
-    return _gcd_prime_field(p, q)
+
+
+def _gcd_quotients(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...]:
+    """(g, p / g, q / g), g = poly_gcd(p, q): for one zero input g is the
+    other's canonical form, for two all three are 0.  Otherwise g is x^m,
+    m the termwise minimum of the monomial contents x^mp and x^mq, times
+    the gcd of the stripped parts: 1 when no variable has positive degree
+    in both (a nonconstant common factor has positive degree in some
+    variable, and then so do both), else the one that _gcd_modular (over
+    Q) or _gcd_prime_field certifies, whose quotients are shifted by
+    x^(mp - m) and x^(mq - m).  Lemma: x^m times the canonical core is
+    canonical.  A monic monomial changes no coefficient, and grlex is a
+    monomial order, so e > e' implies e + m > e' + m and the leading term
+    stays leading.
+    """
+    p._check_compat(q)
+    nv, mod, zero = p.num_vars, p.modulus, (0,) * p.num_vars
+    if p.is_zero() or q.is_zero():
+        f = q if p.is_zero() else p
+        g = f.canonical()
+        lead = Fraction(f.terms[0][1], g.terms[0][1]) if f.terms else 0
+        unit = MultiPoly.constant(nv, lead, mod)
+        return g, unit if f is p else p, unit if f is q else q
+    mp, mq = (tuple(map(min, zip(*(e for e, _ in f.terms)))) for f in (p, q))
+    mg = tuple(map(min, mp, mq))
+    if any(p.degree_in(v) > mp[v] and q.degree_in(v) > mq[v] for v in range(nv)):
+        gcd = _gcd_modular if mod is None else _gcd_prime_field
+        core = gcd(_shift(p, zero, mp), _shift(q, zero, mq))
+        if core is not None:
+            g, a, b = core
+            return _shift(g, mg, zero), _shift(a, mp, mg), _shift(b, mq, mg)
+    return MultiPoly._build(nv, {mg: 1}, mod), _shift(p, zero, mg), _shift(q, zero, mg)
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Greatest common divisor, canonically normalized.
+    """Greatest common divisor, canonically normalized (0 for two zeros).
+    The trial division of _gcd_modular or _gcd_mod_p certifies it once, on
+    the inputs stripped of monomial content (see _gcd_quotients)."""
+    return _gcd_quotients(p, q)[0]
 
-    A zero input returns the other.  Otherwise the gcd is the monomial
-    x^m, m the termwise minimum of the monomial contents, times the gcd of
-    the stripped parts: 1 if one is constant, else from _gcd_core, which
-    tries in order no shared variable, projection to the active variables
-    and dehomogenisation, then runs Brown's recursion: _gcd_modular over Q,
-    _gcd_prime_field over a prime field.  Each reduction is exact, so the
-    result is certified once, by the trial division inside _gcd_mod_p or
-    _gcd_modular (see their lemmas); no division runs here.
 
-    The result is built once: x^m itself when the stripped gcd is 1, else
-    the core from _gcd_core with its exponents shifted by m.  Lemma: the
-    core is canonical, and so is x^m times it.  Multiplying by a monic
-    monomial changes no coefficient, so over Q they stay coprime integers
-    and over a prime field the leading one stays 1; and grlex is a monomial
-    order, so e > e' implies e + m > e' + m and the leading term stays
-    leading, with its sign.
+def _cancel(forms: Sequence[MultiPoly]) -> tuple[MultiPoly, list[MultiPoly]]:
+    """(g, [f / g for f in forms]), g = poly_gcd_many(forms), for two or
+    more forms: _gcd_quotients folded over them until g is 1.  When
+    g' = gcd(g, f), the quotients so far are multiplied by u = g / g'; both
+    gcds are canonical, so u is 1 or nonconstant, and only then a factor.
     """
-    p._check_compat(q)
-    if p.is_zero():
-        return q.canonical()
-    if q.is_zero():
-        return p.canonical()
-    mp, ps = _monomial_content(p)
-    mq, qs = _monomial_content(q)
-    mg = tuple(map(min, mp, mq))
-    if ps.is_constant() or qs.is_constant():
-        return MultiPoly.monomial(p.num_vars, mg, 1, p.modulus)
-    core = _gcd_core(ps, qs)
-    if not any(mg):
-        return core
-    return MultiPoly._build(
-        p.num_vars,
-        {tuple(map(operator.add, e, mg)): c for e, c in core.terms},
-        p.modulus,
-    )
+    g, *quots = _gcd_quotients(forms[0], forms[1])
+    for f in forms[2:]:
+        g, u, b = (g, g, f) if g.degree == 0 else _gcd_quotients(g, f)
+        if not u.is_constant():
+            quots = [c * u for c in quots]
+        quots.append(b)
+    return g, quots
 
 
 def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
     if not polys:
         raise ValueError("need at least one polynomial")
-    g = polys[0].canonical()
-    for p in polys[1:]:
-        if g.is_constant() and not g.is_zero():
-            break
-        g = poly_gcd(g, p)
-    return g
+    return _cancel(polys)[0] if len(polys) > 1 else polys[0].canonical()
 
 
 # -- determinants and Jacobians ---------------------------------------------

@@ -13,6 +13,7 @@ exceptional locus cut out by explicit polynomials.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -31,6 +32,7 @@ from .exactalg import (
     substitute_system,
     _check_modulus,
     _coerce,
+    _gcd_quotients,
     _prime,
     _univariate_image,
     _up_gcd,
@@ -419,16 +421,28 @@ def _poly_coeffs_desc(poly: MultiPoly) -> list[Fraction]:
     return out
 
 
+def _log(c: Rational) -> float:
+    """Natural log of |c| for a nonzero int or Fraction of any size."""
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
 def _numeric_roots(poly: MultiPoly) -> tuple[complex, ...]:
-    coeffs = [float(c) for c in _poly_coeffs_desc(poly)]
+    """Roots of a univariate polynomial by numpy, sorted.  Past the float
+    range they are 2^k times the roots of p(2^k u) / 2^e, k the rounded
+    mean of log2|c_j / c_d| from the lowest nonzero c_j to d, and 2^e the
+    power of two nearest the largest coefficient of p(2^k u)."""
+    coeffs = _poly_coeffs_desc(poly)
     if len(coeffs) < 2:
         return ()
-    roots = np.roots(coeffs)
-    ordered = sorted(
-        (complex(r) for r in roots),
-        key=lambda z: (round(z.real, 9), round(z.imag, 9)),
-    )
-    return tuple(ordered)
+    try:
+        k, floats = 0, [float(c) for c in coeffs]
+    except OverflowError:
+        d, lo = len(coeffs) - 1, max(i for i, c in enumerate(coeffs) if c)
+        k = round((_log(coeffs[lo]) - _log(coeffs[0])) / (lo * math.log(2))) if lo else 0
+        e = round(max(_log(c) / math.log(2) + k * (d - i) for i, c in enumerate(coeffs) if c))
+        floats = [float(c * Fraction(2) ** (k * (d - i) - e)) for i, c in enumerate(coeffs)]
+    roots = (complex(r) for r in np.roots(floats) * 2.0**k)
+    return tuple(sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))))
 
 
 def _height_from_roots(poly: MultiPoly, roots: tuple[complex, ...]) -> float:
@@ -436,7 +450,8 @@ def _height_from_roots(poly: MultiPoly, roots: tuple[complex, ...]) -> float:
     d = poly.degree
     if d < 1:
         raise ValueError("height needs a non-constant polynomial")
-    total = math.log(abs(float(poly.leading()[1])))
+    lead = poly.leading()[1]
+    total = _log(lead) if abs(lead) > sys.float_info.max else math.log(abs(float(lead)))
     for r in roots:
         total += math.log(max(1.0, abs(r)))
     return total / d
@@ -508,15 +523,6 @@ def family_exceptional_locus(f: FamilyParams, n_max: int) -> ExceptionalLocus:
     )
 
 
-def _squarefree_part(poly: MultiPoly) -> MultiPoly:
-    if poly.degree <= 0:
-        return poly.canonical()
-    g = poly_gcd(poly, poly.partial(0))
-    if g.is_constant():
-        return poly.canonical()
-    return poly_divexact(poly, g).canonical()
-
-
 def _distinct_root_count(poly: MultiPoly, image: list | None) -> int:
     """Degree of the squarefree part of poly, given its _univariate_image.
 
@@ -524,14 +530,14 @@ def _distinct_root_count(poly: MultiPoly, image: list | None) -> int:
     derivative of the cleared polynomial has leading coefficient deg * lc,
     which the image prime (far above any degree) does not divide, so the
     lemma of _univariate_image applies.  Otherwise the exact squarefree
-    part decides.
+    part, poly divided by gcd(poly, poly'), decides.
     """
     if image is not None:
         r = _prime(0)
         derivative = [i * c % r for i, c in enumerate(image)][1:]
         if len(_up_gcd(image, derivative, r)) == 1:
             return poly.degree
-    return max(_squarefree_part(poly).degree, 0)
+    return max(_gcd_quotients(poly, poly.partial(0))[1].degree, 0)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,9 @@ def _roots_strictly_inside(coeffs_desc: Sequence[int], radius: Fraction) -> bool
     recursively: with ascending coefficients b_0..b_n, all roots are strictly
     inside iff |b_0| < |b_n| and the degree-(n-1) transform
     t_j = b_n*b_{j+1} - b_0*b_{n-1-j} again has all roots strictly inside.
+    Each transform is divided by the gcd of its entries, positive as
+    t_{n-1} = b_n^2 - b_0^2 > 0: that changes no comparison and no later
+    root, and stops the bit size doubling at every step.
     """
     if radius <= 0:
         return False
@@ -210,6 +213,8 @@ def _roots_strictly_inside(coeffs_desc: Sequence[int], radius: Fraction) -> bool
         if abs(b[0]) >= abs(b[k]):
             return False
         b = [b[k] * b[j + 1] - b[0] * b[k - 1 - j] for j in range(k)]
+        g = math.gcd(*b)
+        b = [c // g for c in b]
     return True
 
 

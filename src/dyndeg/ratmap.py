@@ -18,9 +18,8 @@ from .exactalg import (
     MultiPoly,
     TermCapExceeded,
     jacobian_det,
-    poly_divexact,
-    poly_gcd_many,
     substitute_system,
+    _cancel,
     _canonical_scale,
     _coerce,
     _prime,
@@ -140,9 +139,7 @@ class ProjectiveMap:
             raise ValueError("all coordinate forms are zero")
         if len(degrees) != 1:
             raise ValueError("coordinate forms have different degrees")
-        gcd = poly_gcd_many([c for c in coords])
-        if not gcd.is_constant():
-            coords = tuple(poly_divexact(c, gcd) for c in coords)
+        coords = _cancel(coords)[1]
         scale = _canonical_scale(coords)
         coords = tuple(c * scale for c in coords)
         degree = next(
@@ -341,7 +338,7 @@ def _iterates(
 ) -> Iterator[tuple[ProjectiveMap, bool]]:
     """Yield (f^n, certified) for n = 1..n_max: each reduced iterate is f
     composed with the previous one, and `certified` says whether a line
-    certificate, not poly_gcd_many, proved the composition coprime.
+    certificate, not _cancel, proved the composition coprime.
     Raises TermCapExceeded, carrying n, when a form of the raw composition
     passes the term cap.
 
@@ -362,9 +359,10 @@ def _iterates(
     G_n = (c^d / s) * (f^n o l) carries the invariant to step n+1.  A
     line gcd of positive degree proves nothing (the line may meet the
     base locus of R_n, or r may be unlucky), and stays positive at every
-    later step, so poly_gcd_many cancels the common factor; if none
-    cancels, a fresh line restarts the invariant at f^n.  Maps with
-    symbolic parameters stay on the poly_gcd_many path.
+    later step, so _cancel divides the common factor out, once, taking
+    the gcd certificate's quotients; if none cancels, a fresh line
+    restarts the invariant at f^n.  Maps with symbolic parameters stay
+    on the _cancel path.
     """
     cap = term_cap if term_cap is not None else term_cap_default()
     yield f, False

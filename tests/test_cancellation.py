@@ -1,0 +1,118 @@
+"""Each common factor is divided out once: the gcd's certificate returns
+the quotients (exactalg._gcd_quotients), and a map's forms are cancelled
+by folding it over them (exactalg._cancel)."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dyndeg import exactalg
+from dyndeg.exactalg import MultiPoly, _cancel, _gcd_quotients, poly_gcd, poly_gcd_many
+from dyndeg.fabc import FabcParams, build_map
+from dyndeg.ratmap import degree_sequence
+
+
+@st.composite
+def gcd_pairs(draw, modulus=None):
+    """(p, q) in three variables, each feature drawn or not: a planted common
+    factor, monomial content, forms, a zero input and a variable neither
+    uses."""
+    use = draw(st.sampled_from([(0, 1, 2), (0, 2), (1, 2)]))
+    homogeneous = draw(st.booleans())
+
+    def poly(min_degree, max_degree):
+        degree = draw(st.integers(min_degree, max_degree))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * 3
+            for _ in range(degree if homogeneous else draw(st.integers(0, degree))):
+                exps[draw(st.sampled_from(use))] += 1
+            terms[tuple(exps)] = draw(st.integers(-3, 3))
+        # keeps the degree; in the last variable, so that the lex-leading
+        # term of the gcd, which _gcd_mod_p scales to 1, is often not the
+        # grlex-leading one
+        if not homogeneous:
+            terms[tuple(degree if v == use[-1] else 0 for v in range(3))] = 1
+        return MultiPoly(3, terms, modulus)
+
+    def content():
+        exps = [0] * 3
+        for v in use:
+            exps[v] = draw(st.integers(0, 2))
+        return MultiPoly.monomial(3, exps, 1, modulus)
+
+    g = poly(1, 2)
+    p, q = g * poly(0, 2) * content(), g * poly(0, 2) * content()
+    zero = draw(st.sampled_from([None, 0, 1]))
+    if zero == 0:
+        p = MultiPoly.zero(3, modulus)
+    elif zero == 1:
+        q = MultiPoly.zero(3, modulus)
+    return p, q
+
+
+def check_quotients(p, q):
+    g, a, b = _gcd_quotients(p, q)
+    assert g == poly_gcd(p, q) == poly_gcd(q, p)
+    assert g * a == p
+    assert g * b == q
+
+
+@given(gcd_pairs())
+@settings(max_examples=80, deadline=None)
+def test_quotients_over_q(pair):
+    check_quotients(*pair)
+
+
+@given(gcd_pairs(modulus=7))
+@settings(max_examples=80, deadline=None)
+def test_quotients_over_f7(pair):
+    check_quotients(*pair)
+
+
+X, Y, Z = (MultiPoly.variable(3, i) for i in range(3))
+
+
+def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):
+    k, h1, h2 = 2 * X + Z, X + Y, X - 2 * Z
+    forms = [
+        -3 * k * h1 * h2 * (X + Z),
+        k * h1 * h2 * (Y + 3 * Z),
+        k * h1 * (Y - Z),
+        k * (Y**2 + Z**2),
+    ]
+    running = []
+    inner = exactalg._gcd_quotients
+
+    def spy(p, q):
+        out = inner(p, q)
+        running.append(out[0].degree)
+        return out
+
+    monkeypatch.setattr(exactalg, "_gcd_quotients", spy)
+    g, quots = _cancel(forms)
+    monkeypatch.undo()
+    assert running == [3, 2, 1]
+    assert g == poly_gcd_many(forms) == k
+    assert [g * f for f in quots] == forms
+
+
+def test_degree_sequence_divides_each_common_factor_once(monkeypatch):
+    calls = []
+    inner = exactalg._divide_terms
+
+    def spy(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(exactalg, "_divide_terms", spy)
+    seq = degree_sequence(build_map(FabcParams(1, -1, 1)), 5)
+    assert seq.degrees == (2, 4, 7, 12, 20)
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 101])
+def test_zero_and_constant_forms(modulus):
+    one = MultiPoly.constant(2, 1, modulus)
+    x, zero = MultiPoly.variable(2, 0, modulus), MultiPoly.zero(2, modulus)
+    assert _cancel([zero, 3 * x, zero]) == (x, [zero, 3 * one, zero])
+    assert _cancel([x, one, 2 * x]) == (one, [x, one, 2 * x])

@@ -165,6 +165,28 @@ class TestFabcLocus:
         )
         assert code == 2 and "error" in err
 
+    def test_coefficients_past_the_float_range(self, capsys):
+        sympy = pytest.importorskip("sympy")
+        code, doc = run_json(
+            capsys, "fabc-locus", "-a", str(10**30), "-b", "1", "-c", "T", "--nmax", "40"
+        )
+        assert code == 0
+        for entry in doc["entries"]:
+            values = [r["re"] for r in entry["roots"]] + [r["im"] for r in entry["roots"]]
+            assert all(map(math.isfinite, values + entry["heights"]))
+        # the order-23 slice has coefficients near 10^330, so its roots come
+        # from the rescaled polynomial; sympy gets it at T = 10^15 u, a scale
+        # of its own, since it converges slowly on the raw coefficients
+        entry = next(e for e in doc["entries"] if e["n"] == 23)
+        t, u = sympy.symbols("T u")
+        poly = sympy.Poly(sympy.sympify(entry["poly"].replace("^", "**")), t)
+        assert max(abs(c) for c in poly.all_coeffs()) > 10**308
+        scaled = sympy.Poly(poly.as_expr().subs(t, 10**15 * u), u)
+        expected = sorted(abs(complex(r)) * 10**15 for r in scaled.nroots(n=15))
+        got = sorted(abs(complex(r["re"], r["im"])) for r in entry["roots"])
+        assert len(got) == len(expected)
+        assert all(abs(g - e) <= 1e-6 * e for g, e in zip(got, expected))
+
 
 class TestFabcIntersect:
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""poly_gcd against sympy.gcd, one ring shape per path of _gcd_core.
+"""poly_gcd against sympy.gcd, one ring shape per path of the gcd.
 
 Each case builds pairs with a planted common factor and coprime pairs from
 seeded random polynomials, checks that the expected path ran, and asserts
@@ -58,26 +58,33 @@ def sympy_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly(p.num_vars, terms, p.modulus).canonical()
 
 
-# (name, path that must run, random_poly keywords for factor and cofactors)
+# (name, path that must run, variables _reduce drops or None, random_poly
+# keywords for factor and cofactors)
 SHAPES = [
-    ("univariate", "_gcd_modular", dict(num_vars=1)),
-    ("projected", "_project_vars", dict(num_vars=3, use=[0, 2])),
-    ("bivariate", "_gcd_modular", dict(num_vars=2)),
-    ("homogeneous", "_eliminate_var", dict(num_vars=3, homogeneous=True)),
-    ("symbolic", "_gcd_modular", dict(num_vars=4)),
-    ("mod-p", "_gcd_prime_field", dict(num_vars=2, modulus=101)),
+    ("univariate", "_gcd_modular", None, dict(num_vars=1)),
+    ("projected", "_reduce", 1, dict(num_vars=3, use=[0, 2])),
+    ("bivariate", "_gcd_modular", 0, dict(num_vars=2)),
+    ("homogeneous", "_reduce", 1, dict(num_vars=3, homogeneous=True)),
+    ("symbolic", "_gcd_modular", None, dict(num_vars=4)),
+    ("mod-p", "_gcd_prime_field", None, dict(num_vars=2, modulus=101)),
 ]
 
 
 @pytest.fixture
 def branch_calls(monkeypatch):
-    calls = {}
-    for name in {name for _, name, _ in SHAPES}:
+    """Calls per path, and under "dropped" the number of variables each
+    _reduce call removed."""
+    calls = {"dropped": []}
+    for name in {name for _, name, _, _ in SHAPES} | {"_reduce"}:
         inner = getattr(exactalg, name)
 
         def spy(*args, _inner=inner, _name=name):
             calls[_name] = calls.get(_name, 0) + 1
-            return _inner(*args)
+            out = _inner(*args)
+            if _name == "_reduce":
+                arity = (len(next(iter(f))) for f in (args[0], out[0]))
+                calls["dropped"].append(next(arity) - next(arity))
+            return out
 
         monkeypatch.setattr(exactalg, name, spy)
     return calls
@@ -85,8 +92,8 @@ def branch_calls(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "coprime"])
-@pytest.mark.parametrize("name,branch,shape", SHAPES, ids=[s[0] for s in SHAPES])
-def test_poly_gcd_matches_sympy(name, branch, shape, planted, seed, branch_calls):
+@pytest.mark.parametrize("name,branch,dropped,shape", SHAPES, ids=[s[0] for s in SHAPES])
+def test_poly_gcd_matches_sympy(name, branch, dropped, shape, planted, seed, branch_calls):
     rng = random.Random(f"{name}-{planted}-{seed}")
     a = random_poly(rng, degree=2, n_terms=3, **shape)
     b = random_poly(rng, degree=2, n_terms=3, **shape)
@@ -99,6 +106,8 @@ def test_poly_gcd_matches_sympy(name, branch, shape, planted, seed, branch_calls
     if planted:
         assert not got.is_constant()
     assert branch_calls.get(branch, 0) > 0
+    if dropped is not None:
+        assert set(branch_calls["dropped"]) == {dropped}
 
 
 P0 = 2**61 - 1  # the first prime of the modular gcd

@@ -17,7 +17,7 @@ MONOMIALS2 = (X * X, X * Y, X * Z, Y * Y, Y * Z, Z * Z)
 
 
 def exact_degrees(f, n_max):
-    """Degrees of f^1..f^n_max with poly_gcd_many at every step."""
+    """Degrees of f^1..f^n_max with _cancel at every step."""
     current, out = f, [f.degree]
     for _ in range(n_max - 1):
         current = ProjectiveMap(_compose_forms(f, current.coords))
@@ -50,7 +50,7 @@ def test_fabc_grid_certifies_exactly_the_stable_prefix(a, b, c):
     flags, degrees = certified_flags(f, 4)
     drop = first_drop(degrees, f.degree)
     # every iterate before the first drop is proved coprime on the line;
-    # the drop and everything after it go through poly_gcd_many
+    # the drop and everything after it go through _cancel
     assert flags == [False] + [drop is None or n < drop for n in range(2, 5)]
 
 
@@ -82,10 +82,8 @@ def test_line_through_indeterminacy_point_declines(monkeypatch):
     )
     f = build_map(FabcParams(1, 1, 1))
     calls = []
-    plain = ratmap.poly_gcd_many
-    monkeypatch.setattr(
-        ratmap, "poly_gcd_many", lambda polys: calls.append(1) or plain(polys)
-    )
+    plain = ratmap._cancel
+    monkeypatch.setattr(ratmap, "_cancel", lambda forms: calls.append(1) or plain(forms))
     assert [m.degree for m, _ in _iterates(f, 4)] == [2, 4, 8, 16]
     assert len(calls) == 3
     flags, _ = certified_flags(f, 4)

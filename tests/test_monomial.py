@@ -2,9 +2,11 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dyndeg.exactalg import MultiPoly
 from dyndeg.monomial import (
@@ -156,6 +158,45 @@ class TestDiskTest:
         # roots 1/2 and 3
         assert not _roots_strictly_inside([2, -7, 3], Fraction(1))
         assert _roots_strictly_inside([2, -7, 3], Fraction(4))
+
+    def test_degree_17_without_coefficient_blow_up(self):
+        # x^16 (x - 2) + 1: its largest root is about 2 - 2^-17, so every
+        # root lies inside radius 1.999999; without dividing each transform
+        # by the gcd of its entries this took about a minute
+        coeffs = [1, -2] + [0] * 15 + [1]
+        start = time.perf_counter()
+        assert _roots_strictly_inside(coeffs, Fraction(1999999, 1000000))
+        assert time.perf_counter() - start < 1.0
+
+
+def undivided_roots_strictly_inside(coeffs_desc, radius):
+    """The Schur-Cohn test without dividing the transforms by their gcd."""
+    num, den = radius.numerator, radius.denominator
+    asc = list(reversed(coeffs_desc))
+    n = len(asc) - 1
+    b = [asc[j] * num**j * den ** (n - j) for j in range(n + 1)]
+    while len(b) > 1:
+        k = len(b) - 1
+        if abs(b[0]) >= abs(b[k]):
+            return False
+        b = [b[k] * b[j + 1] - b[0] * b[k - 1 - j] for j in range(k)]
+    return True
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=8),
+    # radii with small denominators and with denominators as large as the
+    # enclosure's bisection points
+    st.one_of(st.integers(1, 1000), st.integers(2**50, 2**60)).flatmap(
+        lambda den: st.integers(den // 10, 5 * den).map(lambda num: Fraction(num, den))
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_disk_test_agrees_with_the_undivided_transform(coeffs, radius):
+    assume(coeffs[0] != 0)
+    assert _roots_strictly_inside(coeffs, radius) == undivided_roots_strictly_inside(
+        coeffs, radius
+    )
 
 
 class TestSpectralRadius:
