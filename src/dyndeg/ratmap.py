@@ -7,6 +7,7 @@ act as symbolic parameters and ride through composition untouched.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -335,9 +336,9 @@ def _line_coprime(forms: list[list[int]], r: int) -> bool:
 
 def _iterates(
     f: ProjectiveMap, n_max: int, term_cap: int | None = None
-) -> Iterator[tuple[ProjectiveMap, bool]]:
-    """Yield (f^n, certified) for n = 1..n_max: each reduced iterate is f
-    composed with the previous one, and `certified` says whether a line
+) -> Iterator[tuple[int, bool]]:
+    """Yield (deg f^n, certified) for n = 1..n_max: each reduced iterate is
+    f composed with the previous one, and `certified` says whether a line
     certificate, not _cancel, proved the composition coprime.
     Raises TermCapExceeded, carrying n, when a form of the raw composition
     passes the term cap.
@@ -363,27 +364,45 @@ def _iterates(
     the gcd certificate's quotients; if none cancels, a fresh line
     restarts the invariant at f^n.  Maps with symbolic parameters stay
     on the _cancel path.
+
+    G_n never reads R_n, so a certified step builds no exact iterate:
+    `current` lags at f^built, and the skipped iterates are rebuilt
+    (composed, canonically scaled) only when a step needs exact forms.
+    A raw form of degree D in the N+1 point variables, and every running
+    sum in its composition, has at most C(D+N, N) terms; a step is
+    skipped only while C(D+N, N) <= term cap, so the cap fires on no
+    skipped step and on none of their rebuilds, and every TermCapExceeded
+    carries the n it would carry were every iterate composed.
     """
     cap = term_cap if term_cap is not None else term_cap_default()
-    yield f, False
-    current = f
+    yield f.degree, False
+    current, built, degree = f, 1, f.degree
     line = None
     if not f.num_params:
         r = f.modulus if f.modulus is not None else _prime(0)
         rng = random.Random(_LINE_SEED)
         line = _line_compose(f, _generic_line(f.n, r, rng), r)
     for n in range(2, n_max + 1):
+        degree *= f.degree
+        certified = False
+        if line is not None:
+            line = _line_compose(f, line, r)
+            certified = _line_coprime(line, r)
+            if certified and math.comb(degree + f.n, f.n) <= cap:
+                yield degree, True
+                continue
+        for _ in range(built, n - 1):
+            raw = _compose_forms(f, current.coords)
+            current = ProjectiveMap._coprime(f, raw, f.degree * current.degree)
+        built = n
         try:
             raw = _compose_forms(f, current.coords, cap)
         except TermCapExceeded:
             raise TermCapExceeded(cap, n) from None
-        degree = f.degree * current.degree
-        if line is not None:
-            line = _line_compose(f, line, r)
-            if _line_coprime(line, r):
-                current = ProjectiveMap._coprime(f, raw, degree)
-                yield current, True
-                continue
+        if certified:
+            current = ProjectiveMap._coprime(f, raw, degree)
+            yield degree, True
+            continue
         current = ProjectiveMap(raw)
         if line is not None:
             # Nothing cancelled, so the line met a common zero of its own
@@ -395,7 +414,8 @@ def _iterates(
                 if current.degree == degree
                 else None
             )
-        yield current, False
+        degree = current.degree
+        yield degree, False
 
 
 def iter_degrees(
@@ -403,16 +423,17 @@ def iter_degrees(
 ) -> Iterator[int]:
     """Yield deg(f^n) for n = 1..n_max, composing f with the previous reduced
     iterate and cancelling common factors each step, or proving there are
-    none on a line (see _iterates).  Raises TermCapExceeded, carrying n,
-    when a form of the raw composition passes the term cap."""
-    return (m.degree for m, _ in _iterates(f, n_max, term_cap))
+    none on a line, which composes nothing (see _iterates).  Raises
+    TermCapExceeded, carrying n, when a form of the raw composition passes
+    the term cap."""
+    return (d for d, _ in _iterates(f, n_max, term_cap))
 
 
 def degree_sequence(
     f: ProjectiveMap, n_max: int, term_cap: int | None = None
 ) -> DegreeSequence:
-    """Degrees of the first n_max reduced iterates, computed by composing
-    f with the previous iterate and cancelling common factors each step."""
+    """Degrees of the first n_max reduced iterates, from iter_degrees: a
+    step composes and cancels only where no line certificate proves it."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     degrees: list[int] = []

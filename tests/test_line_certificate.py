@@ -4,39 +4,50 @@ every iterate it certifies on a line mod r is the exact reduced iterate."""
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dyndeg import ratmap
-from dyndeg.exactalg import MultiPoly
+from dyndeg.exactalg import MultiPoly, TermCapExceeded
 from dyndeg.fabc import FabcParams, build_map, build_map_symbolic
 from dyndeg.gfam import GFamilyParams, build_g, exceptional_set
-from dyndeg.ratmap import ProjectiveMap, _compose_forms, _iterates, first_drop
+from dyndeg.ratmap import (
+    ProjectiveMap,
+    _compose_forms,
+    _iterates,
+    degree_drop_index,
+    degree_sequence,
+    first_drop,
+)
 
 X, Y, Z = (MultiPoly.variable(3, i) for i in range(3))
 MONOMIALS2 = (X * X, X * Y, X * Z, Y * Y, Y * Z, Z * Z)
 
 
-def exact_degrees(f, n_max):
-    """Degrees of f^1..f^n_max with _cancel at every step."""
-    current, out = f, [f.degree]
+def exact_chain(f, n_max):
+    """f^1..f^n_max, with _cancel at every step."""
+    chain = [f]
     for _ in range(n_max - 1):
-        current = ProjectiveMap(_compose_forms(f, current.coords))
-        out.append(current.degree)
-    return out
+        chain.append(ProjectiveMap(_compose_forms(f, chain[-1].coords)))
+    return chain
+
+
+def exact_degrees(f, n_max):
+    return [m.degree for m in exact_chain(f, n_max)]
 
 
 def certified_flags(f, n_max):
-    """Run the engine; check each iterate against the exact reduction of f
-    after the previous one, and the degrees against exact_degrees."""
+    """Run the engine next to its own exact chain (f after the previous
+    exact iterate, _cancel at every step): nothing cancels at a certified
+    step, and every yielded degree is the exact one."""
     flags, degrees, prev = [], [], None
-    for m, certified in _iterates(f, n_max):
-        if prev is not None:
-            exact = ProjectiveMap(_compose_forms(f, prev.coords))
-            assert m.coords == exact.coords
-            assert m.degree == exact.degree
+    for degree, certified in _iterates(f, n_max):
+        exact = f if prev is None else ProjectiveMap(_compose_forms(f, prev.coords))
+        if certified:
+            assert exact.degree == f.degree * prev.degree
+        assert degree == exact.degree
         flags.append(certified)
-        degrees.append(m.degree)
-        prev = m
+        degrees.append(degree)
+        prev = exact
     assert degrees == exact_degrees(f, n_max)
     return flags, degrees
 
@@ -84,7 +95,7 @@ def test_line_through_indeterminacy_point_declines(monkeypatch):
     calls = []
     plain = ratmap._cancel
     monkeypatch.setattr(ratmap, "_cancel", lambda forms: calls.append(1) or plain(forms))
-    assert [m.degree for m, _ in _iterates(f, 4)] == [2, 4, 8, 16]
+    assert [d for d, _ in _iterates(f, 4)] == [2, 4, 8, 16]
     assert len(calls) == 3
     flags, _ = certified_flags(f, 4)
     assert flags == [False] * 4
@@ -114,6 +125,18 @@ def plane_quadratic_maps(draw):
     return f
 
 
+def vanishes(f, n_max):
+    """Whether some exact iterate f^n, n <= n_max, has only zero forms (the
+    map is not dominant), after checking that the engine refuses it too."""
+    try:
+        exact_degrees(f, n_max)
+    except ValueError:
+        with pytest.raises(ValueError, match="all coordinate forms are zero"):
+            list(_iterates(f, n_max))
+        return True
+    return False
+
+
 @st.composite
 def contracting_maps(draw):
     """[X*L0, X*L1, Q] with Q free of Z^2: the line X = 0 goes to the
@@ -131,8 +154,11 @@ def contracting_maps(draw):
 
 
 @given(plane_quadratic_maps())
+@example(ProjectiveMap([X * Z, X * X, MultiPoly.zero(3)]))  # f^3 = [0 : 0 : 0]
 @settings(max_examples=30, deadline=None)
 def test_random_plane_maps(f):
+    if vanishes(f, 3):
+        return
     certified_flags(f, 3)
 
 
@@ -142,3 +168,114 @@ def test_planted_common_factor_never_certified(f):
     flags, degrees = certified_flags(f, 2)
     assert degrees[1] < 4
     assert flags == [False, False]
+
+
+# -- compositions the engine runs ---------------------------------------------
+
+
+def composed(f, n_max):
+    """(degree_sequence(f, n_max), the number of _compose_forms calls it
+    made, and the iterates it built as ProjectiveMap._coprime)."""
+    calls, built = [], []
+    plain_compose, plain_coprime = ratmap._compose_forms, ProjectiveMap._coprime.__func__
+
+    def coprime(cls, g, raw, degree):
+        built.append(plain_coprime(cls, g, raw, degree))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratmap, "_compose_forms", lambda *a, **k: calls.append(1) or plain_compose(*a, **k))
+        mp.setattr(ProjectiveMap, "_coprime", classmethod(coprime))
+        seq = degree_sequence(f, n_max)
+    return seq, len(calls), built
+
+
+@pytest.mark.parametrize(
+    "abc, modulus, calls",
+    [
+        ((1, 1, 1), None, 0),
+        ((2, 3, 1), 101, 0),
+        # the first line declines at n = 2; a fresh line certifies n = 3..5
+        ((1, 1, 1), 101, 1),
+        # n = 2 is certified and skipped; the drop at n = 3 rebuilds f^2,
+        # then composes n = 3, 4, 5: as many calls as composing every step
+        ((1, -1, 1), None, 4),
+    ],
+)
+def test_certified_steps_compose_nothing(abc, modulus, calls):
+    f = build_map(FabcParams(*abc), modulus=modulus)
+    seq, count, built = composed(f, 5)
+    chain = exact_chain(f, 5)
+    assert list(seq.degrees) == [m.degree for m in chain]
+    assert count == calls
+    # every iterate the engine does build is the exact reduced iterate
+    by_degree = {m.degree: m.coords for m in chain}
+    assert all(m.coords == by_degree[m.degree] for m in built)
+
+
+def test_symbolic_map_composes_every_step():
+    f = build_map_symbolic()
+    seq, count, _ = composed(f, 3)
+    assert count == 2
+    assert list(seq.degrees) == exact_degrees(f, 3)
+
+
+def test_declining_line_composes_every_step(monkeypatch):
+    monkeypatch.setattr(
+        ratmap, "_generic_line", lambda n, r, rng: [[5, 1], [7, 0], [11, 0]]
+    )
+    seq, count, _ = composed(build_map(FabcParams(1, 1, 1)), 5)
+    assert list(seq.degrees) == [2, 4, 8, 16, 32]
+    assert count == 4
+
+
+@given(plane_quadratic_maps(), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_random_maps_compose_at_most_once_per_step(f, n_max):
+    if vanishes(f, n_max):
+        return
+    seq, count, _ = composed(f, n_max)
+    assert list(seq.degrees) == exact_degrees(f, n_max)
+    assert count <= n_max - 1
+
+
+# -- the term cap fires where composing every step would fire it ---------------
+
+# C(D+2, 2), the most terms a plane form of degree D can have, at
+# D = 2, 4, 8, 16, and one below each
+CAPS = (5, 6, 14, 15, 44, 45, 152, 153, 10**6)
+
+
+def reference_sequence(f, n_max, cap):
+    """(degrees, truncated_at) composing every step with the cap checked and
+    cancelling with ProjectiveMap, skipping nothing."""
+    current, degrees = f, [f.degree]
+    for n in range(2, n_max + 1):
+        try:
+            raw = _compose_forms(f, current.coords, cap)
+        except TermCapExceeded:
+            return degrees, n
+        current = ProjectiveMap(raw)
+        degrees.append(current.degree)
+    return degrees, None
+
+
+@given(plane_quadratic_maps(), st.integers(1, 5), st.sampled_from(CAPS))
+@settings(max_examples=60, deadline=None)
+def test_term_cap_matches_composing_every_step(f, n_max, cap):
+    try:
+        degrees, truncated_at = reference_sequence(f, n_max, cap)
+    except ValueError:
+        # an iterate has only zero forms: the engine refuses it too
+        with pytest.raises(ValueError, match="all coordinate forms are zero"):
+            degree_sequence(f, n_max, term_cap=cap)
+        return
+    seq = degree_sequence(f, n_max, term_cap=cap)
+    assert (list(seq.degrees), seq.truncated_at) == (degrees, truncated_at)
+    drop = first_drop(degrees, f.degree)
+    if drop is None and truncated_at is not None:
+        with pytest.raises(TermCapExceeded) as hit:
+            degree_drop_index(f, n_max, term_cap=cap)
+        assert hit.value.n == truncated_at
+    else:
+        assert degree_drop_index(f, n_max, term_cap=cap) == drop
