@@ -237,9 +237,6 @@ class MultiPoly:
         degs = {sum(e[v] for v in vars_subset) for e, _ in self.terms}
         return len(degs) == 1
 
-    def is_homogeneous(self) -> bool:
-        return self.is_homogeneous_in(range(self.num_vars))
-
     def leading(self):
         """(exponent vector, coefficient) of the graded-lex leading term."""
         if not self.terms:

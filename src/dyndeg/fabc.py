@@ -123,9 +123,8 @@ def indeterminacy_points(p: FabcParams) -> frozenset[ProjectivePoint]:
         if f.apply(q) is not INDETERMINATE:
             raise RuntimeError(f"derived indeterminacy point {q} fails verification")
         points.append(q)
-    # No solutions off Z = 0: with Z = 1, XY = 0 and XY + a = 0 give a = 0.
-    if p.a == 0:  # pragma: no cover - unreachable after validation
-        raise DegenerateParameterError("a = 0")
+    # No solutions off Z = 0: with Z = 1, XY = 0 and XY + a = 0 give a = 0,
+    # which FabcParams rules out.
     return frozenset(points)
 
 
@@ -313,8 +312,6 @@ def classify_mod_p(
         return ModPResult(p=p, status="DegenerateModP", m=None, search_cap=cap)
     ab = (a * b) % p
     prev, cur = 1, c % p
-    if cur == 0:  # pragma: no cover - impossible, p does not divide c
-        return ModPResult(p=p, status="ExceptionalAt", m=1, search_cap=cap)
     for m in range(2, cap + 1):
         prev, cur = cur, (c * cur + ab * prev) % p
         if cur == 0:

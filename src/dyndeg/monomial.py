@@ -11,6 +11,7 @@ relate them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -269,8 +270,9 @@ def _certify_radius(coeffs: Sequence[int], rel_tol: float) -> RadiusEnclosure:
                 lo = cand_hi
     if not _roots_strictly_inside(coeffs, hi):
         raise RuntimeError("spectral radius enclosure failed: no upper bound")
+    ratio = 1 + Fraction(rel_tol)
     for _ in range(500):
-        if hi <= lo * (1 + Fraction(rel_tol).limit_denominator(10**9)):
+        if hi <= lo * ratio:
             value = float((lo + hi) / 2)
             return RadiusEnclosure(value, lo, hi)
         mid = _to_frac(math.sqrt(float(lo) * float(hi)))
@@ -284,8 +286,9 @@ def _certify_radius(coeffs: Sequence[int], rel_tol: float) -> RadiusEnclosure:
 
 
 def _check_rel_tol(rel_tol: float) -> None:
-    if not (0 < rel_tol <= 1e-3):
-        raise ValueError("rel_tol must lie in (0, 1e-3]")
+    # below the float epsilon the bisection needs more than its 500 steps
+    if not (sys.float_info.epsilon <= rel_tol <= 1e-3):
+        raise ValueError(f"rel_tol must lie in [{sys.float_info.epsilon!r}, 1e-3]")
 
 
 def _gamma(n: int) -> float:
@@ -462,18 +465,23 @@ def find_m_epsilon(
 
 
 def full_report(m: MonomialMap, rel_tol: float = 1e-6) -> dict:
-    """All invariants and inequality checks in one JSON-friendly record."""
-    data = analyze(m, rel_tol)
-    bound = data.degree_ratio_check()
-    return {
-        "N": data.n,
-        "D": data.degree,
-        "sup_norm": data.sup_norm,
-        "char_poly": list(data.char_poly),
-        "lambda": data.radius.value,
-        "lambda_interval": [float(data.radius.low), float(data.radius.high)],
-        "norm_equivalence": verify_norm_equivalence(m),
-        "contraction_k": data.contraction_index(),
-        "degree_ratio_bound": {"holds": bound.holds, "lhs": bound.lhs, "rhs": bound.rhs},
-        "inverse_degree_bound": inverse_degree_bound_check(m) if abs(m.det) == 1 else None,
-    }
+    """All invariants and inequality checks in one JSON-friendly record.
+    Its radius and checks are floats, so a map whose values pass the float
+    range raises ValueError."""
+    try:
+        data = analyze(m, rel_tol)
+        bound = data.degree_ratio_check()
+        return {
+            "N": data.n,
+            "D": data.degree,
+            "sup_norm": data.sup_norm,
+            "char_poly": list(data.char_poly),
+            "lambda": data.radius.value,
+            "lambda_interval": [float(data.radius.low), float(data.radius.high)],
+            "norm_equivalence": verify_norm_equivalence(m),
+            "contraction_k": data.contraction_index(),
+            "degree_ratio_bound": {"holds": bound.holds, "lhs": bound.lhs, "rhs": bound.rhs},
+            "inverse_degree_bound": inverse_degree_bound_check(m) if abs(m.det) == 1 else None,
+        }
+    except OverflowError as exc:
+        raise ValueError(f"matrix values pass the float range: {exc}") from None

@@ -7,7 +7,6 @@ act as symbolic parameters and ride through composition untouched.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -248,8 +247,8 @@ def _compose_forms(
 class DegreeSequence:
     """Degrees of the reduced iterates f, f^2, ..., f^nMax.
 
-    `truncated_at` marks the first iterate abandoned because a coordinate
-    form exceeded the term cap; degrees beyond it are not reported.
+    `truncated_at` marks the first iterate whose composition passed the
+    term cap; degrees from it on are not reported.
     """
 
     degrees: tuple[int, ...]
@@ -340,7 +339,7 @@ def _iterates(
     """Yield (deg f^n, certified) for n = 1..n_max: each reduced iterate is
     f composed with the previous one, and `certified` says whether a line
     certificate, not _cancel, proved the composition coprime.
-    Raises TermCapExceeded, carrying n, when a form of the raw composition
+    Raises TermCapExceeded, carrying n, when step n composes and a form
     passes the term cap.
 
     Coprimality certificate (a Bellon-Viallet restriction to a line).
@@ -365,14 +364,11 @@ def _iterates(
     restarts the invariant at f^n.  Maps with symbolic parameters stay
     on the _cancel path.
 
-    G_n never reads R_n, so a certified step builds no exact iterate:
-    `current` lags at f^built, and the skipped iterates are rebuilt
-    (composed, canonically scaled) only when a step needs exact forms.
-    A raw form of degree D in the N+1 point variables, and every running
-    sum in its composition, has at most C(D+N, N) terms; a step is
-    skipped only while C(D+N, N) <= term cap, so the cap fires on no
-    skipped step and on none of their rebuilds, and every TermCapExceeded
-    carries the n it would carry were every iterate composed.
+    G_n never reads R_n, so a certified step composes nothing: `current`
+    lags at f^built, and the skipped iterates are rebuilt (composed,
+    canonically scaled) only when a step the line does not certify needs
+    exact forms.  The term cap bounds exactly these compositions, and
+    TermCapExceeded carries the step that needed them.
     """
     cap = term_cap if term_cap is not None else term_cap_default()
     yield f.degree, False
@@ -384,25 +380,19 @@ def _iterates(
         line = _line_compose(f, _generic_line(f.n, r, rng), r)
     for n in range(2, n_max + 1):
         degree *= f.degree
-        certified = False
         if line is not None:
             line = _line_compose(f, line, r)
-            certified = _line_coprime(line, r)
-            if certified and math.comb(degree + f.n, f.n) <= cap:
+            if _line_coprime(line, r):
                 yield degree, True
                 continue
-        for _ in range(built, n - 1):
-            raw = _compose_forms(f, current.coords)
-            current = ProjectiveMap._coprime(f, raw, f.degree * current.degree)
-        built = n
         try:
+            for _ in range(built, n - 1):
+                raw = _compose_forms(f, current.coords, cap)
+                current = ProjectiveMap._coprime(f, raw, f.degree * current.degree)
             raw = _compose_forms(f, current.coords, cap)
         except TermCapExceeded:
             raise TermCapExceeded(cap, n) from None
-        if certified:
-            current = ProjectiveMap._coprime(f, raw, degree)
-            yield degree, True
-            continue
+        built = n
         current = ProjectiveMap(raw)
         if line is not None:
             # Nothing cancelled, so the line met a common zero of its own
@@ -424,7 +414,7 @@ def iter_degrees(
     """Yield deg(f^n) for n = 1..n_max, composing f with the previous reduced
     iterate and cancelling common factors each step, or proving there are
     none on a line, which composes nothing (see _iterates).  Raises
-    TermCapExceeded, carrying n, when a form of the raw composition passes
+    TermCapExceeded, carrying n, when step n composes and a form passes
     the term cap."""
     return (d for d, _ in _iterates(f, n_max, term_cap))
 

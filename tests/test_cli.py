@@ -64,10 +64,20 @@ class TestStability:
 
 class TestResourceCap:
     def test_degseq_truncated(self, capsys, monkeypatch):
+        # the unstable map's line declines at its drop n = 3, which composes
         monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
-        code, doc = run_json(capsys, "degseq", "--map", STABLE_MAP, "--nmax", "4")
+        code, doc = run_json(capsys, "degseq", "--map", UNSTABLE_MAP, "--nmax", "4")
         assert code == 3
         assert doc["degrees"] == [2, 4] and doc["truncated_at"] == 3
+
+    def test_degseq_certified_steps_pass_the_cap(self, capsys, monkeypatch):
+        # a stable map's steps are certified on a line and compose nothing,
+        # so the cap bounds no work and never truncates
+        monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
+        code, doc = run_json(capsys, "degseq", "--map", STABLE_MAP, "--nmax", "6")
+        assert code == 0
+        assert doc["degrees"] == [2**n for n in range(1, 7)]
+        assert doc["truncated_at"] is None
 
     def test_suite_cap_exits_three_without_traceback(self, capsys, monkeypatch):
         monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
@@ -280,6 +290,23 @@ class TestMonomial:
         assert code == 0 and doc["lambda"] == pytest.approx(1.0)
         code, _, err = run_cli(capsys, "monomial", "--matrix", "[[1,1],[1,1]]")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("rel_tol", ["1e-150", "1e-16"])
+    def test_rel_tol_out_of_range_exits_two(self, capsys, rel_tol):
+        code, out, err = run_cli(
+            capsys, "monomial", "--matrix", "[[2,1],[1,1]]", "--rel-tol", rel_tol
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: rel_tol must lie in [{sys.float_info.epsilon!r}, 1e-3]\n"
+
+    @pytest.mark.parametrize(
+        "rows", [[[10**155, 0], [0, 10**155]], [[10**400, 1], [1, 1]], [[10**310]]]
+    )
+    def test_values_past_the_float_range_exit_two(self, capsys, rows):
+        code, out, err = run_cli(capsys, "monomial", "--matrix", json.dumps(rows))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: matrix values pass the float range: ")
+        assert err.count("\n") == 1
 
 
 class TestVerify:

@@ -239,7 +239,7 @@ def test_random_maps_compose_at_most_once_per_step(f, n_max):
     assert count <= n_max - 1
 
 
-# -- the term cap fires where composing every step would fire it ---------------
+# -- the term cap bounds only the compositions that run ----------------------
 
 # C(D+2, 2), the most terms a plane form of degree D can have, at
 # D = 2, 4, 8, 16, and one below each
@@ -261,21 +261,46 @@ def reference_sequence(f, n_max, cap):
 
 
 @given(plane_quadratic_maps(), st.integers(1, 5), st.sampled_from(CAPS))
+# f^2 is certified and skipped, and its rebuild at the decline n = 3 passes
+# the cap: the reference truncates at 2, the engine at 3
+@example(
+    ProjectiveMap([2 * X * Y, -2 * X * X - X * Y - X * Z, -2 * X * X + X * Y + X * Z - Y * Y + Z * Z]),
+    3,
+    5,
+)
 @settings(max_examples=60, deadline=None)
-def test_term_cap_matches_composing_every_step(f, n_max, cap):
+def test_term_cap_bounds_only_compositions_that_run(f, n_max, cap):
     try:
-        degrees, truncated_at = reference_sequence(f, n_max, cap)
+        ref_degrees, ref_truncated_at = reference_sequence(f, n_max, cap)
     except ValueError:
-        # an iterate has only zero forms: the engine refuses it too
+        # an iterate has only zero forms: no line certifies it, so the engine
+        # composes it under a cap no composition before it passed, and refuses it
         with pytest.raises(ValueError, match="all coordinate forms are zero"):
             degree_sequence(f, n_max, term_cap=cap)
         return
+    if vanishes(f, n_max):
+        return
+    uncapped, count, built = composed(f, n_max)
     seq = degree_sequence(f, n_max, term_cap=cap)
-    assert (list(seq.degrees), seq.truncated_at) == (degrees, truncated_at)
-    drop = first_drop(degrees, f.degree)
-    if drop is None and truncated_at is not None:
+    truncated_at = seq.truncated_at
+    assert seq.degrees == uncapped.degrees[: len(seq.degrees)]
+    if truncated_at is None:
+        assert len(seq.degrees) == n_max
+    else:
+        # the engine's compositions are among those composing every step
+        # runs, so the reference passes the cap no later
+        assert len(seq.degrees) == truncated_at - 1
+        assert ref_truncated_at is not None and ref_truncated_at <= truncated_at
+    if count == 0:
+        # every step is certified on a line: the cap bounds no work
+        assert truncated_at is None
+    if count == n_max - 1 and not built:
+        # every step composes its own iterate, as the reference does
+        assert (list(seq.degrees), truncated_at) == (ref_degrees, ref_truncated_at)
+    drop = first_drop(uncapped.degrees, f.degree)
+    if truncated_at is None or (drop is not None and drop < truncated_at):
+        assert degree_drop_index(f, n_max, term_cap=cap) == drop
+    else:
         with pytest.raises(TermCapExceeded) as hit:
             degree_drop_index(f, n_max, term_cap=cap)
         assert hit.value.n == truncated_at
-    else:
-        assert degree_drop_index(f, n_max, term_cap=cap) == drop

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -217,6 +218,35 @@ class TestSpectralRadius:
             spectral_radius(A21, 0.0)
         with pytest.raises(ValueError):
             spectral_radius(A21, 2e-3)
+        # below the float epsilon the bisection cannot reach the tolerance
+        for rel_tol in (1e-150, sys.float_info.epsilon / 2):
+            with pytest.raises(ValueError, match="rel_tol must lie in"):
+                spectral_radius(A21, rel_tol)
+
+    @pytest.mark.parametrize(
+        "rows, rel_tol",
+        [([[1]], 4e-10), ([[0, 1], [1, 0]], 4e-10), ([[2, 1], [1, 1]], 1e-13)]
+        + [
+            (rows, sys.float_info.epsilon)
+            for rows in (
+                [[1]],
+                [[0, 1], [1, 0]],
+                [[2, 1], [1, 1]],
+                [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                [[10**40, 1], [1, 1]],
+            )
+        ],
+    )
+    def test_tight_tolerance_converges(self, rows, rel_tol):
+        # the stop test compares with rel_tol exactly; rounded to a
+        # denominator of 10^9, any rel_tol below 5e-10 was 0 and the
+        # bisection never stopped
+        m = MonomialMap(rows)
+        enc = spectral_radius_enclosure(m, rel_tol)
+        assert enc.high <= enc.low * (1 + Fraction(rel_tol))
+        coeffs = char_poly(m)
+        assert _roots_strictly_inside(coeffs, enc.high)
+        assert not _roots_strictly_inside(coeffs, enc.low)
 
     def test_radius_of_powers(self):
         lam = spectral_radius(A21)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyndeg import ratmap
 from dyndeg.exactalg import (
     DomainMismatchError,
     MultiPoly,
@@ -159,16 +160,30 @@ class TestDegreeSequences:
                 assert 1 <= degs[n + m] <= degs[n] * degs[m]
 
     def test_term_cap_truncation(self):
-        f = quad_map(1, 1, 1)
+        # the line declines at the drop n = 3, which composes f^3
+        f = quad_map(1, -1, 1)
         seq = degree_sequence(f, 6, term_cap=10)
-        assert seq.truncated_at is not None
-        assert len(seq.degrees) < 6
+        assert seq.truncated_at == 3
+        assert seq.degrees == (2, 4)
 
     def test_term_cap_carries_iterate_index(self):
         with pytest.raises(TermCapExceeded) as hit:
-            degree_drop_index(quad_map(1, 1, 1), 6, term_cap=10)
+            degree_drop_index(quad_map(1, -1, 1), 6, term_cap=10)
         assert hit.value.n == 3
         assert str(hit.value) == "term cap 10 exceeded at iterate 3"
+
+    def test_term_cap_never_fires_on_certified_steps(self, monkeypatch):
+        # every step of a stable map is certified on a line, so nothing is
+        # composed and a cap far below the iterates' sizes never fires
+        calls = []
+        plain = ratmap._compose_forms
+        monkeypatch.setattr(
+            ratmap, "_compose_forms", lambda *a, **k: calls.append(1) or plain(*a, **k)
+        )
+        seq = degree_sequence(quad_map(1, 1, 1), 8, term_cap=5)
+        assert seq.degrees == tuple(2**n for n in range(1, 9))
+        assert seq.truncated_at is None
+        assert calls == []
 
     def test_capped_composition_stops_early(self, monkeypatch):
         f = ProjectiveMap([(X + Y + Z) ** 2, (X - Y) ** 2 + Z**2, X * Y + Y * Z + Z**2])
