@@ -473,10 +473,6 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     p._check_compat(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return p
-    if d.is_constant():
-        return p * Fraction(1, d.terms[0][1])
     quot = _divide_terms(dict(p.terms), d.terms, p.modulus)
     if quot is None:
         raise NotDivisibleError("leading term not divisible")
@@ -731,15 +727,22 @@ def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
             continue
         g = _content_last(interp, p)
         cand = {m: _up_mul(_up_divmod(col, g, p)[0], c, p) for m, col in interp.items()}
-        d = sorted(_join_last(cand, p).items(), key=lambda term: _heap_key(term[0]))
-        qa = _divide_terms(_join_last(sa, p), d, p)
-        qb = None if qa is None else _divide_terms(_join_last(sb, p), d, p)
-        if qb is not None:
+        qs = _certify(_join_last(cand, p), _join_last(sa, p), _join_last(sb, p), p)
+        if qs is not None:
             lc = cand[max(cand)][-1]
             if quotients is not None:
-                quotients += ({e: u * lc % p for e, u in f} for f in (qa, qb))
+                quotients += ({e: u * lc % p for e, u in f} for f in qs)
             return _join_last(cand, p, pow(lc, -1, p))
     raise _PointsExhausted(p)
+
+
+def _certify(g: dict, a: dict, b: dict, p: int | None = None) -> tuple | None:
+    """(a / g, b / g) as term lists, or None unless g divides both: the one
+    trial division of the gcd over Q and over F_p.  a and b are consumed."""
+    d = sorted(g.items(), key=lambda term: _heap_key(term[0]))
+    qa = _divide_terms(a, d, p)
+    qb = None if qa is None else _divide_terms(b, d, p)
+    return None if qb is None else (qa, qb)
 
 
 def _gcd_in_last(c: list, splits: tuple, p: int, quotients: list | None) -> dict:
@@ -845,11 +848,10 @@ def _extension(p: int, k: int) -> _Field:
             return field
 
 
-def _gcd_prime_field(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...] | None:
-    """(G, p / G, q / G) for polynomials over F_p that _reduce accepts, G
-    canonically scaled, or None when G = 1: _gcd_mod_p on the reduced pair
-    over F_p, and while that runs out of points, over F_{p^k} for
-    k = 2, 4, 8, ...; _reduce's lift takes G and the quotients back.
+def _gcd_prime_field(a: dict, b: dict, p: int) -> tuple[dict, ...] | None:
+    """(G, a / G, b / G) for _reduce's term dicts over F_p, G with lex
+    leading coefficient 1, or None when G = 1: _gcd_mod_p over F_p, and
+    while that runs out of points, over F_{p^k} for k = 2, 4, 8, ...
 
     Lemma (extension fields): for a, b over F_p, their gcd G over F_{p^k}
     with lex leading coefficient 1 is their gcd over F_p.  Applying
@@ -861,30 +863,25 @@ def _gcd_prime_field(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...] | None
     lemma in _gcd_mod_p holds over any field, so its trial division over
     F_{p^k} certifies G, and _ext hands its coefficients back as ints.
     """
-    a, b, lift = _reduce(dict(p.terms), dict(q.terms))
     for k in itertools.count():
-        field = _extension(p.modulus, 2**k) if k else p.modulus
+        field = _extension(p, 2**k) if k else p
         quotients: list = []
         try:
             g = _gcd_mod_p(a, b, field, quotients)
         except _PointsExhausted:
             continue
-        if not any(max(g)):
-            return None
-        g = lift(g)
-        s = max(g.items(), key=_grlex_term_key)[1]  # the canonical scale is 1 / s
-        return tuple(
-            MultiPoly._build(p.num_vars, {e: c * w for e, c in f.items()}, p.modulus)
-            for f, w in zip([g, *map(lift, quotients)], (pow(s, -1, p.modulus), s, s))
-        )
+        return (g, *quotients) if any(max(g)) else None
 
 
-def _integer_terms(p: MultiPoly) -> dict:
-    """{exponent vector: int}: p over Q times the lcm of its denominators."""
-    den = 1
-    for _, c in p.terms:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms}
+def _integer_terms(p: MultiPoly, m: tuple) -> tuple[dict, Scalar]:
+    """(a, s): p = s * x^m * a, a as {exponent vector: int} and 1 / s the
+    lcm of p's denominators (s = 1 over F_p)."""
+    den = math.lcm(*(c.denominator for _, c in p.terms))
+    a = {
+        tuple(map(operator.sub, e, m)): c.numerator * (den // c.denominator)
+        for e, c in p.terms
+    }
+    return a, Fraction(1, den) if den > 1 else 1
 
 
 _PRIMES = [2**61 - 1]
@@ -912,46 +909,37 @@ def _univariate_image(p: MultiPoly) -> list | None:
     the two images is constant, G is constant and gcd(a, b) = 1 over Q.  A
     nonconstant image gcd proves nothing, so callers then run poly_gcd.
     """
-    r = _prime(0)
-    a = _integer_terms(p)
-    top = max(a)
-    if not a[top] % r:
-        return None
-    out = [0] * (top[0] + 1)
-    for (e,), c in a.items():
-        out[e] = c % r
-    return out
+    a = _integer_terms(p, (0,))[0]
+    image = _split_last(a, _prime(0)).get((), [])
+    return image if len(image) == max(a)[0] + 1 else None
 
 
-def _gcd_modular(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...] | None:
-    """(G, p / G, q / G) for nonzero rational polynomials that _reduce
-    accepts, G by Brown's dense modular algorithm (J. ACM 18, 1971),
-    canonically scaled, or None when G = 1.
+def _gcd_modular(a: dict, b: dict) -> tuple[dict, ...] | None:
+    """(G, a / G, b / G) for integer term dicts that _reduce returned, G
+    primitive, by Brown's dense modular algorithm (J. ACM 18, 1971), or
+    None when G = 1.
 
-    With denominators cleared and the ring reduced by _reduce, to give
-    integer a, b, let la, lb be their leading coefficients in lex order and
+    Let la, lb be the leading coefficients of a, b in lex order and
     gamma = gcd(la, lb).  Primes r are taken downward from 2^61 - 1,
     skipping those dividing la * lb, and each gives the image
     h = gcd(a mod r, b mod r) from _gcd_mod_p.
 
-    Lemma: G' = gcd(a, b) has lc(G') dividing la, so r keeps the leading
-    monomial of G', and G' mod r divides h: an image never has a lower
-    leading monomial than G', and a constant image proves G' = 1.  The same
+    Lemma: G = gcd(a, b) has lc(G) dividing la, so r keeps the leading
+    monomial of G, and G mod r divides h: an image never has a lower
+    leading monomial than G, and a constant image proves G = 1.  The same
     holds in _gcd_mod_p for an evaluation point t with la(t) * lb(t) != 0,
     so gamma(t) != 0.  Only finitely many primes, and in _gcd_mod_p only
-    finitely many points, give h != G' mod r up to a scalar; the others
+    finitely many points, give h != G mod r up to a scalar; the others
     give gamma * h = H mod r for the one integer polynomial
-    H = gamma * G' / lc(G').  Images with a higher leading monomial than
+    H = gamma * G / lc(G).  Images with a higher leading monomial than
     the lowest seen are dropped; the rest are combined by CRT into the
     symmetric range, and after each prime the primitive part C of that
-    lift is lifted by _reduce and trial-divided into p and q.  This
-    division is the certificate and gives the quotients: then C divides a
-    and b (reducing is a ring map), so C divides G' with a leading
-    monomial no lower than G''s: C = G' and lift(C) = G up to a scalar.
-    If it fails, another prime follows; once the lucky primes' product
-    passes 2 * max|H| the lift is H, so the loop terminates.
+    lift is trial-divided into a and b, in _reduce's ring as in
+    _gcd_mod_p.  This division is the certificate and gives the quotients:
+    then C divides G with a leading monomial no lower than G's, so C = G
+    up to a unit.  If it fails, another prime follows; once the lucky
+    primes' product passes 2 * max|H| the lift is H, so the loop ends.
     """
-    a, b, lift = _reduce(_integer_terms(p), _integer_terms(q))
     la, lb = a[max(a)], b[max(b)]
     gamma = math.gcd(la, lb)
     lm, mod, res = None, 1, {}
@@ -973,59 +961,70 @@ def _gcd_modular(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...] | None:
             res[e] = r + mod * ((h.get(e, 0) * s - r) * w % pr)
         mod *= pr
         cand = {e: r - mod if 2 * r > mod else r for e, r in res.items()}
-        cand = MultiPoly._build(p.num_vars, lift(cand), None).canonical()
-        try:
-            return cand, poly_divexact(p, cand), poly_divexact(q, cand)
-        except NotDivisibleError:
-            continue
-
-
-def _shift(p: MultiPoly, up: tuple, down: tuple) -> MultiPoly:
-    """p * x^up / x^down, for monomials x^up and x^down."""
-    m = tuple(map(operator.sub, up, down))
-    if not any(m):
-        return p
-    return MultiPoly._build(
-        p.num_vars, {tuple(map(operator.add, e, m)): c for e, c in p.terms}, p.modulus
-    )
+        content = math.gcd(*cand.values())
+        g = {e: c // content for e, c in cand.items()}
+        qs = _certify(g, dict(a), dict(b))
+        if qs is not None:
+            return g, *map(dict, qs)
 
 
 def _gcd_quotients(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...]:
     """(g, p / g, q / g), g = poly_gcd(p, q): for one zero input g is the
     other's canonical form, for two all three are 0.  Otherwise g is x^m,
     m the termwise minimum of the monomial contents x^mp and x^mq, times
-    the gcd of the stripped parts: 1 when no variable has positive degree
+    the gcd G of the stripped parts: 1 when no variable has positive degree
     in both (a nonconstant common factor has positive degree in some
     variable, and then so do both), else the one that _gcd_modular (over
-    Q) or _gcd_prime_field certifies, whose quotients are shifted by
-    x^(mp - m) and x^(mq - m).  Lemma: x^m times the canonical core is
-    canonical.  A monic monomial changes no coefficient, and grlex is a
-    monomial order, so e > e' implies e + m > e' + m and the leading term
-    stays leading.
+    Q) or _gcd_prime_field certifies on _reduce's pair made of the term
+    dicts of p / x^mp and q / x^mq, denominators cleared.  One tail lifts
+    G and its quotients, scales G to be canonical and the quotients by the
+    inverse scale and the cleared denominators, shifts them by x^m,
+    x^(mp - m) and x^(mq - m), and builds each once.  Lemma: x^m times the
+    canonical G is canonical.  A monic monomial changes no
+    coefficient, and grlex is a monomial order, so e > e' implies
+    e + m > e' + m and the leading term stays leading.
     """
     p._check_compat(q)
-    nv, mod, zero = p.num_vars, p.modulus, (0,) * p.num_vars
+    nv, mod = p.num_vars, p.modulus
     if p.is_zero() or q.is_zero():
         f = q if p.is_zero() else p
         g = f.canonical()
         lead = Fraction(f.terms[0][1], g.terms[0][1]) if f.terms else 0
         unit = MultiPoly.constant(nv, lead, mod)
         return g, unit if f is p else p, unit if f is q else q
+
+    def build(terms: Iterable[tuple], m: Sequence[int], scale: Scalar = 1):
+        # scale * x^m * terms, m possibly negative
+        terms = {tuple(map(operator.add, e, m)): c * scale for e, c in terms}
+        return MultiPoly._build(nv, terms, mod)
+
     mp, mq = (tuple(map(min, zip(*(e for e, _ in f.terms)))) for f in (p, q))
     mg = tuple(map(min, mp, mq))
     if any(p.degree_in(v) > mp[v] and q.degree_in(v) > mq[v] for v in range(nv)):
-        gcd = _gcd_modular if mod is None else _gcd_prime_field
-        core = gcd(_shift(p, zero, mp), _shift(q, zero, mq))
+        (a, sp), (b, sq) = _integer_terms(p, mp), _integer_terms(q, mq)
+        a, b, lift = _reduce(a, b)
+        core = _gcd_modular(a, b) if mod is None else _gcd_prime_field(a, b, mod)
         if core is not None:
-            g, a, b = core
-            return _shift(g, mg, zero), _shift(a, mp, mg), _shift(b, mq, mg)
-    return MultiPoly._build(nv, {mg: 1}, mod), _shift(p, zero, mg), _shift(q, zero, mg)
+            g, *quots = map(lift, core)
+            lead = max(g.items(), key=_grlex_term_key)[1]
+            # G * u is canonical: G is monic in lex order over F_p, primitive over Q
+            u = pow(lead, -1, mod) if mod else 1 if lead > 0 else -1
+            v = lead if mod else u  # 1 / u
+            return build(g.items(), mg, u), *(
+                build(f.items(), [*map(operator.sub, m, mg)], v * s)
+                for f, m, s in zip(quots, (mp, mq), (sp, sq))
+            )
+    down = [-e for e in mg]
+    return MultiPoly._build(nv, {mg: 1}, mod), *(
+        build(f.terms, down) if any(mg) else f for f in (p, q)
+    )
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, canonically normalized (0 for two zeros).
-    The trial division of _gcd_modular or _gcd_mod_p certifies it once, on
-    the inputs stripped of monomial content (see _gcd_quotients)."""
+    The trial division of _gcd_modular or _gcd_mod_p certifies it once, in
+    the ring _reduce makes of the inputs stripped of monomial content (see
+    _gcd_quotients)."""
     return _gcd_quotients(p, q)[0]
 
 

@@ -275,7 +275,10 @@ def _certify_radius(coeffs: Sequence[int], rel_tol: float) -> RadiusEnclosure:
         if hi <= lo * ratio:
             value = float((lo + hi) / 2)
             return RadiusEnclosure(value, lo, hi)
-        mid = _to_frac(math.sqrt(float(lo) * float(hi)))
+        try:
+            mid = _to_frac(math.sqrt(float(lo) * float(hi)))
+        except OverflowError:  # past the float range the mean is exact
+            mid = Fraction(math.isqrt(math.floor(lo * hi)))
         if not lo < mid < hi:
             mid = (lo + hi) / 2
         if _roots_strictly_inside(coeffs, mid):

@@ -339,8 +339,9 @@ def _iterates(
     """Yield (deg f^n, certified) for n = 1..n_max: each reduced iterate is
     f composed with the previous one, and `certified` says whether a line
     certificate, not _cancel, proved the composition coprime.
-    Raises TermCapExceeded, carrying n, when step n composes and a form
-    passes the term cap.
+    Raises ValueError when n_max < 1, on the first step, and
+    TermCapExceeded, carrying n, when step n composes and a form passes
+    the term cap.
 
     Coprimality certificate (a Bellon-Viallet restriction to a line).
     For maps without symbolic parameters, fix r = 2^61 - 1 over Q (the
@@ -370,6 +371,8 @@ def _iterates(
     exact forms.  The term cap bounds exactly these compositions, and
     TermCapExceeded carries the step that needed them.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     cap = term_cap if term_cap is not None else term_cap_default()
     yield f.degree, False
     current, built, degree = f, 1, f.degree
@@ -424,8 +427,6 @@ def degree_sequence(
 ) -> DegreeSequence:
     """Degrees of the first n_max reduced iterates, from iter_degrees: a
     step composes and cancels only where no line certificate proves it."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     degrees: list[int] = []
     try:
         for d in iter_degrees(f, n_max, term_cap):

@@ -2,6 +2,8 @@
 the quotients (exactalg._gcd_quotients), and a map's forms are cancelled
 by folding it over them (exactalg._cancel)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +72,35 @@ def test_quotients_over_f7(pair):
 
 
 X, Y, Z = (MultiPoly.variable(3, i) for i in range(3))
+
+
+@pytest.mark.parametrize("modulus", [None, 101])
+def test_gcd_builds_only_its_three_results(modulus, monkeypatch):
+    """Monomial content, a denominator and forms that _reduce dehomogenises:
+    the gcd strips, reduces, certifies and lifts on term dicts, and builds
+    each of g, p / g and q / g once."""
+    X, Y, Z = (MultiPoly.variable(3, i, modulus) for i in range(3))
+    g = X**2 + 3 * X * Z - 2 * Y**2
+    p = X * Z * g * (X + 2 * Y - Z) * Fraction(1, 3)
+    q = Y * g * (Y**2 - X * Z + 5 * Z**2)
+    calls = []
+    init, build = MultiPoly.__init__, MultiPoly._build.__func__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_build(cls, *args):
+        calls.append("build")
+        return build(cls, *args)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+    monkeypatch.setattr(MultiPoly, "_build", classmethod(counting_build))
+    got, a, b = _gcd_quotients(p, q)
+    monkeypatch.undo()
+    assert (got, got * a, got * b) == (g, p, q)
+    assert calls.count("init") == 0
+    assert calls.count("build") <= 3
 
 
 def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):

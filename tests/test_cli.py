@@ -53,6 +53,11 @@ class TestDegseq:
         code, doc = run_json(capsys, "degseq", "--map", STABLE_MAP)
         assert code == 0 and doc["nmax"] == 5 and len(doc["degrees"]) == 5
 
+    @pytest.mark.parametrize("command", ["degseq", "stability"])
+    def test_nmax_below_one_exits_two(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--map", UNSTABLE_MAP, "--nmax", "0")
+        assert (code, out, err) == (2, "", "error: n_max must be >= 1\n")
+
 
 class TestStability:
     def test_stable_and_unstable(self, capsys):
@@ -299,9 +304,17 @@ class TestMonomial:
         assert (code, out) == (2, "")
         assert err == f"error: rel_tol must lie in [{sys.float_info.epsilon!r}, 1e-3]\n"
 
-    @pytest.mark.parametrize(
-        "rows", [[[10**155, 0], [0, 10**155]], [[10**400, 1], [1, 1]], [[10**310]]]
-    )
+    def test_report_when_only_the_radius_bound_passes_the_float_range(self, capsys):
+        # lambda = 1e155 fits a float although the char poly's 1e310 does not
+        rows = [[10**155, 0], [0, 10**155]]
+        code, doc = run_json(capsys, "monomial", "--matrix", json.dumps(rows))
+        assert code == 0
+        assert doc["char_poly"] == [1, -2 * 10**155, 10**310]
+        low, high = doc["lambda_interval"]
+        assert low <= 1e155 <= high
+        assert doc["lambda"] == pytest.approx(1e155, rel=1e-6)
+
+    @pytest.mark.parametrize("rows", [[[10**400, 1], [1, 1]], [[10**310]]])
     def test_values_past_the_float_range_exit_two(self, capsys, rows):
         code, out, err = run_cli(capsys, "monomial", "--matrix", json.dumps(rows))
         assert (code, out) == (2, "")

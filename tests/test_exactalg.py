@@ -402,34 +402,34 @@ def test_divexact_builds_no_polynomial_per_quotient_term(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_gcd_skips_trial_division_only_for_constant_gcd(monkeypatch):
-    x = MultiPoly.variable(1, 0)
+@pytest.fixture
+def rational_divisions(monkeypatch):
+    """The divisors of the trial divisions over Q, the _divide_terms calls
+    without a modulus, as polynomials."""
     divisions = []
-    divexact = exactalg.poly_divexact
+    divide = exactalg._divide_terms
 
-    def counting_divexact(p, d):
-        divisions.append(d)
-        return divexact(p, d)
+    def spy(rem, d, p=None):
+        if p is None:
+            divisions.append(MultiPoly(len(d[0][0]), dict(d)))
+        return divide(rem, d, p)
 
-    monkeypatch.setattr(exactalg, "poly_divexact", counting_divexact)
+    monkeypatch.setattr(exactalg, "_divide_terms", spy)
+    return divisions
+
+
+def test_gcd_skips_trial_division_only_for_constant_gcd(rational_divisions):
+    x = MultiPoly.variable(1, 0)
     assert poly_gcd((x + 1) * (x - 2), (x + 3) * (x - 5)) == MultiPoly.constant(1, 1)
-    assert divisions == []
+    assert rational_divisions == []
     assert poly_gcd((x + 1) * (x - 2), (x + 1) * (x - 5)) == x + 1
-    assert divisions == [x + 1, x + 1]
+    assert rational_divisions == [x + 1, x + 1]
 
 
-def test_gcd_certifies_once(monkeypatch):
+def test_gcd_certifies_once(rational_divisions):
     """A homogeneous pair with a planted quadratic factor is dehomogenised
     and trial-divided once, in the modular gcd, and nowhere else."""
     g = X**2 + 3 * X * Z - 2 * Y**2
     a, b = g * (X + 2 * Y - Z), g * (Y**2 - X * Z + 5 * Z**2)
-    divisions = []
-    divexact = exactalg.poly_divexact
-
-    def counting_divexact(p, d):
-        divisions.append(d)
-        return divexact(p, d)
-
-    monkeypatch.setattr(exactalg, "poly_divexact", counting_divexact)
     assert poly_gcd(a, b) == g
-    assert len(divisions) == 2
+    assert len(rational_divisions) == 2

@@ -117,18 +117,18 @@ X0, X1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
 
 def test_candidate_agreeing_mod_the_first_prime_is_discarded(monkeypatch):
     """x + 1 and x + 1 + P0 agree mod P0, so the first candidate is x + 1;
-    its trial division fails and the next prime proves them coprime."""
+    its trial division over Q (a _divide_terms call without a modulus)
+    fails and the next prime proves them coprime."""
     failures = []
-    divexact = exactalg.poly_divexact
+    divide = exactalg._divide_terms
 
-    def spy(p, d):
-        try:
-            return divexact(p, d)
-        except exactalg.NotDivisibleError:
-            failures.append(d)
-            raise
+    def spy(rem, d, p=None):
+        out = divide(rem, d, p)
+        if p is None and out is None:
+            failures.append(MultiPoly(len(d[0][0]), dict(d)))
+        return out
 
-    monkeypatch.setattr(exactalg, "poly_divexact", spy)
+    monkeypatch.setattr(exactalg, "_divide_terms", spy)
     a, b = x + 1, x + 1 + P0
     assert poly_gcd(a, b) == sympy_gcd(a, b) == MultiPoly.constant(1, 1)
     assert failures == [x + 1]
@@ -167,6 +167,36 @@ def test_large_coefficients_need_crt_over_several_primes(g, primes_used):
     got = poly_gcd(a, b)
     assert got == sympy_gcd(a, b) == g
     assert len(primes_used) >= 2
+
+
+def test_image_of_higher_degree_is_dropped(monkeypatch):
+    """Mod _prime(1) the cofactor x + 3 - _prime(1) is x + 3, so that image
+    is the whole of a, of degree 2, against the gcd's 1.  CRT must drop it
+    and combine the images mod _prime(0) and _prime(2), whose product
+    passes 2 * (2^70 + 1): every candidate tried over Q has degree 1."""
+    g = x + 2**70 + 1
+    a, b = g * (x + 3), g * (x + 3 - exactalg._prime(1))
+    images, divisors = [], []
+    image, divide = exactalg._gcd_mod_p, exactalg._divide_terms
+
+    def image_spy(a, b, p):
+        h = image(a, b, p)
+        images.append((p, max(h)[0]))
+        return h
+
+    def divide_spy(rem, d, p=None):
+        if p is None:
+            divisors.append(d[0][0])
+        return divide(rem, d, p)
+
+    monkeypatch.setattr(exactalg, "_gcd_mod_p", image_spy)
+    monkeypatch.setattr(exactalg, "_divide_terms", divide_spy)
+    got = poly_gcd(a, b)
+    monkeypatch.undo()
+    assert got == sympy_gcd(a, b) == g
+    assert images == [(exactalg._prime(i), d) for i, d in enumerate((1, 2, 1))]
+    # one failed division by the candidate mod _prime(0), two certifying ones
+    assert divisors == [(1,)] * 3
 
 
 def test_unlucky_evaluation_points_are_discarded():

@@ -248,6 +248,16 @@ class TestSpectralRadius:
         assert _roots_strictly_inside(coeffs, enc.high)
         assert not _roots_strictly_inside(coeffs, enc.low)
 
+    @pytest.mark.parametrize(
+        "radius", [10**155, 10**200, 3 * 10**160], ids=["1e155", "1e200", "3e160"]
+    )
+    def test_radius_whose_bound_passes_the_float_range(self, radius):
+        # the starting bound 2 + radius^2 passes the float range, so the
+        # bisection takes exact integer midpoints until the floats fit
+        enc = spectral_radius_enclosure(MonomialMap([[radius, 0], [0, radius]]))
+        assert enc.low <= radius < enc.high
+        assert enc.high <= enc.low * (1 + Fraction(1e-6))
+
     def test_radius_of_powers(self):
         lam = spectral_radius(A21)
         for k in range(1, 5):

@@ -19,6 +19,7 @@ from dyndeg.ratmap import (
     degree_sequence,
     dyndeg_estimate,
     identity_map,
+    iter_degrees,
     orbit,
 )
 
@@ -158,6 +159,16 @@ class TestDegreeSequences:
         for n in range(len(degs)):
             for m in range(len(degs) - n):
                 assert 1 <= degs[n + m] <= degs[n] * degs[m]
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda f, n: list(iter_degrees(f, n)), degree_sequence, degree_drop_index],
+        ids=["iter_degrees", "degree_sequence", "degree_drop_index"],
+    )
+    def test_n_max_below_one_is_refused(self, entry, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            entry(quad_map(1, -1, 1), n_max)
 
     def test_term_cap_truncation(self):
         # the line declines at the drop n = 3, which composes f^3
