@@ -188,16 +188,8 @@ def _cmd_fabc_modp(args) -> tuple[int, dict]:
     return (EXIT_RESOURCE_CAP if capped else EXIT_OK), payload
 
 
-def _family_from_args(a: str, b: str, c: str) -> FamilyParams:
-    return FamilyParams(
-        parse_poly(a, 1, var_names=("T",)),
-        parse_poly(b, 1, var_names=("T",)),
-        parse_poly(c, 1, var_names=("T",)),
-    )
-
-
 def _cmd_fabc_locus(args) -> tuple[int, dict]:
-    fam = _family_from_args(args.a, args.b, args.c)
+    fam = FamilyParams(args.a, args.b, args.c)
     generic = family_generic_stability(fam)
     locus = family_exceptional_locus(fam, args.nmax)
     payload = {
@@ -226,7 +218,7 @@ def _family_option(option: str, text: str) -> FamilyParams:
             f"{option} must be three ';'-separated polynomials a;b;c in T, "
             f"not {len(parts)}"
         )
-    return _family_from_args(*parts)
+    return FamilyParams(*parts)
 
 
 def _cmd_fabc_intersect(args) -> tuple[int, dict]:

@@ -7,6 +7,7 @@ caches are write-once so concurrent readers are safe.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exactalg import MultiPoly, poly_divexact
@@ -116,18 +117,22 @@ def is_root_of_unity(min_poly: MultiPoly) -> int | None:
     return None
 
 
-def rational_two_cos_values() -> frozenset[Fraction]:
-    """Exact set of rational values of zeta + 1/zeta over roots of unity.
+@functools.cache
+def _two_cos_orders() -> dict[Fraction, int]:
+    """The rational values w of zeta + 1/zeta over roots of unity, each with
+    the order n of zeta, so that w = 2*cos(2*pi/n).
 
-    Derived from the degree-one minimal polynomials of 2*cos(2*pi/n): the
+    Read off the degree-one minimal polynomials of 2*cos(2*pi/n): the
     totient bound phi(n) >= sqrt(n/2) confines degree-one cases to n <= 8.
     """
-    values = set()
+    orders = {}
     for n in range(1, 9):
         p = cos_min_poly(n)
         if p.degree == 1:
-            coeffs = {exps[0]: c for exps, c in p.terms}
-            lead = coeffs.get(1)
-            const = coeffs.get(0, 0)
-            values.add(Fraction(-const, lead))
-    return frozenset(values)
+            orders[Fraction(-p.evaluate([0]), p.leading()[1])] = n
+    return orders
+
+
+def rational_two_cos_values() -> frozenset[Fraction]:
+    """Exact set of rational values of zeta + 1/zeta over roots of unity."""
+    return frozenset(_two_cos_orders())

@@ -16,11 +16,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from itertools import islice
+from operator import indexOf
+from typing import Iterator, Union
 
 import numpy as np
 
-from .cyclo import cos_min_poly, rational_two_cos_values
+from .cyclo import _two_cos_orders, cos_min_poly
 from .exactalg import (
     DomainMismatchError,
     MultiPoly,
@@ -66,10 +68,6 @@ class FabcParams:
             raise DegenerateParameterError("parameters must satisfy a*b*c != 0")
 
 
-def _xyz(num_vars: int = 3, modulus=None) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    return tuple(MultiPoly.variable(num_vars, i, modulus) for i in range(3))
-
-
 def _lift_params(p: FabcParams, modulus: int | None):
     if modulus is not None:
         _check_modulus(modulus)
@@ -84,32 +82,37 @@ def _lift_params(p: FabcParams, modulus: int | None):
     return lifted
 
 
-def build_map(p: FabcParams, modulus: int | None = None) -> ProjectiveMap:
+def _symbols(p: FabcParams | None, modulus: int | None) -> tuple:
+    """X, Y, Z and a, b, c for the formulas below: p's parameters lifted to
+    the field, or, when p is None, variables 3, 4, 5 of a six-variable ring
+    (the same expressions serve both)."""
+    if p is None:
+        return tuple(MultiPoly.variable(6, i) for i in range(6))
+    xyz = tuple(MultiPoly.variable(3, i, modulus) for i in range(3))
+    return xyz + _lift_params(p, modulus)
+
+
+def build_map(p: FabcParams | None, modulus: int | None = None) -> ProjectiveMap:
     """The degree-2 map [XY, XY + aZ^2, bYZ + cZ^2]."""
-    a, b, c = _lift_params(p, modulus)
-    x, y, z = _xyz(3, modulus)
+    x, y, z, a, b, c = _symbols(p, modulus)
     return ProjectiveMap([x * y, x * y + a * z**2, b * (y * z) + c * z**2])
 
 
-def inverse_map(p: FabcParams, modulus: int | None = None) -> ProjectiveMap:
+def inverse_map(p: FabcParams | None, modulus: int | None = None) -> ProjectiveMap:
     """The inverse map, normalized; composing with build_map and cancelling
     the common factor a^2 b^2 Y Z^2 gives the identity."""
-    a, b, c = _lift_params(p, modulus)
-    x, y, z = _xyz(3, modulus)
+    x, y, z, a, b, c = _symbols(p, modulus)
     w = c * x - c * y + a * z
     return ProjectiveMap([(a * b * b) * (x * (y - x)), w * w, b * (w * (y - x))])
 
 
 def build_map_symbolic() -> ProjectiveMap:
     """The map with a, b, c as symbolic parameters (variables 3, 4, 5)."""
-    x, y, z, a, b, c = (MultiPoly.variable(6, i) for i in range(6))
-    return ProjectiveMap([x * y, x * y + a * z**2, b * (y * z) + c * z**2])
+    return build_map(None)
 
 
 def inverse_map_symbolic() -> ProjectiveMap:
-    x, y, z, a, b, c = (MultiPoly.variable(6, i) for i in range(6))
-    w = c * x - c * y + a * z
-    return ProjectiveMap([a * b**2 * x * (y - x), w * w, b * w * (y - x)])
+    return inverse_map(None)
 
 
 def indeterminacy_points(p: FabcParams) -> frozenset[ProjectivePoint]:
@@ -128,16 +131,14 @@ def indeterminacy_points(p: FabcParams) -> frozenset[ProjectivePoint]:
     return frozenset(points)
 
 
-def critical_locus(p: FabcParams) -> MultiPoly:
-    """Jacobian determinant of the coordinate forms, canonically scaled;
-    equals -2ab * Y * Z^2 up to that scaling."""
-    f = build_map(p)
-    return jacobian_det(f.coords).canonical()
+def critical_locus(p: FabcParams | None) -> MultiPoly:
+    """Jacobian determinant of the coordinate forms in X, Y, Z, canonically
+    scaled; equals -2ab * Y * Z^2 up to that scaling."""
+    return jacobian_det(build_map(p).coords).canonical()
 
 
 def critical_locus_symbolic() -> MultiPoly:
-    f = build_map_symbolic()
-    return jacobian_det(f.coords, wrt=(0, 1, 2)).canonical()
+    return critical_locus(None)
 
 
 @dataclass(frozen=True)
@@ -217,19 +218,25 @@ def preimage(p: FabcParams, target) -> PreimageResult:
     )
 
 
+def _vn_terms(a, b, c, modulus: int | None) -> Iterator:
+    """V_0, V_1, ... of the recurrence V_0 = 1, V_1 = c,
+    V_{n+1} = c V_n + ab V_{n-1}, for a, b, c already in the coefficient
+    domain: over the rationals, or over F_p as ints in [0, p)."""
+    ab = a * b
+    prev, cur = 1, c
+    yield prev
+    while True:
+        yield cur
+        nxt = c * cur + ab * prev
+        prev, cur = cur, (_coerce(nxt, None) if modulus is None else nxt % modulus)
+
+
 def vn_sequence(p: FabcParams, n_max: int, modulus: int | None = None) -> list:
     """V_0..V_nMax by the exact recurrence V_{n+1} = c V_n + ab V_{n-1},
     over the rationals or a prime field."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    a, b, c = _lift_params(p, modulus)
-    ab = a * b
-    out = [1]
-    if n_max >= 1:
-        out.append(c)
-    for _ in range(2, n_max + 1):
-        out.append(_coerce(c * out[-1] + ab * out[-2], modulus))
-    return out
+    return list(islice(_vn_terms(*_lift_params(p, modulus), modulus), n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -246,15 +253,6 @@ class StabilityVerdict:
     reason: str | None = None
 
 
-def _order_of_two_cos(w: Fraction) -> int:
-    """Least n with 2cos(2*pi/n) = w, for w in the rational value set."""
-    for n in range(1, 13):
-        poly = cos_min_poly(n)
-        if poly.degree == 1 and poly.evaluate([w]) == 0:
-            return n
-    raise ValueError(f"{w} is not a rational 2cos value")
-
-
 def classify(p: FabcParams) -> StabilityVerdict:
     """Stability of the map for rational parameters.
 
@@ -265,12 +263,9 @@ def classify(p: FabcParams) -> StabilityVerdict:
     vanishes) and zeta = -1 (which forces c = 0) leaves
     c^2/(ab) in {-1, -2, -3}, with orders 3, 4, 6 and V_{n-1} = 0.
     """
-    kappa = p.c * p.c / (p.a * p.b)
-    w = -2 - kappa
-    allowed = rational_two_cos_values() - {Fraction(2), Fraction(-2)}
-    if w not in allowed:
+    order = _two_cos_orders().get(-2 - p.c * p.c / (p.a * p.b))
+    if order is None or order < 3:
         return StabilityVerdict(status="Stable")
-    order = _order_of_two_cos(w)
     m = order - 1
     witness = vn_sequence(p, m)
     if witness[m] != 0 or any(v == 0 for v in witness[1:m]):
@@ -310,13 +305,11 @@ def classify_mod_p(
         raise ValueError("search_cap must be >= 1")
     if (a * b * c) % p == 0:
         return ModPResult(p=p, status="DegenerateModP", m=None, search_cap=cap)
-    ab = (a * b) % p
-    prev, cur = 1, c % p
-    for m in range(2, cap + 1):
-        prev, cur = cur, (c * cur + ab * prev) % p
-        if cur == 0:
-            return ModPResult(p=p, status="ExceptionalAt", m=m, search_cap=cap)
-    return ModPResult(p=p, status="NotFoundWithinCap", m=None, search_cap=cap)
+    try:
+        m = indexOf(islice(_vn_terms(a % p, b % p, c % p, p), cap + 1), 0)
+    except ValueError:
+        return ModPResult(p=p, status="NotFoundWithinCap", m=None, search_cap=cap)
+    return ModPResult(p=p, status="ExceptionalAt", m=m, search_cap=cap)
 
 
 @dataclass(frozen=True)
@@ -329,18 +322,16 @@ class FamilyParams:
     c_poly: MultiPoly
 
     def __init__(self, a_poly, b_poly, c_poly):
-        polys = []
-        for name, raw in (("a", a_poly), ("b", b_poly), ("c", c_poly)):
-            poly = (
-                raw
-                if isinstance(raw, MultiPoly)
-                else parse_poly(str(raw), 1, var_names=("T",))
-            )
+        # parse all three before checking any, so that a parse error wins
+        polys = [
+            raw if isinstance(raw, MultiPoly) else parse_poly(str(raw), 1, var_names=("T",))
+            for raw in (a_poly, b_poly, c_poly)
+        ]
+        for name, poly in zip("abc", polys):
             if poly.num_vars != 1 or poly.modulus is not None:
                 raise ValueError(f"{name}(T) must be univariate over the rationals")
             if poly.is_zero():
                 raise DegenerateParameterError(f"{name}(T) must be nonzero")
-            polys.append(poly)
         object.__setattr__(self, "a_poly", polys[0])
         object.__setattr__(self, "b_poly", polys[1])
         object.__setattr__(self, "c_poly", polys[2])
@@ -365,21 +356,17 @@ class GenericStability:
 
 def family_generic_stability(f: FamilyParams) -> GenericStability:
     """Stable over the function field unless c(T)^2/(a(T)b(T)) is a constant
-    in {-1, -2, -3}."""
+    kappa at which the map is unstable.  The triple (1, 1/kappa, 1) has
+    c^2/(ab) = kappa, so classify decides it, with its V_m witness."""
     c2 = f.c_poly * f.c_poly
     ab = f.a_poly * f.b_poly
     kappa = Fraction(c2.leading()[1], ab.leading()[1])
     if not (c2 - kappa * ab).is_zero():
         return GenericStability(status="GenericallyStable")
-    if kappa in (Fraction(-1), Fraction(-2), Fraction(-3)):
-        order = _order_of_two_cos(-2 - kappa)
-        verdict = StabilityVerdict(
-            status="Unstable", zeta_order=order, vanishing_index=order - 1
-        )
-        return GenericStability(
-            status="GenericallyUnstable", kappa=kappa, witness=verdict
-        )
-    return GenericStability(status="GenericallyStable", kappa=kappa)
+    verdict = classify(FabcParams(1, 1 / kappa, 1))
+    if verdict.status == "Stable":
+        return GenericStability(status="GenericallyStable", kappa=kappa)
+    return GenericStability(status="GenericallyUnstable", kappa=kappa, witness=verdict)
 
 
 def _strip_shared_factors(poly: MultiPoly, other: MultiPoly) -> MultiPoly:

@@ -233,14 +233,7 @@ def _float_radius_estimate(coeffs: Sequence[int]) -> float | None:
         arr = np.array([float(c) for c in coeffs], dtype=float)
     except OverflowError:
         return None
-    if not np.all(np.isfinite(arr)):
-        return None
-    if len(arr) < 2:
-        return None
-    roots = np.roots(arr)
-    if roots.size == 0:
-        return None
-    est = float(np.max(np.abs(roots)))
+    est = float(np.max(np.abs(np.roots(arr))))
     return est if math.isfinite(est) and est > 0 else None
 
 

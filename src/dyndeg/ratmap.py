@@ -396,6 +396,10 @@ def _iterates(
         except TermCapExceeded:
             raise TermCapExceeded(cap, n) from None
         built = n
+        if all(c.is_zero() for c in raw):
+            raise ValueError(
+                f"f^{n}: all coordinate forms are zero (the map is not dominant)"
+            )
         current = ProjectiveMap(raw)
         if line is not None:
             # Nothing cancelled, so the line met a common zero of its own
@@ -444,7 +448,8 @@ def dyndeg_estimate(seq: DegreeSequence) -> DynamicalDegreeEstimate:
         raise ValueError("empty degree sequence")
     n = len(degs)
     root = degs[-1] ** (1.0 / n)
-    ratio = degs[-1] / degs[-2] if n >= 2 else float(degs[-1])
+    # every iterate after one of degree 0 has degree 0, so the ratio reads 0
+    ratio = degs[-1] / degs[-2] if n >= 2 and degs[-2] else float(degs[-1])
     return DynamicalDegreeEstimate(root_estimate=root, ratio_estimate=ratio, n_used=n)
 
 

@@ -84,6 +84,19 @@ class TestResourceCap:
         assert doc["degrees"] == [2**n for n in range(1, 7)]
         assert doc["truncated_at"] is None
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "DYNDEG_TERM_CAP must be an integer, got 'abc'"),
+            ("0", "DYNDEG_TERM_CAP must be positive"),
+        ],
+        ids=["abc", "0"],
+    )
+    def test_bad_cap_exits_two(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("DYNDEG_TERM_CAP", value)
+        code, out, err = run_cli(capsys, "degseq", "--map", UNSTABLE_MAP, "--nmax", "4")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_suite_cap_exits_three_without_traceback(self, capsys, monkeypatch):
         monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
         code, out, err = run_cli(capsys, "verify", "--suite", "gfam")
@@ -432,6 +445,36 @@ class TestPlumbing:
         code, out, err = run_cli(capsys, "monomial", "--matrix", matrix)
         assert (code, out, err) == (2, "", f"error: matrix row {row} is not a list\n")
 
+    @pytest.mark.parametrize(
+        "command, option, doc, message",
+        [
+            ("degseq", "--map", "[1]", 'map document must be a JSON object with a "coords" list'),
+            ("monomial", "--matrix", '{"rows": 5}',
+             'matrix document must be a JSON array or {"rows": [...]}'),
+        ],
+        ids=["map", "matrix"],
+    )
+    def test_non_object_document_exits_two(self, capsys, command, option, doc, message):
+        code, out, err = run_cli(capsys, command, option, doc)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_iterate_of_degree_zero(self, capsys):
+        # f^2 = [0 : 0 : Z^4] is constant, and so is every later iterate:
+        # both estimates read 0, not 0/0
+        f = '{"N":2,"coords":["0","X*Y","Z^2"]}'
+        code, doc = run_json(capsys, "degseq", "--map", f, "--nmax", "3")
+        assert code == 0
+        assert doc["degrees"] == [2, 0, 0] and doc["drop_at"] == 2
+        assert doc["ratio_estimate"] == 0.0 and doc["root_estimate"] == 0.0
+
+    def test_iterate_with_only_zero_forms_names_it(self, capsys):
+        # f = [XZ : X^2 : 0] reduces to [Z : X : 0], f^2 = [0 : Z : 0] and
+        # f^3 = [0 : 0 : 0]
+        doc = '{"N":2,"coords":["X*Z","X^2","0"]}'
+        code, out, err = run_cli(capsys, "degseq", "--map", doc, "--nmax", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: f^3: all coordinate forms are zero (the map is not dominant)\n"
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -475,6 +518,17 @@ class TestPlumbing:
         assert code == 0
         assert "status: unstable" in out
         assert "zeta_order: 4" in out
+
+    def test_human_format_walks_nested_lists(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "human", "fabc-locus", "-a", "1", "-b", "1", "-c", "T",
+            "--nmax", "4",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "entries[0].poly: T^2 + 1" in lines
+        assert "entries[1].roots[0].im: -1.4142135623730951" in lines
+        assert "entries[1].heights: [0.3465735902799727, 0.3465735902799727]" in lines
 
 
 class TestNegativeValues:

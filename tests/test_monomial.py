@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dyndeg import monomial
 from dyndeg.exactalg import MultiPoly
 from dyndeg.monomial import (
     LowerBoundCheck,
@@ -210,6 +211,14 @@ class TestSpectralRadius:
     def test_identity(self):
         assert abs(spectral_radius(IDENT2) - 1.0) <= 1e-5
 
+    def test_estimate_above_the_radius_becomes_the_upper_bound(self, monkeypatch):
+        # both ends of the float window lie above the radius, so the window's
+        # low end is a proven upper bound and the bisection starts under it
+        monkeypatch.setattr(monomial, "_float_radius_estimate", lambda coeffs: 1.5 * GOLDEN)
+        enc = spectral_radius_enclosure(A21, 1e-6)
+        assert float(enc.low) <= GOLDEN <= float(enc.high)
+        assert enc.high <= enc.low * (1 + Fraction(1e-6))
+
     def test_rotation(self):
         assert abs(spectral_radius(MonomialMap([[0, 1], [-1, 0]])) - 1.0) <= 1e-5
 
@@ -373,6 +382,17 @@ class TestFindM:
 
     def test_cap_returns_none(self):
         assert find_m_epsilon(A21, 1e-9, m_cap=1) is None
+
+    def test_target_is_the_radius_value(self):
+        # with rel_tol = 1e-3, value and high differ enough that this epsilon
+        # puts value - epsilon below the m = 1 ratio bound l1 and
+        # high - epsilon above it: m = 1 passes only against the value
+        data = analyze(A21, rel_tol=1e-3)
+        gamma = (2 ** 0.5 - 1) / 8
+        degs = [_degree_of_rows(mat_pow(A21.matrix, k)) for k in range(3)]
+        l1 = min(gamma * degs[k + 1] / degs[k] for k in range(2))
+        value, high = data.radius.value, float(data.radius.high)
+        assert data.m_epsilon(value - l1 + (high - value) / 2) == 1
 
 
 class TestReports:
