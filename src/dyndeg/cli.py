@@ -15,16 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactalg import (
-    DomainMismatchError,
-    PolynomialParseError,
-    TermCapExceeded,
-    format_poly,
-    is_prime,
-    parse_poly,
-)
+from .exactalg import TermCapExceeded, format_poly, is_prime, parse_poly
 from .fabc import (
-    DegenerateParameterError,
     FabcParams,
     FamilyParams,
     classify,
@@ -54,16 +46,8 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE_CAP = 3
 
-_INPUT_ERRORS = (
-    ValueError,
-    TypeError,
-    KeyError,
-    DegenerateParameterError,
-    PolynomialParseError,
-    DomainMismatchError,
-    json.JSONDecodeError,
-    ZeroDivisionError,
-)
+# the parse, domain and degenerate-parameter errors are ValueErrors too
+_INPUT_ERRORS = (ValueError, TypeError, KeyError, ZeroDivisionError)
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -103,10 +87,6 @@ def _parse_matrix_document(text: str) -> MonomialMap:
     if not isinstance(rows, list):
         raise ValueError('matrix document must be a JSON array or {"rows": [...]}')
     return MonomialMap(rows)
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 def _rational_json(value: Fraction):
@@ -159,9 +139,9 @@ def _cmd_fabc_classify(args) -> tuple[int, dict]:
     verdict = classify(p)
     payload = {
         "schema": 1,
-        "a": _frac_str(p.a),
-        "b": _frac_str(p.b),
-        "c": _frac_str(p.c),
+        "a": str(p.a),
+        "b": str(p.b),
+        "c": str(p.c),
         "status": verdict.status.lower(),
         "zeta_order": verdict.zeta_order,
         "vanishing_index": verdict.vanishing_index,
@@ -263,8 +243,8 @@ def _cmd_gfam(args) -> tuple[int, dict]:
     p = GFamilyParams(args.a, args.b)
     payload = {
         "schema": 1,
-        "a": _frac_str(p.a),
-        "b": _frac_str(p.b),
+        "a": str(p.a),
+        "b": str(p.b),
         "nmax": args.nmax,
         "exceptional_prefix": [
             _rational_json(v) for v in exceptional_set(p, args.nmax)
@@ -273,7 +253,7 @@ def _cmd_gfam(args) -> tuple[int, dict]:
     if args.t is not None:
         verdict = classify_parameter(p, args.t, args.nmax)
         payload["parameter"] = {
-            "t": _frac_str(Fraction(args.t)),
+            "t": str(args.t),
             "status": verdict.status,
             "n": verdict.n,
             "nmax": verdict.n_max,

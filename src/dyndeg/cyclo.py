@@ -1,8 +1,8 @@
 """Cyclotomic polynomials and minimal polynomials of 2*cos(2*pi/n).
 
 Everything here is exact integer arithmetic on univariate polynomials
-(1-variable MultiPoly instances).  Results are cached per process; the
-caches are write-once so concurrent readers are safe.
+(1-variable MultiPoly instances).  Results are cached per process by
+functools.cache.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ import functools
 from fractions import Fraction
 
 from .exactalg import MultiPoly, poly_divexact
-
-_cyclotomic_cache: dict[int, MultiPoly] = {}
-_cos_min_poly_cache: dict[int, MultiPoly] = {}
 
 _X = MultiPoly.variable(1, 0)
 
@@ -36,6 +33,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
+@functools.cache
 def cyclotomic(n: int) -> MultiPoly:
     """The n-th cyclotomic polynomial, monic with integer coefficients.
 
@@ -44,17 +42,14 @@ def cyclotomic(n: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    got = _cyclotomic_cache.get(n)
-    if got is not None:
-        return got
     numerator = _X**n - 1
     for d in range(1, n):
         if n % d == 0:
             numerator = poly_divexact(numerator, cyclotomic(d))
-    _cyclotomic_cache[n] = numerator
     return numerator
 
 
+@functools.cache
 def cos_min_poly(n: int) -> MultiPoly:
     """Minimal polynomial of 2*cos(2*pi/n), monic over the integers.
 
@@ -66,9 +61,6 @@ def cos_min_poly(n: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    got = _cos_min_poly_cache.get(n)
-    if got is not None:
-        return got
     if n == 1:
         result = _X - 2
     elif n == 2:
@@ -90,7 +82,6 @@ def cos_min_poly(n: int) -> MultiPoly:
             if j > 1:
                 prev, cur = cur, _X * cur - prev
             result = result + cur * coeffs[half + j]
-    _cos_min_poly_cache[n] = result
     return result
 
 

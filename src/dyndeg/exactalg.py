@@ -118,6 +118,15 @@ def _coerce(value, modulus: int | None):
     return value.numerator * pow(value.denominator, -1, modulus) % modulus
 
 
+def _exact_fraction(value, what: str) -> Fraction:
+    """A parameter as a Fraction, refusing anything but an int that is not
+    a bool, or a Fraction: Fraction(0.1) would silently take the binary
+    value of the float."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an exact rational, got {value!r}")
+    return Fraction(value)
+
+
 def _grlex_term_key(term: tuple) -> tuple:
     """Graded-lex sort key of a term (exponent vector, coefficient): total
     degree, then the exponent vector."""

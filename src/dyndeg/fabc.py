@@ -34,6 +34,7 @@ from .exactalg import (
     substitute_system,
     _check_modulus,
     _coerce,
+    _exact_fraction,
     _gcd_quotients,
     _prime,
     _univariate_image,
@@ -61,9 +62,9 @@ class FabcParams:
     c: Fraction
 
     def __init__(self, a: Rational, b: Rational, c: Rational):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "a", _exact_fraction(a, "a"))
+        object.__setattr__(self, "b", _exact_fraction(b, "b"))
+        object.__setattr__(self, "c", _exact_fraction(c, "c"))
         if self.a * self.b * self.c == 0:
             raise DegenerateParameterError("parameters must satisfy a*b*c != 0")
 
@@ -337,7 +338,7 @@ class FamilyParams:
         object.__setattr__(self, "c_poly", polys[2])
 
     def specialize(self, t: Rational) -> FabcParams:
-        tt = Fraction(t)
+        tt = _exact_fraction(t, "t")
         return FabcParams(
             self.a_poly.evaluate([tt]),
             self.b_poly.evaluate([tt]),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, _exact_fraction
 from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint
 
 __all__ = [
@@ -53,12 +53,6 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-def _frac(value: Rational, what: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"{what} must be an exact rational, got {value!r}")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class GFamilyParams:
     """Multiplier/shift pair (a, b) with a != 0."""
@@ -67,8 +61,8 @@ class GFamilyParams:
     b: Fraction
 
     def __init__(self, a: Rational, b: Rational):
-        object.__setattr__(self, "a", _frac(a, "a"))
-        object.__setattr__(self, "b", _frac(b, "b"))
+        object.__setattr__(self, "a", _exact_fraction(a, "a"))
+        object.__setattr__(self, "b", _exact_fraction(b, "b"))
         if self.a == 0:
             raise ValueError("the multiplier a must be nonzero")
 
@@ -79,7 +73,7 @@ def build_g(p: GFamilyParams, t: Rational) -> ProjectiveMap:
     Degree 2 for t != 1; at t = 1 the common factor X - Z cancels and
     the returned map is linear.
     """
-    t = _frac(t, "t")
+    t = _exact_fraction(t, "t")
     x, y, z = (MultiPoly.variable(3, i) for i in range(3))
     a, b = p.a, p.b
     return ProjectiveMap(
@@ -103,7 +97,7 @@ def indeterminacy_points(p: GFamilyParams, t: Rational) -> frozenset[ProjectiveP
     form actually vanishes there, so the degenerate t = 1 member (which
     is linear, hence everywhere defined) yields the empty set.
     """
-    t = _frac(t, "t")
+    t = _exact_fraction(t, "t")
     g = build_g(p, t)
     candidates = (ProjectivePoint([0, 1, 0]), ProjectivePoint([t, 0, 1]))
     return frozenset(q for q in candidates if g.apply(q) is INDETERMINATE)
@@ -132,7 +126,7 @@ def exact_membership(p: GFamilyParams, t: Rational) -> bool | None:
     b = 0).  Other multipliers fall back to truncated search via
     ``orbit_marked_point``.
     """
-    t = _frac(t, "t")
+    t = _exact_fraction(t, "t")
     if p.a != 1:
         return None
     if p.b == 0:
@@ -166,7 +160,7 @@ def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcom
     mismatch would mean the recurrence and the map disagree and raises
     RuntimeError.
     """
-    t = _frac(t, "t")
+    t = _exact_fraction(t, "t")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     g = build_g(p, t)
@@ -208,7 +202,7 @@ class ParameterVerdict:
 
 
 def classify_parameter(p: GFamilyParams, t: Rational, n_max: int) -> ParameterVerdict:
-    t = _frac(t, "t")
+    t = _exact_fraction(t, "t")
     if t == 1:
         return ParameterVerdict(status="DegenerateDegreeOne", n=None, n_max=n_max)
     outcome = orbit_marked_point(p, t, n_max)
@@ -220,16 +214,19 @@ def classify_parameter(p: GFamilyParams, t: Rational, n_max: int) -> ParameterVe
 def _truncated_values(p: GFamilyParams, bound: int) -> tuple[int, ...]:
     """Members of {e_n} lying in [1, bound], as a sorted tuple.
 
-    The scan length max(64, 4*bound) covers oscillating multipliers; for
-    the monotone report families it is far more than enough.
+    The caller must pass a family whose values strictly increase from
+    e_0 = 1, as the report families do, so the scan stops at the first
+    value past bound; any other family raises ValueError.
     """
-    cap = max(64, 4 * bound)
-    keep = {
-        int(v)
-        for v in exceptional_set(p, cap)
-        if v.denominator == 1 and 1 <= v <= bound
-    }
-    return tuple(sorted(keep))
+    values = []
+    e = Fraction(1)
+    while e <= bound:
+        if e.denominator == 1:
+            values.append(int(e))
+        e, prev = p.a * e + p.b, e
+        if e <= prev:
+            raise ValueError("the family's values must increase")
+    return tuple(values)
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,22 @@
 Each suite checks a library component against an independent oracle —
 recurrence values against degree sequences, closed forms against actual
 orbits, certified spectral enclosures against exact inequalities — and
-returns a SuiteResult whose failures carry reproduction hints.  All
-randomness flows from a single integer seed, so a failing instance can
-be replayed exactly.
+returns a SuiteResult.  A failed instance reads "TAG: PROBLEM; ...", and
+TAG replays it: "instance I (seed S): matrix [...]" in the seeded suites,
+"triple (a,b,c)" in fabc-grid, "pair (a,b)" or "pair (1,1) at t=T" in gfam.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Iterator
 
 from .fabc import FabcParams, build_map, classify, vn_sequence
-from .gfam import (
-    GFamilyParams,
-    NoHitWithin,
-    build_g,
-    orbit_marked_point,
-)
+from .gfam import GFamilyParams, NoHitWithin, build_g, orbit_marked_point
 from .monomial import (
     MonomialMap,
     analyze,
@@ -71,8 +68,25 @@ class SuiteResult:
         return self.passed == self.total
 
 
-def _instance_rng(seed: int, index: int) -> random.Random:
-    return random.Random(seed * 1_000_003 + index)
+def _run(name: str, seed: int | None, instances: Iterable[tuple[str, list[str]]]) -> SuiteResult:
+    """The one suite loop over (tag, problems) per instance, in order;
+    an instance fails iff its problems are nonempty."""
+    total = 0
+    failures = []
+    for total, (tag, problems) in enumerate(instances, 1):
+        if problems:
+            failures.append(f"{tag}: " + "; ".join(problems))
+    return SuiteResult(name, total, total - len(failures), tuple(failures), seed)
+
+
+def _seeded(count: int, seed: int, draw: Callable, check: Callable, *args) -> Iterator:
+    """(tag, check(m, *args)) per instance i of a seeded suite, whose map
+    m = draw(Random(seed * 1000003 + i)) replays from (seed, i) alone."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    for i in range(count):
+        m = draw(random.Random(seed * 1_000_003 + i))
+        yield f"instance {i} (seed {seed}): matrix {list(m.matrix)}", check(m, *args)
 
 
 def _random_monomial_map(rng: random.Random) -> MonomialMap:
@@ -119,24 +133,8 @@ def monomial_suite(count: int = 1000, seed: int = DEFAULT_SEED, rel_tol: float =
     norm equivalence, contraction index, degree-ratio lower bound,
     characteristic-coefficient bounds, and (N <= 3) the homogenization
     cross-oracle."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    failures = []
-    for i in range(count):
-        m = _random_monomial_map(_instance_rng(seed, i))
-        problems = _check_monomial_instance(m, rel_tol)
-        if problems:
-            failures.append(
-                f"instance {i} (seed {seed}): matrix {list(m.matrix)}: "
-                + "; ".join(problems)
-            )
-    return SuiteResult(
-        name="monomial",
-        total=count,
-        passed=count - len(failures),
-        failures=tuple(failures),
-        seed=seed,
-    )
+    instances = _seeded(count, seed, _random_monomial_map, _check_monomial_instance, rel_tol)
+    return _run("monomial", seed, instances)
 
 
 def _random_unimodular_map(rng: random.Random) -> MonomialMap:
@@ -155,48 +153,27 @@ def _random_unimodular_map(rng: random.Random) -> MonomialMap:
     return MonomialMap(rows)
 
 
+def _check_unimodular_instance(m: MonomialMap) -> list[str]:
+    if abs(m.det) != 1:
+        return [f"determinant {m.det} is not a unit"]
+    inv = inverse_map(m)
+    problems = []
+    if mat_mul(m.matrix, inv.matrix) != identity_rows(m.n):
+        problems.append("inverse does not invert")
+    if not inverse_degree_bound_check(m, inv):
+        problems.append(
+            f"D(inverse) = {degree_D(inv)} exceeds "
+            f"D = {degree_D(m)} to the power {m.n - 1}"
+        )
+    return problems
+
+
 def unimodular_suite(count: int = 500, seed: int = DEFAULT_SEED + 1) -> SuiteResult:
     """Random products of elementary integer matrices (|det| = 1,
     N in {2, 3, 4}): the inverse map exists over the integers and
     D(A^-1) <= D(A)^(N-1) exactly."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    failures = []
-    for i in range(count):
-        m = _random_unimodular_map(_instance_rng(seed, i))
-        problems = []
-        if abs(m.det) != 1:
-            problems.append(f"determinant {m.det} is not a unit")
-        else:
-            inv = inverse_map(m)
-            if mat_mul(m.matrix, inv.matrix) != identity_rows(m.n):
-                problems.append("inverse does not invert")
-            if not inverse_degree_bound_check(m, inv):
-                problems.append(
-                    f"D(inverse) = {degree_D(inv)} exceeds "
-                    f"D = {degree_D(m)} to the power {m.n - 1}"
-                )
-        if problems:
-            failures.append(
-                f"instance {i} (seed {seed}): matrix {list(m.matrix)}: "
-                + "; ".join(problems)
-            )
-    return SuiteResult(
-        name="unimodular",
-        total=count,
-        passed=count - len(failures),
-        failures=tuple(failures),
-        seed=seed,
-    )
-
-
-def _fabc_triples(bound: int):
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if a * b * c != 0:
-                    yield a, b, c
+    instances = _seeded(count, seed, _random_unimodular_map, _check_unimodular_instance)
+    return _run("unimodular", seed, instances)
 
 
 def fabc_grid_suite(
@@ -213,47 +190,53 @@ def fabc_grid_suite(
     must stay nonzero out to stable_window.  On the sub-grid
     |a|,|b|,|c| <= degree_bound the verdict is also compared with the
     degree-sequence oracle: deg(f^n) < 2^n for some n <= degree_window
-    iff Unstable.
+    iff Unstable.  A triple reports only its first failed comparison.
     """
-    failures = []
-    total = 0
-    for a, b, c in _fabc_triples(bound):
-        total += 1
+
+    def check(a: int, b: int, c: int) -> list[str]:
         p = FabcParams(a, b, c)
         verdict = classify(p)
-        tag = f"triple ({a},{b},{c})"
+        unstable = verdict.status == "Unstable"
         window = vn_sequence(p, recurrence_window)
         has_zero = any(v == 0 for v in window[1:])
-        if (verdict.status == "Unstable") != has_zero:
-            failures.append(
-                f"{tag}: classifier says {verdict.status} but recurrence "
+        if unstable != has_zero:
+            return [
+                f"classifier says {verdict.status} but recurrence "
                 f"window {'has' if has_zero else 'lacks'} a zero"
-            )
-            continue
-        if verdict.status == "Unstable" and window[verdict.vanishing_index] != 0:
-            failures.append(
-                f"{tag}: vanishing index {verdict.vanishing_index} does not vanish"
-            )
-            continue
-        if verdict.status == "Stable":
-            long_run = vn_sequence(p, stable_window)
-            if any(v == 0 for v in long_run[1:]):
-                failures.append(f"{tag}: Stable verdict but recurrence vanishes")
-                continue
+            ]
+        if unstable and window[verdict.vanishing_index] != 0:
+            return [f"vanishing index {verdict.vanishing_index} does not vanish"]
+        if not unstable and any(v == 0 for v in vn_sequence(p, stable_window)[1:]):
+            return ["Stable verdict but recurrence vanishes"]
         if max(abs(a), abs(b), abs(c)) <= degree_bound:
             drop = degree_drop_index(build_map(p), degree_window)
-            if (verdict.status == "Unstable") != (drop is not None):
-                failures.append(
-                    f"{tag}: classifier says {verdict.status} but degree "
+            if unstable != (drop is not None):
+                return [
+                    f"classifier says {verdict.status} but degree "
                     f"sequence drop index is {drop}"
-                )
-    return SuiteResult(
-        name="fabc-grid",
-        total=total,
-        passed=total - len(failures),
-        failures=tuple(failures),
-        seed=None,
-    )
+                ]
+        return []
+
+    triples = itertools.product([v for v in range(-bound, bound + 1) if v != 0], repeat=3)
+    instances = ((f"triple ({a},{b},{c})", check(a, b, c)) for a, b, c in triples)
+    return _run("fabc-grid", None, instances)
+
+
+def _check_gfam_pair(p: GFamilyParams, t: Fraction, orbit_window: int) -> list[str]:
+    try:
+        outcome = orbit_marked_point(p, t, orbit_window)
+    except RuntimeError as exc:  # the orbit left the closed-form track
+        return [str(exc)]
+    if outcome != NoHitWithin(orbit_window):
+        return [f"unexpected orbit outcome {outcome}"]
+    return []
+
+
+def _check_showcase_drop(t: int, should_drop: bool) -> list[str]:
+    drop = degree_drop_index(build_g(GFamilyParams(1, 1), t), 5)
+    if (drop is not None) != should_drop:
+        return [f"drop index {drop}, expected {'a drop' if should_drop else 'no drop'}"]
+    return []
 
 
 def gfam_suite(bound: int = 2, orbit_window: int = 12) -> SuiteResult:
@@ -261,52 +244,26 @@ def gfam_suite(bound: int = 2, orbit_window: int = 12) -> SuiteResult:
     the closed-form track matches the actual orbit step by step at a
     parameter value outside the set, and the showcase degree drops and
     non-drops hold."""
-    failures = []
-    total = 0
     t = Fraction(1, 3)  # never lands in an integer-parameter orbit
-    for a in range(-bound, bound + 1):
-        if a == 0:
-            continue
-        for b in range(-bound, bound + 1):
-            total += 1
-            p = GFamilyParams(a, b)
-            tag = f"pair ({a},{b})"
-            try:
-                # raises RuntimeError when the orbit leaves the closed-form track
-                outcome = orbit_marked_point(p, t, orbit_window)
-                if outcome != NoHitWithin(orbit_window):
-                    raise RuntimeError(f"unexpected orbit outcome {outcome}")
-            except RuntimeError as exc:
-                failures.append(f"{tag}: {exc}")
-    showcase = GFamilyParams(1, 1)
-    for t_val, should_drop in ((2, True), (3, True), (-1, False)):
-        total += 1
-        drop = degree_drop_index(build_g(showcase, t_val), 5)
-        if (drop is not None) != should_drop:
-            failures.append(
-                f"pair (1,1) at t={t_val}: drop index {drop}, "
-                f"expected {'a drop' if should_drop else 'no drop'}"
-            )
-    return SuiteResult(
-        name="gfam",
-        total=total,
-        passed=total - len(failures),
-        failures=tuple(failures),
-        seed=None,
+    pairs = (
+        (f"pair ({a},{b})", _check_gfam_pair(GFamilyParams(a, b), t, orbit_window))
+        for a in range(-bound, bound + 1)
+        if a != 0
+        for b in range(-bound, bound + 1)
     )
+    showcase = (
+        (f"pair (1,1) at t={t_val}", _check_showcase_drop(t_val, should_drop))
+        for t_val, should_drop in ((2, True), (3, True), (-1, False))
+    )
+    return _run("gfam", None, itertools.chain(pairs, showcase))
 
 
+# each suite, and whether it takes run_suite's count and seed
 _SUITES = {
-    "monomial": lambda count, seed: monomial_suite(
-        count=count if count is not None else 1000,
-        seed=seed,
-    ),
-    "unimodular": lambda count, seed: unimodular_suite(
-        count=count if count is not None else 500,
-        seed=seed,
-    ),
-    "fabc-grid": lambda count, seed: fabc_grid_suite(),
-    "gfam": lambda count, seed: gfam_suite(),
+    "monomial": (monomial_suite, True),
+    "unimodular": (unimodular_suite, True),
+    "fabc-grid": (fabc_grid_suite, False),
+    "gfam": (gfam_suite, False),
 }
 
 
@@ -321,4 +278,7 @@ def run_suite(name: str, count: int | None = None, seed: int = DEFAULT_SEED) -> 
         raise ValueError(
             f"unknown suite {name!r}; available: {', '.join(available_suites())}"
         )
-    return _SUITES[name](count, seed)
+    suite, seeded = _SUITES[name]
+    if not seeded:
+        return suite()
+    return suite(seed=seed) if count is None else suite(count=count, seed=seed)

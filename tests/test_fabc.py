@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from dyndeg.fabc import (
     unlikely_intersection_explorer,
     vn_sequence,
 )
+from dyndeg.gfam import GFamilyParams
 from dyndeg.ratmap import (
     INDETERMINATE,
     ProjectiveMap,
@@ -59,6 +61,17 @@ class TestParams:
             FabcParams(0, 1, 1)
         with pytest.raises(DegenerateParameterError):
             FabcParams(1, 1, 0)
+
+    @pytest.mark.parametrize("bad", [0.1, True, -1.0, "1", Decimal(1)], ids=repr)
+    def test_only_exact_rationals(self, bad):
+        """A float would enter as its binary value and a bool as 0 or 1:
+        FabcParams refuses them in every slot, as GFamilyParams does."""
+        for params in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(TypeError):
+                FabcParams(*params)
+        for params in ((bad, 1), (1, bad)):
+            with pytest.raises(TypeError):
+                GFamilyParams(*params)
 
 
 class TestBuildMap:
@@ -346,6 +359,8 @@ class TestFamilyParams:
         assert f.specialize(3) == FabcParams(1, 1, 3)
         with pytest.raises(DegenerateParameterError):
             f.specialize(0)
+        with pytest.raises(TypeError):
+            f.specialize(0.5)
 
 
 class TestGenericStability:

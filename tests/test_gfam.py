@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from dyndeg.gfam import (
     marked_point,
     negative_answer_report,
     orbit_marked_point,
+    _truncated_values,
 )
 from dyndeg.ratmap import (
     INDETERMINATE,
@@ -215,3 +217,20 @@ class TestNegativeAnswerReport:
     def test_validation(self):
         with pytest.raises(ValueError):
             negative_answer_report(0)
+
+    def test_scan_stops_past_the_bound(self):
+        """The scan forms the first value past the bound and no more, and
+        it refuses a family whose values do not increase."""
+        products = []
+
+        class Counted(Fraction):
+            def __mul__(self, other):
+                products.append(other)
+                return Fraction(self) * other
+
+        doubling = SimpleNamespace(a=Counted(2), b=Fraction(0))
+        assert _truncated_values(doubling, 1000) == tuple(2**k for k in range(10))
+        assert len(products) == 10
+        for a, b in ((1, 0), (-1, 1), (Fraction(1, 2), 0)):
+            with pytest.raises(ValueError):
+                _truncated_values(GFamilyParams(a, b), 10)

@@ -1,8 +1,12 @@
 """Verification-suite harness: determinism, dispatch, reduced-size runs."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from dyndeg import gfam, monomial, suites
+from dyndeg.fabc import FabcParams, classify
 from dyndeg.suites import (
     SuiteResult,
     available_suites,
@@ -120,3 +124,65 @@ class TestWorkDoneOnce:
         adjugates = _spy(monkeypatch, monomial, "_adjugate")
         assert unimodular_suite(count=50, seed=9).ok
         assert len(adjugates) == 50
+
+
+_certify_radius = monomial._certify_radius
+
+
+def _radius_without_room(coeffs, rel_tol):
+    """The certified enclosure with its upper end moved to 0, so every
+    nonzero characteristic coefficient exceeds its bound."""
+    return dataclasses.replace(_certify_radius(coeffs, rel_tol), high=Fraction(0))
+
+
+_STABLE = classify(FabcParams(1, 1, 1))
+
+_FAILING_CHECKS = {
+    "monomial": (
+        lambda: monomial_suite(count=2, seed=7),
+        (monomial, "_certify_radius", _radius_without_room),
+        (
+            "instance 0 (seed 7): matrix [(-3, -2), (9, -2)]: "
+            "characteristic coefficient 1 exceeds its bound",
+            "instance 1 (seed 7): matrix [(-2, -1), (6, 6)]: "
+            "characteristic coefficient 1 exceeds its bound",
+        ),
+    ),
+    "unimodular": (
+        lambda: unimodular_suite(count=2, seed=7),
+        (suites, "inverse_degree_bound_check", lambda m, inv=None: False),
+        (
+            "instance 0 (seed 7): matrix [(1, 6), (0, 1)]: "
+            "D(inverse) = 7 exceeds D = 7 to the power 1",
+            "instance 1 (seed 7): matrix [(5, 2), (-3, -1)]: "
+            "D(inverse) = 11 exceeds D = 11 to the power 1",
+        ),
+    ),
+    "fabc-grid": (
+        lambda: fabc_grid_suite(bound=1, degree_bound=1),
+        (suites, "classify", lambda p: _STABLE),
+        tuple(
+            f"triple {t}: classifier says Stable but recurrence window has a zero"
+            for t in ("(-1,1,-1)", "(-1,1,1)", "(1,-1,-1)", "(1,-1,1)")
+        ),
+    ),
+    "gfam": (
+        gfam_suite,
+        (suites, "degree_drop_index", lambda f, n_max: None),
+        (
+            "pair (1,1) at t=2: drop index None, expected a drop",
+            "pair (1,1) at t=3: drop index None, expected a drop",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_CHECKS))
+def test_failure_strings(monkeypatch, name):
+    """A failing instance reports its replay tag, then its problems."""
+    run, (module, attr, failing), expected = _FAILING_CHECKS[name]
+    monkeypatch.setattr(module, attr, failing)
+    res = run()
+    assert res.name == name
+    assert res.failures == expected
+    assert res.failed == len(expected)
