@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import indexOf
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .cyclo import _two_cos_orders, cos_min_poly
+from .cyclo import _two_cos_orders, cos_min_poly, euler_phi
 from .exactalg import (
     DomainMismatchError,
     MultiPoly,
@@ -557,10 +557,21 @@ def same_ratio_invariant(first: FamilyParams, second: FamilyParams) -> bool:
 
 
 def _slice_overlaps(
-    first: list[tuple[int, MultiPoly]], second: list[tuple[int, MultiPoly]]
+    first: list[tuple[int, MultiPoly]],
+    second: list[tuple[int, MultiPoly]],
+    field_degree: Callable[[int], int] | None = None,
 ) -> tuple[tuple[PairOverlap, ...], int, int]:
     """Nontrivial common factors between two lists of (order, polynomial)
     slices, and each list's distinct root count.
+
+    field_degree, when given, maps an order n to an integer h_n dividing
+    [Q(T0):Q] for every root T0 of every order-n polynomial in either list.
+    A pair (S_n, S'_m) with lcm(h_n, h_m) > min(deg S_n, deg S'_m) is then
+    coprime and skipped with no gcd: a common root T0 would make both h_n
+    and h_m divide [Q(T0):Q], and [Q(T0):Q] <= deg gcd(S_n, S'_m) <=
+    min(deg S_n, deg S'_m).  The screen compares integer degrees only.
+    Without field_degree no pair is screened, so any nonzero polynomials
+    may be compared.
 
     Each slice is reduced once by _univariate_image.  A pair whose images
     have a constant gcd is coprime by that function's lemma; the exact
@@ -568,11 +579,14 @@ def _slice_overlaps(
     gcd or an image prime dividing a leading coefficient.
     """
     r = _prime(0)
-    imaged1 = [(n, p, _univariate_image(p)) for n, p in first]
-    imaged2 = [(n, p, _univariate_image(p)) for n, p in second]
+    h = field_degree or (lambda n: None)
+    imaged1 = [(n, p, _univariate_image(p), h(n)) for n, p in first]
+    imaged2 = [(n, p, _univariate_image(p), h(n)) for n, p in second]
     overlaps = []
-    for n1, p1, i1 in imaged1:
-        for n2, p2, i2 in imaged2:
+    for n1, p1, i1, h1 in imaged1:
+        for n2, p2, i2, h2 in imaged2:
+            if h1 is not None and math.lcm(h1, h2) > min(p1.degree, p2.degree):
+                continue
             if i1 is not None and i2 is not None and len(_up_gcd(i1, i2, r)) == 1:
                 continue
             g = poly_gcd(p1, p2)
@@ -586,8 +600,8 @@ def _slice_overlaps(
                     distinct_roots=_distinct_root_count(g, _univariate_image(g)),
                 )
             )
-    size1 = sum(_distinct_root_count(p, i) for _, p, i in imaged1)
-    size2 = sum(_distinct_root_count(p, i) for _, p, i in imaged2)
+    size1 = sum(_distinct_root_count(p, i) for _, p, i, _ in imaged1)
+    size2 = sum(_distinct_root_count(p, i) for _, p, i, _ in imaged2)
     return tuple(overlaps), size1, size2
 
 
@@ -600,11 +614,20 @@ def unlikely_intersection_explorer(
     coprime (a parameter pins down a single 2cos value), so sizes add over
     orders and the intersection is the union of pairwise gcd root sets.
     Only the exact slices are compared; no numeric root is computed.
+
+    Pairs are screened by field degree before any gcd.  Let T0 be a root of
+    the order-n slice S_n.  Its factors shared with abc are stripped, so
+    a(T0)b(T0) != 0, and x0 = -2 - kappa(T0) with kappa = c^2/(ab) lies in
+    Q(T0) and is a root of Psi_n = cos_min_poly(n).  Psi_n is irreducible
+    of degree h_n = phi(n)/2, so h_n = [Q(x0):Q] divides [Q(T0):Q], which
+    is the hypothesis of _slice_overlaps' screen with field_degree(n) = h_n.
     """
     slices1 = _locus_polys(first, n_max)[0]
     slices2 = _locus_polys(second, n_max)[0]
     phi_equal = same_ratio_invariant(first, second)
-    overlaps, size1, size2 = _slice_overlaps(slices1, slices2)
+    overlaps, size1, size2 = _slice_overlaps(
+        slices1, slices2, lambda n: euler_phi(n) // 2
+    )
     inter = sum(o.distinct_roots for o in overlaps)
     return IntersectionReport(
         truncation=n_max,

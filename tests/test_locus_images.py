@@ -7,15 +7,32 @@ when an image is coprime to its derivative.  The cases here plant common
 and repeated factors, one of them with leading coefficient 2^61 - 1, and
 compare against the exact gcd and sympy's squarefree part.  sympy is an
 oracle for tests only.
+
+Given the field degree h_n = deg Psi_n of each order, `_slice_overlaps`
+first skips a pair of locus slices when lcm(h_n, h_m) exceeds the smaller
+slice degree.  Real slices of five families, one of them with a stripped
+slice of degree 1, check that every skipped pair has a constant exact gcd
+and that the screen changes no answer; the pair (T, 1, 1), (2T, 2, 2),
+whose slices have degree exactly h_n, checks the strict inequality.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyndeg.cyclo import cos_min_poly
 from dyndeg.exactalg import MultiPoly, _prime, _univariate_image, poly_gcd
-from dyndeg.fabc import PairOverlap, _distinct_root_count, _slice_overlaps
+from dyndeg.fabc import (
+    FamilyParams,
+    PairOverlap,
+    _distinct_root_count,
+    _locus_polys,
+    _slice_overlaps,
+    unlikely_intersection_explorer,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -105,3 +122,60 @@ def test_overlaps_and_sizes_match_exact_gcd_and_sympy(first, second):
     assert size2 == sum(sqf_degree(p) for _, p in second)
     for _, p in first + second:
         assert _distinct_root_count(p, _univariate_image(p)) == sqf_degree(p)
+
+
+def field_degree(n: int) -> int:
+    return cos_min_poly(n).degree
+
+
+# (a, b, c): deg kappa = 1, 2 and 3 for kappa = c^2/(ab), and the last
+# family's order-3 slice keeps degree 1 once the factor T^2 + 1 it shares
+# with abc is stripped
+SCREEN_FAMILIES = (
+    ("1", "-2", "3*T"),
+    ("T+1", "2", "T"),
+    ("T", "1", "1"),
+    ("2*T", "-1", "T^2"),
+    ("T^2+1", "-1", "T+3"),
+)
+SCREEN_NMAX = 24
+
+
+@pytest.fixture(scope="module")
+def locus_slices():
+    return {f: _locus_polys(FamilyParams(*f), SCREEN_NMAX)[0] for f in SCREEN_FAMILIES}
+
+
+def test_stripped_slice_of_degree_one(locus_slices):
+    assert (3, 1) in [(n, p.degree) for n, p in locus_slices[SCREEN_FAMILIES[-1]]]
+
+
+def test_every_screened_pair_is_coprime(locus_slices):
+    skipped = total = 0
+    for f1, f2 in itertools.combinations_with_replacement(SCREEN_FAMILIES, 2):
+        for (n1, p1), (n2, p2) in itertools.product(locus_slices[f1], locus_slices[f2]):
+            total += 1
+            if math.lcm(field_degree(n1), field_degree(n2)) > min(p1.degree, p2.degree):
+                skipped += 1
+                assert poly_gcd(p1, p2).is_constant(), (f1, n1, f2, n2)
+    assert 2 * skipped > total
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    list(itertools.combinations_with_replacement(SCREEN_FAMILIES, 2)),
+    ids=";".join,
+)
+def test_screen_changes_no_overlap_or_size(locus_slices, first, second):
+    slices1, slices2 = locus_slices[first], locus_slices[second]
+    assert _slice_overlaps(slices1, slices2, field_degree) == _slice_overlaps(slices1, slices2)
+
+
+def test_screen_keeps_slices_of_degree_equal_to_the_field_degree():
+    # kappa = 1/T for both families, so each order-n slice has degree h_n
+    # and equals its partner: lcm(h_n, h_n) = deg, which must not be skipped
+    report = unlikely_intersection_explorer(
+        FamilyParams("T", "1", "1"), FamilyParams("2*T", "2", "2"), 20
+    )
+    assert report.phi_equal
+    assert report.intersection_size == report.first_size == 63
