@@ -33,7 +33,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 NEG_INF = float("-inf")
 
@@ -132,6 +132,41 @@ def _grlex_term_key(term: tuple) -> tuple:
     degree, then the exponent vector."""
     e = term[0]
     return (sum(e), e)
+
+
+def _power(x, e: int, one, mul: Callable):
+    """x^e under mul, for e >= 0, by square-and-multiply: `one` when e = 0,
+    no product with `one` and no squaring past the top bit of e."""
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if out is None else out
+
+
+def _monomials(values: Sequence, mul: Callable) -> Callable:
+    """product(exps) = the product of values[i]^exps[i] under mul, None for
+    the constant monomial.  Each power values[i]^e and each monomial's
+    product is built once and shared with later calls."""
+    powers = [[v] for v in values]  # powers[i][e - 1] = values[i]^e
+    products: dict = {}
+
+    def product(exps: tuple):
+        prod = products.get(exps)
+        if prod is None:
+            for i, e in enumerate(exps):
+                if e:
+                    lst = powers[i]
+                    while len(lst) < e:
+                        lst.append(mul(lst[-1], values[i]))
+                    prod = lst[e - 1] if prod is None else mul(prod, lst[e - 1])
+            products[exps] = prod
+        return prod
+
+    return product
 
 
 class MultiPoly:
@@ -326,15 +361,8 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MultiPoly.constant(self.num_vars, 1, self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        one = MultiPoly.constant(self.num_vars, 1, self.modulus)
+        return _power(self, n, one, operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -360,20 +388,11 @@ class MultiPoly:
     def evaluate(self, values: Sequence) -> Scalar:
         if len(values) != self.num_vars:
             raise ValueError("wrong number of values")
-        vals = [_coerce(v, self.modulus) for v in values]
+        product = _monomials([_coerce(v, self.modulus) for v in values], operator.mul)
         total = 0
-        pow_cache: list[dict] = [{0: 1} for _ in vals]
         for exps, coeff in self.terms:
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    cache = pow_cache[i]
-                    p = cache.get(e)
-                    if p is None:
-                        p = vals[i] ** e
-                        cache[e] = p
-                    term = term * p
-            total = total + term
+            prod = product(exps)
+            total += coeff if prod is None else coeff * prod
         return _coerce(total, self.modulus)
 
     def substitute(self, assignment: Sequence["MultiPoly"]) -> "MultiPoly":
@@ -447,21 +466,12 @@ def substitute_system(
         raise DomainMismatchError("assignment polynomials disagree")
     if any(p.modulus != mod for p in polys):
         raise DomainMismatchError("assignment domain differs from polynomial")
-    pows = [[q] for q in assignment]  # pows[i][e - 1] = assignment[i]^e
-    products: dict = {}
+    product = _monomials(assignment, operator.mul)
     out = []
     for p in polys:
         result = MultiPoly.zero(nv, mod)
         for exps, coeff in p.terms:
-            prod = products.get(exps)
-            if prod is None and any(exps):
-                for i, e in enumerate(exps):
-                    if e:
-                        lst = pows[i]
-                        while len(lst) < e:
-                            lst.append(lst[-1] * assignment[i])
-                        prod = lst[e - 1] if prod is None else prod * lst[e - 1]
-                products[exps] = prod
+            prod = product(exps)
             result = result + (
                 MultiPoly.constant(nv, coeff, mod) if prod is None else prod * coeff
             )
@@ -666,10 +676,11 @@ def _eval_last(s: dict, t: int, p: int) -> dict:
     return {m: _up_eval(col, t, p) for m, col in s.items()}
 
 
-def _content_last(s: dict, p: int) -> list:
-    """Monic gcd of a split polynomial's coefficients in the last variable."""
+def _content_last(cols: Iterable[list], p: int) -> list:
+    """Monic gcd over F_p of lists, the first one nonzero, stopping at 1: on
+    a split polynomial's columns, its content in the last variable."""
     g: list = []
-    for col in s.values():
+    for col in cols:
         g = _up_gcd(g, col, p)
         if len(g) == 1:
             break
@@ -704,7 +715,7 @@ def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
     sa, sb = _split_last(a, p), _split_last(b, p)
     if len(next(iter(a))) == 1:
         return _gcd_in_last(_up_gcd(sa[()], sb[()], p), (sa, sb), p, quotients)
-    c = _up_gcd(_content_last(sa, p), _content_last(sb, p), p)
+    c = _up_gcd(_content_last(sa.values(), p), _content_last(sb.values(), p), p)
     la, lb = sa[max(sa)], sb[max(sb)]
     gamma = _up_gcd(la, lb, p)
     lm, interp, nodes = None, {}, [1]
@@ -734,7 +745,7 @@ def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
         nodes = [(u - t * v) % p for u, v in zip([0] + nodes, nodes + [0])]
         if changed:
             continue
-        g = _content_last(interp, p)
+        g = _content_last(interp.values(), p)
         cand = {m: _up_mul(_up_divmod(col, g, p)[0], c, p) for m, col in interp.items()}
         qs = _certify(_join_last(cand, p), _join_last(sa, p), _join_last(sb, p), p)
         if qs is not None:
@@ -818,13 +829,7 @@ class _Ext:
         x != 0, so e = -1 gives the inverse."""
         F = self.F
         e %= F ** (len(F.m) - 1) - 1
-        out, x = 1, self
-        while e:
-            if e & 1:
-                out = x * out % F
-            e >>= 1
-            x = x * x % F
-        return out
+        return _power(self, e, 1, lambda a, b: a * b % F)
 
 
 def _coeffs(x) -> list:

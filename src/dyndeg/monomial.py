@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, _power
 from .ratmap import ProjectiveMap
 
 Rows = tuple[tuple[int, ...], ...]
@@ -124,14 +124,8 @@ def _powers(rows: Rows) -> tuple[Rows, ...]:
 def mat_pow(a: Sequence[Sequence[int]], k: int) -> Rows:
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    result = identity_rows(len(a))
     base = tuple(tuple(int(x) for x in row) for row in a)
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
+    return _power(base, k, identity_rows(len(a)), mat_mul)
 
 
 def sup_norm(matrix: Sequence[Sequence[int]]) -> int:

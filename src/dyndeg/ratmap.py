@@ -22,8 +22,9 @@ from .exactalg import (
     _cancel,
     _canonical_scale,
     _coerce,
+    _content_last,
+    _monomials,
     _prime,
-    _up_gcd,
     _up_mul,
 )
 
@@ -294,22 +295,14 @@ def _line_compose(f: ProjectiveMap, forms: list[list[int]], r: int) -> list[list
     """The forms of f, with integer coefficients, evaluated on binary forms
     of one degree D, mod r: binary forms of degree deg(f) * D."""
     size = f.degree * (len(forms[0]) - 1) + 1
-    pows: list[list[list[int]]] = [[[1]] for _ in forms]
-    products: dict = {}
+    product = _monomials(forms, lambda a, b: _up_mul(a, b, r))
     out = []
     for c in f.coords:
         acc = [0] * size
         for exps, coeff in c.terms:
-            prod = products.get(exps)
+            prod = product(exps)
             if prod is None:
                 prod = [1]
-                for i, e in enumerate(exps):
-                    if e:
-                        lst = pows[i]
-                        while len(lst) <= e:
-                            lst.append(_up_mul(lst[-1], forms[i], r))
-                        prod = _up_mul(prod, lst[e], r)
-                products[exps] = prod
             acc = [(u + coeff * v) % r for u, v in zip(acc, prod)]
         out.append(acc)
     return out
@@ -321,16 +314,9 @@ def _line_coprime(forms: list[list[int]], r: int) -> bool:
     forms at t = 1 have a constant gcd."""
     if not any(form[-1] for form in forms):
         return False
-    g: list = []
-    for form in forms:
-        a = list(form)
-        while a and not a[-1]:
-            a.pop()
-        if a:
-            g = _up_gcd(g, a, r)
-            if len(g) == 1:
-                return True
-    return False
+    # at t = 1: the nonzero forms without their zero top coefficients in s
+    stripped = (a[: max(k for k, c in enumerate(a) if c) + 1] for a in forms if any(a))
+    return len(_content_last(stripped, r)) == 1
 
 
 def _iterates(

@@ -433,3 +433,97 @@ def test_gcd_certifies_once(rational_divisions):
     a, b = g * (X + 2 * Y - Z), g * (Y**2 - X * Z + 5 * Z**2)
     assert poly_gcd(a, b) == g
     assert len(rational_divisions) == 2
+
+
+# -- evaluation and powers ----------------------------------------------------
+
+
+def reference_value(p, values):
+    """p at values over Q, term by term with `pow`, sharing nothing."""
+    return sum(
+        (
+            Fraction(c) * math.prod(pow(Fraction(v), e) for v, e in zip(values, exps))
+            for exps, c in p.terms
+        ),
+        Fraction(0),
+    )
+
+
+def in_field(value, modulus):
+    """A rational value, or its image in F_p when modulus = p."""
+    if modulus is None:
+        return value
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
+
+
+values = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@given(polys(max_degree=4, max_terms=8), st.lists(values, min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_evaluate_matches_term_by_term_powers(p, point):
+    assert p.evaluate(point) == reference_value(p, point)
+
+
+@pytest.mark.parametrize("modulus", [7, 101])
+@given(polys(max_degree=4, max_terms=8), st.lists(values, min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_mod_p_matches_term_by_term_powers(modulus, p, point):
+    """Over F_p, the value is the rational value of p's F_p coefficients
+    (ints in [1, p)) at the point, reduced mod p."""
+    assume(all(Fraction(v).denominator % modulus for v in point))
+    p = MultiPoly(3, dict(p.terms), modulus)
+    got = p.evaluate(point)
+    assert 0 <= got < modulus
+    assert got == in_field(reference_value(p, point), modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_evaluate_shares_powers_across_terms(modulus):
+    """Terms that share powers of one variable, zero, negative and
+    fractional values."""
+    terms = {(2, 1, 0): 3, (2, 0, 1): -1, (2, 0, 0): 5, (4, 1, 0): 2, (0, 3, 0): 1}
+    p = MultiPoly(3, {**terms, (0, 0, 0): 4}, modulus)
+    points = ([2, -3, 0], [0, 0, 0], [Fraction(-1, 2), 5, Fraction(2, 3)], [-1, -1, -1])
+    for point in points:
+        assert p.evaluate(point) == in_field(reference_value(p, point), modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_pow_zero_of_zero_and_nonzero_is_one(modulus):
+    one = MultiPoly.constant(3, 1, modulus)
+    assert MultiPoly.zero(3, modulus) ** 0 == one
+    assert MultiPoly(3, {(1, 2, 0): 3, (0, 0, 1): 1}, modulus) ** 0 == one
+    with pytest.raises(ValueError):
+        one ** -1
+
+
+def test_power_squares_no_further_than_the_top_bit():
+    """_power makes one squaring per bit of e after the top one and one
+    multiply per set bit after the lowest, none with `one`."""
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for e in range(40):
+        calls.clear()
+        assert exactalg._power(3, e, 1, mul) == 3**e
+        assert len(calls) == max(e.bit_length() + bin(e).count("1") - 2, 0)
+        assert all(1 not in pair for pair in calls)
+
+
+def test_extension_inverses_and_order():
+    """In F_49 = exactalg._extension(7, 2), every nonzero x has x * x^-1 = 1
+    and x^48 = 1, whether x lies in F_7 (an int) or not."""
+    field = exactalg._extension(7, 2)
+    points = list(field.points())
+    assert len(points) == 48
+    for x in points:
+        assert x * pow(x, -1, field) % field == 1
+        assert pow(x, 48, field) == 1
+        assert exactalg._coeffs(pow(x, 49, field)) == exactalg._coeffs(x)

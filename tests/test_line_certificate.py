@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dyndeg import ratmap
+from dyndeg import exactalg, ratmap
 from dyndeg.exactalg import MultiPoly, TermCapExceeded
 from dyndeg.fabc import FabcParams, build_map, build_map_symbolic
 from dyndeg.gfam import GFamilyParams, build_g, exceptional_set
@@ -168,6 +168,65 @@ def test_planted_common_factor_never_certified(f):
     flags, degrees = certified_flags(f, 2)
     assert degrees[1] < 4
     assert flags == [False, False]
+
+
+# -- the line's forms ---------------------------------------------------------
+
+
+@st.composite
+def maps_on_lines(draw):
+    """(f, forms, r): a plane map of degree at most 3, over Q with
+    r = 2^61 - 1 or over F_r with r = 101 or 7, and three binary forms mod r
+    of one degree D <= 3 (ascending in s, as the line stores them)."""
+    modulus = draw(st.sampled_from([None, 101, 7]))
+    r = modulus or exactalg._prime(0)
+    d = draw(st.integers(1, 3))
+    exps = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    coords = [
+        MultiPoly(3, {e: draw(st.integers(-3, 3)) for e in exps}, modulus)
+        for _ in range(3)
+    ]
+    assume(any(not c.is_zero() for c in coords))
+    size = draw(st.integers(2, 4))
+    form = st.lists(st.integers(0, r - 1), min_size=size, max_size=size)
+    forms = draw(st.lists(form, min_size=3, max_size=3))
+    return ProjectiveMap(coords), forms, r
+
+
+def composed_on_line(f, forms, r):
+    """The forms of f mod r with each point variable replaced by its binary
+    form, as MultiPolys in (s, t) mod r multiplied out term by term."""
+    top = len(forms[0]) - 1
+    line = [
+        MultiPoly(2, {(k, top - k): c for k, c in enumerate(form)}, r) for form in forms
+    ]
+    out = []
+    for coord in f.coords:
+        total = MultiPoly.zero(2, r)
+        for exps, coeff in coord.terms:
+            term = MultiPoly.constant(2, coeff, r)
+            for q, e in zip(line, exps):
+                for _ in range(e):
+                    term = term * q
+            total = total + term
+        out.append(total)
+    return out
+
+
+@given(maps_on_lines())
+# [X : 2X : -X] cancels to the constant map [1 : 2 : -1] of degree 0
+@example((ProjectiveMap([X, 2 * X, -X]), [[1, 2], [3, 4], [5, 6]], exactalg._prime(0)))
+@settings(max_examples=80, deadline=None)
+def test_line_compose_is_the_composition_on_the_line(case):
+    """_line_compose gives, coefficient by coefficient, the exact
+    composition of f with the line's forms mod r."""
+    f, forms, r = case
+    size = f.degree * (len(forms[0]) - 1) + 1
+    got = ratmap._line_compose(f, forms, r)
+    assert len(got) == 3
+    for row, exact in zip(got, composed_on_line(f, forms, r)):
+        coeffs = dict(exact.terms)
+        assert row == [coeffs.get((k, size - 1 - k), 0) for k in range(size)]
 
 
 # -- compositions the engine runs ---------------------------------------------

@@ -66,6 +66,17 @@ class TestMatrixBasics:
         a = [[1, 2], [3, 4]]
         assert mat_pow(a, 3) == mat_mul(a, mat_mul(a, a))
 
+    def test_mat_pow_edges(self):
+        a = [[0, 1, 0], [0, 0, 1], [-1, 2, 3]]
+        assert mat_pow(a, 0) == identity_rows(3)
+        assert mat_pow([[5]], 0) == ((1,),)
+        power = identity_rows(3)
+        for k in range(1, 10):
+            power = mat_mul(power, a)
+            assert mat_pow(a, k) == power
+        with pytest.raises(ValueError):
+            mat_pow(a, -1)
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             A21.n = 5
