@@ -99,7 +99,8 @@ def _complex_json(z: complex) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, payload)
+# subcommand handlers: each returns (exit_code, payload); main stamps the
+# payload's schema
 
 
 def _degree_run(args) -> tuple[int, dict, ProjectiveMap, DegreeSequence]:
@@ -108,7 +109,6 @@ def _degree_run(args) -> tuple[int, dict, ProjectiveMap, DegreeSequence]:
     f = _parse_map_document(args.map)
     seq = degree_sequence(f, args.nmax)
     payload = {
-        "schema": 1,
         "nmax": args.nmax,
         "degrees": list(seq.degrees),
         "drop_at": first_drop(seq.degrees, f.degree),
@@ -138,7 +138,6 @@ def _cmd_fabc_classify(args) -> tuple[int, dict]:
     p = FabcParams(args.a, args.b, args.c)
     verdict = classify(p)
     payload = {
-        "schema": 1,
         "a": str(p.a),
         "b": str(p.b),
         "c": str(p.c),
@@ -152,18 +151,11 @@ def _cmd_fabc_classify(args) -> tuple[int, dict]:
 def _cmd_fabc_modp(args) -> tuple[int, dict]:
     if (args.p is None) == (args.pmax is None):
         raise ValueError("give exactly one of -p or --pmax")
-
-    def row(prime: int) -> dict:
-        res = classify_mod_p(args.a, args.b, args.c, prime, search_cap=args.cap)
-        return {"p": res.p, "m": res.m, "status": res.status}
-
-    if args.p is not None:
-        entry = row(args.p)
-        payload = {"schema": 1, **entry}
-        code = EXIT_RESOURCE_CAP if entry["status"] == "NotFoundWithinCap" else EXIT_OK
-        return code, payload
-    table = [row(q) for q in range(2, args.pmax + 1) if is_prime(q)]
-    payload = {"schema": 1, "pmax": args.pmax, "table": table}
+    single = args.p is not None
+    primes = [args.p] if single else [q for q in range(2, args.pmax + 1) if is_prime(q)]
+    results = [classify_mod_p(args.a, args.b, args.c, q, search_cap=args.cap) for q in primes]
+    table = [{"p": r.p, "m": r.m, "status": r.status} for r in results]
+    payload = table[0] if single else {"pmax": args.pmax, "table": table}
     capped = any(r["status"] == "NotFoundWithinCap" for r in table)
     return (EXIT_RESOURCE_CAP if capped else EXIT_OK), payload
 
@@ -173,7 +165,6 @@ def _cmd_fabc_locus(args) -> tuple[int, dict]:
     generic = family_generic_stability(fam)
     locus = family_exceptional_locus(fam, args.nmax)
     payload = {
-        "schema": 1,
         "truncation": locus.truncation,
         "generic_status": generic.status,
         "entries": [
@@ -206,7 +197,6 @@ def _cmd_fabc_intersect(args) -> tuple[int, dict]:
     second = _family_option("--second", args.second)
     rep = unlikely_intersection_explorer(first, second, args.nmax)
     payload = {
-        "schema": 1,
         "truncation": rep.truncation,
         "phi_equal": rep.phi_equal,
         "first_size": rep.first_size,
@@ -230,7 +220,6 @@ def _cmd_gfam(args) -> tuple[int, dict]:
     if args.report:
         rep = negative_answer_report(args.nmax)
         payload = {
-            "schema": 1,
             "nmax": rep.n_max,
             "linear_set": list(rep.linear_set),
             "odd_set": list(rep.odd_set),
@@ -242,7 +231,6 @@ def _cmd_gfam(args) -> tuple[int, dict]:
         return EXIT_OK, payload
     p = GFamilyParams(args.a, args.b)
     payload = {
-        "schema": 1,
         "a": str(p.a),
         "b": str(p.b),
         "nmax": args.nmax,
@@ -264,7 +252,7 @@ def _cmd_gfam(args) -> tuple[int, dict]:
 def _cmd_monomial(args) -> tuple[int, dict]:
     m = _parse_matrix_document(args.matrix)
     report = full_report(m, rel_tol=args.rel_tol)
-    payload = {"schema": 1, "matrix": [list(r) for r in m.matrix], **report}
+    payload = {"matrix": [list(r) for r in m.matrix], **report}
     return EXIT_OK, payload
 
 
@@ -272,7 +260,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
     names = available_suites() if args.suite == "all" else (args.suite,)
     results = [run_suite(name, count=args.count, seed=args.seed) for name in names]
     payload = {
-        "schema": 1,
         "seed": args.seed,
         "suites": [
             {
@@ -419,6 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
+    payload["schema"] = 1
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -388,7 +388,9 @@ class MultiPoly:
     def evaluate(self, values: Sequence) -> Scalar:
         if len(values) != self.num_vars:
             raise ValueError("wrong number of values")
-        product = _monomials([_coerce(v, self.modulus) for v in values], operator.mul)
+        p = self.modulus
+        mul = operator.mul if p is None else (lambda a, b: a * b % p)
+        product = _monomials([_coerce(v, p) for v in values], mul)
         total = 0
         for exps, coeff in self.terms:
             prod = product(exps)

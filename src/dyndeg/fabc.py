@@ -26,7 +26,6 @@ from .cyclo import _two_cos_orders, cos_min_poly, euler_phi
 from .exactalg import (
     DomainMismatchError,
     MultiPoly,
-    is_prime,
     jacobian_det,
     parse_poly,
     poly_divexact,
@@ -294,14 +293,14 @@ def classify_mod_p(
     The default cap p^2 always suffices for p not dividing abc: the ratio of
     the characteristic roots lies in a field with p^2 elements, so its
     multiplicative order divides p^2 - 1 (and the repeated-root case
-    vanishes at m = p - 1).
+    vanishes at m = p - 1).  a, b, c and search_cap must be ints, not
+    bools, and p a prime int (``_check_modulus``).
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(v, int):
-            raise TypeError(f"{name} must be an integer")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_modulus(p)
     cap = p * p if search_cap is None else search_cap
+    for name, v in (("a", a), ("b", b), ("c", c), ("search_cap", cap)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{name} must be an integer, got {v!r}")
     if cap < 1:
         raise ValueError("search_cap must be >= 1")
     if (a * b * c) % p == 0:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .exactalg import MultiPoly, _exact_fraction
-from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint
+from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint, orbit
 
 __all__ = [
     "GFamilyParams",
@@ -153,35 +153,30 @@ OrbitOutcome = Union[HitsIndeterminacyAt, NoHitWithin]
 
 
 def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcome:
-    """Iterate the actual map on [1, 0, 1] and report the least n with
-    g_t^n([1, 0, 1]) = [t, 0, 1], if one exists with n <= n_max.
+    """Iterate the actual map on [1, 0, 1] (``ratmap.orbit``) and report the
+    least n with g_t^n([1, 0, 1]) = [t, 0, 1], if one exists with n <= n_max.
 
-    Every step is cross-checked against the closed form [e_n, 0, 1]; a
+    Every point is cross-checked against the closed form [e_n, 0, 1]; a
     mismatch would mean the recurrence and the map disagree and raises
-    RuntimeError.
+    RuntimeError, as does an indeterminate point other than [t, 0, 1].
     """
     t = _exact_fraction(t, "t")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    g = build_g(p, t)
+    walk = orbit(build_g(p, t), marked_point(), n_max)
     target = ProjectivePoint([t, 0, 1])
-    track = exceptional_set(p, n_max)
-    current = marked_point()
-    for n in range(n_max + 1):
-        if current != ProjectivePoint([track[n], 0, 1]):
+    for n, (point, e) in enumerate(zip(walk.points, exceptional_set(p, n_max))):
+        if point != ProjectivePoint([e, 0, 1]):
             raise RuntimeError(
                 f"marked orbit left its predicted track at step {n}"
             )
-        if current == target:
+        if point == target:
             return HitsIndeterminacyAt(n)
-        if n == n_max:
-            break
-        nxt = g.apply(current)
-        if nxt is INDETERMINATE:
-            raise RuntimeError(
-                f"marked orbit hit an unexpected indeterminate point at step {n}"
-            )
-        current = nxt
+    if walk.hit_indeterminacy_at is not None:
+        raise RuntimeError(
+            "marked orbit hit an unexpected indeterminate point at step "
+            f"{walk.hit_indeterminacy_at}"
+        )
     return NoHitWithin(n_max)
 
 

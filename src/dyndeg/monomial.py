@@ -133,11 +133,14 @@ def sup_norm(matrix: Sequence[Sequence[int]]) -> int:
     return max(abs(x) for row in matrix for x in row)
 
 
+def _clearing(rows: Sequence[Sequence[int]]) -> list[int]:
+    """For each column j, the power of X_j that clears its most negative
+    exponent (0 when the column has none)."""
+    return [max(0, -min(col)) for col in zip(*rows)]
+
+
 def _degree_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    col_clear = sum(max(0, max(-rows[i][j] for i in range(n))) for j in range(n))
-    max_row_sum = max(0, max(sum(row) for row in rows))
-    return col_clear + max_row_sum
+    return sum(_clearing(rows)) + max(0, max(sum(row) for row in rows))
 
 
 def degree_D(m: MonomialMap) -> int:
@@ -159,17 +162,13 @@ def homogenize(m: MonomialMap) -> ProjectiveMap:
     Coordinate i is prod_j X_j^(a_ij + c_j) * Z^(d - row degree), where c_j
     clears the most negative exponent in column j and d = degree_D.
     """
-    rows = m.matrix
-    n = m.n
-    clear = [max(0, max(-rows[i][j] for i in range(n))) for j in range(n)]
-    d = _degree_of_rows(rows)
+    clear = _clearing(m.matrix)
+    d = degree_D(m)
     coords = []
-    for i in range(n):
-        exps = [rows[i][j] + clear[j] for j in range(n)]
-        exps.append(d - sum(exps))
-        coords.append(MultiPoly.monomial(n + 1, tuple(exps), 1))
-    last = list(clear) + [d - sum(clear)]
-    coords.append(MultiPoly.monomial(n + 1, tuple(last), 1))
+    # the last coordinate, the affine constant 1, takes the zero row
+    for row in m.matrix + ((0,) * m.n,):
+        exps = [a + c for a, c in zip(row, clear)]
+        coords.append(MultiPoly.monomial(m.n + 1, (*exps, d - sum(exps)), 1))
     return ProjectiveMap(coords)
 
 
@@ -433,10 +432,9 @@ def inverse_map(m: MonomialMap) -> MonomialMap:
     """Exponent matrix of the inverse map; requires |det A| = 1."""
     if abs(m.det) != 1:
         raise ValueError("inverse requires |det A| = 1")
+    # A^-1 = adj(A) / det(A) = det(A) * adj(A) as det(A) = +-1
     adj = _adjugate(m.matrix)
-    if m.det == 1:
-        return MonomialMap(adj)
-    return MonomialMap(tuple(tuple(-x for x in row) for row in adj))
+    return MonomialMap(tuple(tuple(m.det * x for x in row) for row in adj))
 
 
 def inverse_degree_bound_check(m: MonomialMap, inv: MonomialMap | None = None) -> bool:

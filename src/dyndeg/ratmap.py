@@ -141,30 +141,27 @@ class ProjectiveMap:
         if len(degrees) != 1:
             raise ValueError("coordinate forms have different degrees")
         coords = _cancel(coords)[1]
-        scale = _canonical_scale(coords)
-        coords = tuple(c * scale for c in coords)
         degree = next(
             c.degree_in_vars(point_vars) for c in coords if not c.is_zero()
         )
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "num_params", nv - (n + 1))
-        object.__setattr__(self, "modulus", mod)
+        self._store(coords, n, degree, nv - (n + 1), mod)
 
     @classmethod
     def _coprime(cls, f: "ProjectiveMap", raw: Sequence[MultiPoly], degree: int):
         """Internal constructor for forms already known to be homogeneous of
         `degree`, coprime and not all zero, on the point variables and
         parameters of f: only the canonical scale runs."""
-        scale = _canonical_scale(raw)
         m = object.__new__(cls)
-        object.__setattr__(m, "coords", tuple(c * scale for c in raw))
-        object.__setattr__(m, "n", f.n)
-        object.__setattr__(m, "degree", degree)
-        object.__setattr__(m, "num_params", f.num_params)
-        object.__setattr__(m, "modulus", f.modulus)
+        m._store(raw, f.n, degree, f.num_params, f.modulus)
         return m
+
+    def _store(self, coprime, n, degree, num_params, modulus) -> None:
+        """Set the fields, in `__slots__` order, the coprime forms scaled to
+        their canonical representative."""
+        scale = _canonical_scale(coprime)
+        coords = tuple(c * scale for c in coprime)
+        for name, value in zip(self.__slots__, (n, coords, degree, num_params, modulus)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ProjectiveMap is immutable")

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON schemas, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -164,6 +165,12 @@ class TestFabcModp:
             "-p", "5", "--pmax", "7",
         )
         assert code == 2
+
+    def test_non_prime_names_the_modulus(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fabc-modp", "-a", "1", "-b", "1", "-c", "1", "-p", "1"
+        )
+        assert (code, out, err) == (2, "", "error: modulus 1 is not prime\n")
 
 
 class TestFabcLocus:
@@ -565,6 +572,45 @@ class TestNegativeValues:
     def test_unknown_option_still_refused(self, capsys):
         code, _, err = run_cli(capsys, "fabc-classify", "-a", "2", "-x", "-1/2", "-c", "1")
         assert code == 2 and "error:" in err
+
+
+# one call of every subcommand and mode, with the exit code it gives
+SCHEMA_CASES = [
+    (["degseq", "--map", UNSTABLE_MAP, "--nmax", "3"], 0),
+    (["stability", "--map", STABLE_MAP, "--nmax", "3"], 0),
+    (["fabc-classify", "-a", "1", "-b", "-2", "-c", "2"], 0),
+    (["fabc-modp", "-a", "-2", "-b", "1", "-c", "3", "-p", "7"], 0),
+    (["fabc-modp", "-a", "-2", "-b", "1", "-c", "3", "-p", "7", "--cap", "1"], 3),
+    (["fabc-modp", "-a", "-2", "-b", "1", "-c", "3", "--pmax", "13"], 0),
+    (["fabc-locus", "-a", "1", "-b", "1", "-c", "T", "--nmax", "5"], 0),
+    (["fabc-intersect", "--first", "1;1;T", "--second", "1;2;T", "--nmax", "5"], 0),
+    (["gfam", "-a", "1", "-b", "2", "--nmax", "4"], 0),
+    (["gfam", "-a", "1", "-b", "1", "-t", "5", "--nmax", "6"], 0),
+    (["gfam", "--report", "--nmax", "6"], 0),
+    (["monomial", "--matrix", "[[2,1],[1,1]]"], 0),
+    (["verify", "--suite", "gfam"], 0),
+]
+
+
+def test_schema_cases_cover_every_subcommand():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv, _ in SCHEMA_CASES} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize(
+    "argv, want", SCHEMA_CASES, ids=[f"{i}-{a[0]}" for i, (a, _) in enumerate(SCHEMA_CASES)]
+)
+def test_every_payload_carries_schema_one_once(capsys, fmt, argv, want):
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert (code, err) == (want, "")
+    if fmt == "json":
+        assert out.count('"schema"') == 1 and json.loads(out)["schema"] == 1
+    else:
+        assert [line for line in out.splitlines() if line.startswith("schema")] == [
+            "schema: 1"
+        ]
 
 
 with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")) as fh:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -490,6 +491,27 @@ def test_evaluate_shares_powers_across_terms(modulus):
     points = ([2, -3, 0], [0, 0, 0], [Fraction(-1, 2), 5, Fraction(2, 3)], [-1, -1, -1])
     for point in points:
         assert p.evaluate(point) == in_field(reference_value(p, point), modulus)
+
+
+def test_evaluate_mod_p_reduces_every_product(monkeypatch):
+    """Over F_p every power and monomial product that evaluate reads from
+    _monomials lies in [0, p), and the value is the pow(x, e, p) one."""
+    p = 2**61 - 1
+    seen = []
+    table = exactalg._monomials
+
+    def recording(values, mul):
+        product = table(values, mul)
+        return lambda exps: seen.append(product(exps)) or seen[-1]
+
+    monkeypatch.setattr(exactalg, "_monomials", recording)
+    rng = random.Random(3000)
+    coeffs = [rng.randrange(1, p) for _ in range(301)]
+    f = MultiPoly(1, {(e,): c for e, c in enumerate(coeffs)}, p)
+    x = rng.randrange(2, p)
+    assert f.evaluate([x]) == sum(c * pow(x, e, p) for e, c in enumerate(coeffs)) % p
+    assert len(seen) == len(coeffs)
+    assert all(v is None or 0 <= v < p for v in seen)
 
 
 @pytest.mark.parametrize("modulus", [None, 7])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -343,6 +344,23 @@ class TestClassifyModP:
             classify_mod_p(1, 1, 1, 6)
         with pytest.raises(TypeError):
             classify_mod_p(1.5, 1, 1, 5)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, error, message",
+        [
+            ((1, 1, 1, 7.0), {}, ValueError, "modulus 7.0 is not an integer"),
+            ((1, 1, 1, True), {}, ValueError, "modulus True is not an integer"),
+            ((True, 1, 1, 7), {}, TypeError, "a must be an integer, got True"),
+            ((-2, 1, 3, 7), {"search_cap": 2.5}, TypeError,
+             "search_cap must be an integer, got 2.5"),
+        ],
+        ids=["p-float", "p-bool", "a-bool", "cap-float"],
+    )
+    def test_refuses_inexact_input(self, args, kwargs, error, message):
+        # a float or bool passes % and * as a number, so each is
+        # refused before the search
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            classify_mod_p(*args, **kwargs)
 
 
 class TestFamilyParams:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from dyndeg import gfam
 from dyndeg.exactalg import MultiPoly
 from dyndeg.gfam import (
     GFamilyParams,
@@ -120,6 +121,8 @@ class TestOrbit:
         assert orbit_marked_point(GFamilyParams(1, 1), 5, 50) == HitsIndeterminacyAt(4)
         assert orbit_marked_point(GFamilyParams(1, 2), 4, 50) == NoHitWithin(50)
         assert orbit_marked_point(GFamilyParams(1, 1), 1, 50) == HitsIndeterminacyAt(0)
+        # the linear t = 1 member never meets an indeterminate point
+        assert orbit_marked_point(GFamilyParams(1, 1), 1, 5) == HitsIndeterminacyAt(0)
 
     def test_orbit_tracks_closed_form_on_grid(self):
         t = Fraction(1, 3)  # never a set member for integer (a, b)
@@ -137,6 +140,18 @@ class TestOrbit:
                     assert nxt is not INDETERMINATE
                     current = nxt
                 assert orbit_marked_point(p, t, 12) == NoHitWithin(12)
+
+    def test_unexpected_indeterminate_point_names_its_step(self, monkeypatch):
+        # the t = 4 member under t = 1/3: the (1, 1) orbit 1, 2, 3, 4 stays on
+        # its track and meets that member's indeterminacy point [4, 0, 1],
+        # which is not the target [1/3, 0, 1], at step 3
+        build = gfam.build_g
+        monkeypatch.setattr(gfam, "build_g", lambda p, t: build(p, 4))
+        with pytest.raises(
+            RuntimeError,
+            match=r"^marked orbit hit an unexpected indeterminate point at step 3$",
+        ):
+            orbit_marked_point(GFamilyParams(1, 1), Fraction(1, 3), 10)
 
     def test_hit_index_is_least(self):
         # (a, b) = (-1, 0) cycles 1, -1, 1, ...: t = -1 is reached first at n = 1

@@ -133,6 +133,35 @@ class TestHomogenize:
             assert homogenize(m).degree == degree_D(m)
 
 
+@st.composite
+def nonsingular_rows(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    assume(int_det(rows) != 0)
+    return rows
+
+
+@given(nonsingular_rows())
+@settings(max_examples=80, deadline=None)
+def test_clearing_and_homogenized_degree_match_loop_reference(rows):
+    n = len(rows)
+    clear = []
+    for j in range(n):
+        c = 0
+        for i in range(n):
+            c = max(c, -rows[i][j])
+        clear.append(c)
+    degree = sum(clear) + max(0, max(sum(row) for row in rows))
+    m = MonomialMap(rows)
+    assert monomial._clearing(m.matrix) == clear
+    assert degree_D(m) == degree
+    assert homogenize(m).degree == degree
+
+
 class TestCharPoly:
     def test_frozen_examples(self):
         assert char_poly(A21) == [1, -3, 1]
