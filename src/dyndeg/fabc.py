@@ -106,15 +106,6 @@ def inverse_map(p: FabcParams | None, modulus: int | None = None) -> ProjectiveM
     return ProjectiveMap([(a * b * b) * (x * (y - x)), w * w, b * (w * (y - x))])
 
 
-def build_map_symbolic() -> ProjectiveMap:
-    """The map with a, b, c as symbolic parameters (variables 3, 4, 5)."""
-    return build_map(None)
-
-
-def inverse_map_symbolic() -> ProjectiveMap:
-    return inverse_map(None)
-
-
 def indeterminacy_points(p: FabcParams) -> frozenset[ProjectivePoint]:
     """Common zeros of the three coordinate forms, derived from the system:
     XY = 0 and (XY + aZ^2) = 0 force Z = 0 (a != 0), leaving XY = 0 on the
@@ -135,10 +126,6 @@ def critical_locus(p: FabcParams | None) -> MultiPoly:
     """Jacobian determinant of the coordinate forms in X, Y, Z, canonically
     scaled; equals -2ab * Y * Z^2 up to that scaling."""
     return jacobian_det(build_map(p).coords).canonical()
-
-
-def critical_locus_symbolic() -> MultiPoly:
-    return critical_locus(None)
 
 
 @dataclass(frozen=True)

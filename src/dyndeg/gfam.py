@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .exactalg import MultiPoly, _exact_fraction
-from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint, orbit
+from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint, _walk
 
 __all__ = [
     "GFamilyParams",
@@ -153,8 +153,9 @@ OrbitOutcome = Union[HitsIndeterminacyAt, NoHitWithin]
 
 
 def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcome:
-    """Iterate the actual map on [1, 0, 1] (``ratmap.orbit``) and report the
-    least n with g_t^n([1, 0, 1]) = [t, 0, 1], if one exists with n <= n_max.
+    """Iterate the actual map on [1, 0, 1] (the walk behind ``ratmap.orbit``)
+    and report the least n with g_t^n([1, 0, 1]) = [t, 0, 1], if one exists
+    with n <= n_max; the walk stops there, applying g_t no further.
 
     Every point is cross-checked against the closed form [e_n, 0, 1]; a
     mismatch would mean the recurrence and the map disagree and raises
@@ -163,20 +164,19 @@ def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcom
     t = _exact_fraction(t, "t")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    walk = orbit(build_g(p, t), marked_point(), n_max)
+    track = exceptional_set(p, n_max)
     target = ProjectivePoint([t, 0, 1])
-    for n, (point, e) in enumerate(zip(walk.points, exceptional_set(p, n_max))):
-        if point != ProjectivePoint([e, 0, 1]):
+    for n, point in enumerate(_walk(build_g(p, t), marked_point(), n_max)):
+        if point is INDETERMINATE:
+            raise RuntimeError(
+                f"marked orbit hit an unexpected indeterminate point at step {n - 1}"
+            )
+        if point != ProjectivePoint([track[n], 0, 1]):
             raise RuntimeError(
                 f"marked orbit left its predicted track at step {n}"
             )
         if point == target:
             return HitsIndeterminacyAt(n)
-    if walk.hit_indeterminacy_at is not None:
-        raise RuntimeError(
-            "marked orbit hit an unexpected indeterminate point at step "
-            f"{walk.hit_indeterminacy_at}"
-        )
     return NoHitWithin(n_max)
 
 

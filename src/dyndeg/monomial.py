@@ -375,26 +375,11 @@ def spectral_radius_enclosure(m: MonomialMap, rel_tol: float = 1e-6) -> RadiusEn
     return analyze(m, rel_tol).radius
 
 
-def spectral_radius(m: MonomialMap, rel_tol: float = 1e-6) -> float:
-    """Midpoint of spectral_radius_enclosure; relative error <= rel_tol."""
-    return spectral_radius_enclosure(m, rel_tol).value
-
-
 def verify_norm_equivalence(m: MonomialMap) -> bool:
     """Exact check of D(A)/(2N) <= sup_norm(A) <= N * D(A)."""
     d = degree_D(m)
     s = sup_norm(m.matrix)
     return Fraction(d, 2 * m.n) <= s <= m.n * d
-
-
-def find_k_contraction(m: MonomialMap, rel_tol: float = 1e-6) -> int:
-    """Least contraction index k of the map (SpectralData.contraction_index)."""
-    return analyze(m, rel_tol).contraction_index()
-
-
-def degree_ratio_lower_bound(m: MonomialMap, rel_tol: float = 1e-6) -> LowerBoundCheck:
-    """The map's degree-ratio lower-bound check (SpectralData.degree_ratio_check)."""
-    return analyze(m, rel_tol).degree_ratio_check()
 
 
 def _adjugate(rows: Rows) -> Rows:
@@ -443,13 +428,6 @@ def inverse_degree_bound_check(m: MonomialMap, inv: MonomialMap | None = None) -
     if inv is None:
         inv = inverse_map(m)
     return degree_D(inv) <= degree_D(m) ** (m.n - 1)
-
-
-def find_m_epsilon(
-    m: MonomialMap, epsilon: float, rel_tol: float = 1e-6, m_cap: int = 64
-) -> int | None:
-    """Least m whose degree ratios reach lam - epsilon (SpectralData.m_epsilon)."""
-    return analyze(m, rel_tol).m_epsilon(epsilon, m_cap)
 
 
 def full_report(m: MonomialMap, rel_tol: float = 1e-6) -> dict:

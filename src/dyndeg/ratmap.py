@@ -17,7 +17,6 @@ from .exactalg import (
     DomainMismatchError,
     MultiPoly,
     TermCapExceeded,
-    jacobian_det,
     substitute_system,
     _cancel,
     _canonical_scale,
@@ -206,27 +205,6 @@ class ProjectiveMap:
         if not any(values):
             return INDETERMINATE
         return ProjectivePoint(values, self.modulus)
-
-    def is_dominant(self) -> bool:
-        """Exact dominance test via the Jacobian criterion.
-
-        Only valid in characteristic zero, where a vanishing Jacobian
-        determinant is equivalent to the coordinate forms being
-        algebraically dependent.
-        """
-        if self.modulus is not None:
-            raise DomainMismatchError(
-                "dominance test by Jacobian rank requires characteristic zero"
-            )
-        j = jacobian_det(self.coords, wrt=tuple(range(self.n + 1)))
-        return not j.is_zero()
-
-
-def identity_map(n: int, num_params: int = 0, modulus: int | None = None) -> ProjectiveMap:
-    nv = n + 1 + num_params
-    return ProjectiveMap(
-        [MultiPoly.variable(nv, i, modulus) for i in range(n + 1)]
-    )
 
 
 def _compose_forms(
@@ -452,18 +430,25 @@ def degree_drop_index(
     return first_drop(iter_degrees(f, n_max, term_cap), f.degree)
 
 
+def _walk(f: ProjectiveMap, start: PointLike, n_max: int) -> Iterator:
+    """Yield P, f(P), ..., f^n_max(P), applying f only when the next item is
+    asked for; where f is undefined at a yielded point, yield INDETERMINATE
+    after it and stop."""
+    p = _as_point(start, f.modulus)
+    for _ in range(n_max + 1):
+        yield p
+        p = f.apply(p)
+        if p is INDETERMINATE:
+            yield p
+            return
+
+
 def orbit(f: ProjectiveMap, start: PointLike, n_max: int) -> Orbit:
     """Forward orbit [P, f(P), ...], stopping at the first point where the
     map is undefined; that index is reported as the termination reason."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p = _as_point(start, f.modulus)
-    points = [p]
-    for i in range(n_max + 1):
-        nxt = f.apply(points[-1])
-        if nxt is INDETERMINATE:
-            return Orbit(tuple(points), hit_indeterminacy_at=len(points) - 1)
-        if i == n_max:
-            break
-        points.append(nxt)
+    points = list(_walk(f, start, n_max))
+    if points[-1] is INDETERMINATE:
+        return Orbit(tuple(points[:-1]), hit_indeterminacy_at=len(points) - 2)
     return Orbit(tuple(points), hit_indeterminacy_at=None)

@@ -79,15 +79,15 @@ def _run(name: str, seed: int | None, instances: Iterable[tuple[str, list[str]]]
     return SuiteResult(name, total, total - len(failures), tuple(failures), seed)
 
 
-def _seeded(count: int, seed: int, draw: Callable, check: Callable, *args) -> Iterator:
-    """(tag, check(m, *args)) per instance i of a seeded suite, whose map
+def _seeded(count: int, seed: int, draw: Callable, check: Callable) -> Iterator:
+    """(tag, check(m)) per instance i of a seeded suite, whose map
     m = draw(Random(seed * 1000003 + i)) replays from (seed, i) alone.  Only
     a failed instance prints its tag, so a passing one gets an empty tag."""
     if count < 1:
         raise ValueError("count must be positive")
     for i in range(count):
         m = draw(random.Random(seed * 1_000_003 + i))
-        problems = check(m, *args)
+        problems = check(m)
         tag = f"instance {i} (seed {seed}): matrix {list(m.matrix)}" if problems else ""
         yield tag, problems
 
@@ -102,8 +102,8 @@ def _random_monomial_map(rng: random.Random) -> MonomialMap:
             continue
 
 
-def _check_monomial_instance(m: MonomialMap, rel_tol: float) -> list[str]:
-    data = analyze(m, rel_tol)
+def _check_monomial_instance(m: MonomialMap) -> list[str]:
+    data = analyze(m)
     problems = []
     if not verify_norm_equivalence(m):
         problems.append("norm-equivalence bounds failed")
@@ -131,12 +131,12 @@ def _check_monomial_instance(m: MonomialMap, rel_tol: float) -> list[str]:
     return problems
 
 
-def monomial_suite(count: int = 1000, seed: int = DEFAULT_SEED, rel_tol: float = 1e-6) -> SuiteResult:
+def monomial_suite(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Random nonsingular integer matrices (N in 1..5, entries in [-9, 9]):
     norm equivalence, contraction index, degree-ratio lower bound,
     characteristic-coefficient bounds, and (N <= 3) the homogenization
-    cross-oracle."""
-    instances = _seeded(count, seed, _random_monomial_map, _check_monomial_instance, rel_tol)
+    cross-oracle, each map's radius certified at analyze's default rel_tol."""
+    instances = _seeded(count, seed, _random_monomial_map, _check_monomial_instance)
     return _run("monomial", seed, instances)
 
 
@@ -179,28 +179,27 @@ def unimodular_suite(count: int = 500, seed: int = DEFAULT_SEED + 1) -> SuiteRes
     return _run("unimodular", seed, instances)
 
 
-def fabc_grid_suite(
-    bound: int = 3,
-    recurrence_window: int = 24,
-    stable_window: int = 200,
-    degree_bound: int = 2,
-    degree_window: int = 6,
-) -> SuiteResult:
-    """Exhaustive classifier check on the integer grid |a|,|b|,|c| <= bound.
+# the fabc-grid suite runs the triples |a|,|b|,|c| <= _GRID_BOUND, abc != 0
+_GRID_BOUND = 3
+
+
+def fabc_grid_suite() -> SuiteResult:
+    """Exhaustive classifier check on the integer grid |a|,|b|,|c| <= 3,
+    abc != 0 (216 triples).
 
     Every triple's verdict is compared with the recurrence oracle: some
-    V_m = 0 with m <= recurrence_window iff Unstable, and Stable triples
-    must stay nonzero out to stable_window.  On the sub-grid
-    |a|,|b|,|c| <= degree_bound the verdict is also compared with the
-    degree-sequence oracle: deg(f^n) < 2^n for some n <= degree_window
-    iff Unstable.  A triple reports only its first failed comparison.
+    V_m = 0 with m <= 24 iff Unstable, and Stable triples must stay
+    nonzero out to 200.  On the sub-grid |a|,|b|,|c| <= 2 the verdict is
+    also compared with the degree-sequence oracle: deg(f^n) < 2^n for
+    some n <= 6 iff Unstable.  A triple reports only its first failed
+    comparison.
     """
 
     def check(a: int, b: int, c: int) -> list[str]:
         p = FabcParams(a, b, c)
         verdict = classify(p)
         unstable = verdict.status == "Unstable"
-        window = vn_sequence(p, recurrence_window)
+        window = vn_sequence(p, 24)
         has_zero = any(v == 0 for v in window[1:])
         if unstable != has_zero:
             return [
@@ -209,10 +208,10 @@ def fabc_grid_suite(
             ]
         if unstable and window[verdict.vanishing_index] != 0:
             return [f"vanishing index {verdict.vanishing_index} does not vanish"]
-        if not unstable and any(v == 0 for v in vn_sequence(p, stable_window)[1:]):
+        if not unstable and any(v == 0 for v in vn_sequence(p, 200)[1:]):
             return ["Stable verdict but recurrence vanishes"]
-        if max(abs(a), abs(b), abs(c)) <= degree_bound:
-            drop = degree_drop_index(build_map(p), degree_window)
+        if max(abs(a), abs(b), abs(c)) <= 2:
+            drop = degree_drop_index(build_map(p), 6)
             if unstable != (drop is not None):
                 return [
                     f"classifier says {verdict.status} but degree "
@@ -220,17 +219,18 @@ def fabc_grid_suite(
                 ]
         return []
 
-    triples = itertools.product([v for v in range(-bound, bound + 1) if v != 0], repeat=3)
+    values = [v for v in range(-_GRID_BOUND, _GRID_BOUND + 1) if v != 0]
+    triples = itertools.product(values, repeat=3)
     instances = ((f"triple ({a},{b},{c})", check(a, b, c)) for a, b, c in triples)
     return _run("fabc-grid", None, instances)
 
 
-def _check_gfam_pair(p: GFamilyParams, t: Fraction, orbit_window: int) -> list[str]:
+def _check_gfam_pair(p: GFamilyParams, t: Fraction) -> list[str]:
     try:
-        outcome = orbit_marked_point(p, t, orbit_window)
+        outcome = orbit_marked_point(p, t, 12)
     except RuntimeError as exc:  # the orbit left the closed-form track
         return [str(exc)]
-    if outcome != NoHitWithin(orbit_window):
+    if outcome != NoHitWithin(12):
         return [f"unexpected orbit outcome {outcome}"]
     return []
 
@@ -242,17 +242,17 @@ def _check_showcase_drop(t: int, should_drop: bool) -> list[str]:
     return []
 
 
-def gfam_suite(bound: int = 2, orbit_window: int = 12) -> SuiteResult:
-    """Marked-orbit family on the grid (a, b) in [-bound, bound]^2, a != 0:
-    the closed-form track matches the actual orbit step by step at a
-    parameter value outside the set, and the showcase degree drops and
+def gfam_suite() -> SuiteResult:
+    """Marked-orbit family on the grid (a, b) in [-2, 2]^2, a != 0: the
+    closed-form track matches the actual orbit step by step, 12 steps, at
+    a parameter value outside the set, and the showcase degree drops and
     non-drops hold."""
     t = Fraction(1, 3)  # never lands in an integer-parameter orbit
     pairs = (
-        (f"pair ({a},{b})", _check_gfam_pair(GFamilyParams(a, b), t, orbit_window))
-        for a in range(-bound, bound + 1)
+        (f"pair ({a},{b})", _check_gfam_pair(GFamilyParams(a, b), t))
+        for a in range(-2, 3)
         if a != 0
-        for b in range(-bound, bound + 1)
+        for b in range(-2, 3)
     )
     showcase = (
         (f"pair (1,1) at t={t_val}", _check_showcase_drop(t_val, should_drop))

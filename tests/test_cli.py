@@ -629,12 +629,30 @@ def test_golden_stdout(capsys, case):
     assert (code, out, err) == (0, case["stdout"], "")
 
 
+# the prime-field element class removed in 0.2.0, and the wrappers
+# removed in 0.3.0 with the module each lived in
+_REMOVED = {
+    "Fp": dyndeg.exactalg,
+    "spectral_radius": dyndeg.monomial,
+    "find_k_contraction": dyndeg.monomial,
+    "degree_ratio_lower_bound": dyndeg.monomial,
+    "find_m_epsilon": dyndeg.monomial,
+    "build_map_symbolic": dyndeg.fabc,
+    "inverse_map_symbolic": dyndeg.fabc,
+    "critical_locus_symbolic": dyndeg.fabc,
+    "identity_map": dyndeg.ratmap,
+    "is_dominant": dyndeg.ratmap.ProjectiveMap,
+}
+
+
 def test_public_names_resolve_and_versions_agree():
-    """Every exported name exists, the prime-field element class removed in
-    0.2.0 is not exported, and the package version matches pyproject.toml (read with a
-    regex: Python 3.10 has no tomllib)."""
+    """Every exported name exists, no name removed in 0.2.0 or 0.3.0 is
+    exported or left in its module, and the package version matches
+    pyproject.toml (read with a regex: Python 3.10 has no tomllib)."""
     assert all(hasattr(dyndeg, name) for name in dyndeg.__all__)
-    assert "Fp" not in dyndeg.__all__ and not hasattr(dyndeg, "Fp")
+    for name, home in _REMOVED.items():
+        assert name not in dyndeg.__all__ and not hasattr(dyndeg, name), name
+        assert not hasattr(home, name), name
     with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as fh:
         match = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
     assert match and match.group(1) == dyndeg.__version__

@@ -21,16 +21,13 @@ from dyndeg.fabc import (
     PreimagePoint,
     StabilityVerdict,
     build_map,
-    build_map_symbolic,
     classify,
     classify_mod_p,
     critical_locus,
-    critical_locus_symbolic,
     family_exceptional_locus,
     family_generic_stability,
     indeterminacy_points,
     inverse_map,
-    inverse_map_symbolic,
     mahler_height,
     preimage,
     same_ratio_invariant,
@@ -44,7 +41,6 @@ from dyndeg.ratmap import (
     ProjectivePoint,
     degree_drop_index,
     degree_sequence,
-    identity_map,
 )
 
 
@@ -108,17 +104,18 @@ class TestInverse:
         assert g.degree == 2
 
     def test_symbolic_composition_is_identity(self):
-        f = build_map_symbolic()
-        g = inverse_map_symbolic()
-        assert g.compose(f).coords == identity_map(2, num_params=3).coords
-        assert f.compose(g).coords == identity_map(2, num_params=3).coords
+        f = build_map(None)
+        g = inverse_map(None)
+        ident = ProjectiveMap([MultiPoly.variable(6, i) for i in range(3)]).coords
+        assert g.compose(f).coords == ident
+        assert f.compose(g).coords == ident
 
     def test_symbolic_degree_sequence(self):
-        assert degree_sequence(build_map_symbolic(), 4).degrees == (2, 4, 8, 16)
+        assert degree_sequence(build_map(None), 4).degrees == (2, 4, 8, 16)
 
     def test_random_triples_compose_to_identity(self):
         rng = random.Random(2024)
-        ident = identity_map(2).coords
+        ident = ProjectiveMap([MultiPoly.variable(3, i) for i in range(3)]).coords
         for _ in range(20):
             vals = []
             while len(vals) < 3:
@@ -147,7 +144,7 @@ class TestIndeterminacy:
 class TestCriticalLocus:
     def test_symbolic(self):
         x, y, z, a, b, c = (MultiPoly.variable(6, i) for i in range(6))
-        assert critical_locus_symbolic() == (-2 * a * b * y * z**2).canonical()
+        assert critical_locus(None) == (-2 * a * b * y * z**2).canonical()
 
     def test_concrete(self):
         assert critical_locus(FabcParams(1, 1, 1)) == poly3("Y*Z^2")

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from dyndeg import gfam
-from dyndeg.exactalg import MultiPoly
+from dyndeg.exactalg import MultiPoly, jacobian_det
 from dyndeg.gfam import (
     GFamilyParams,
     HitsIndeterminacyAt,
@@ -24,6 +24,7 @@ from dyndeg.gfam import (
 )
 from dyndeg.ratmap import (
     INDETERMINATE,
+    ProjectiveMap,
     ProjectivePoint,
     degree_drop_index,
     degree_sequence,
@@ -68,7 +69,7 @@ class TestBuildG:
             assert build_g(GFamilyParams(2, 5), t).degree == 2
 
     def test_birational_generic_member(self):
-        assert build_g(GFamilyParams(1, 1), 3).is_dominant()
+        assert not jacobian_det(build_g(GFamilyParams(1, 1), 3).coords).is_zero()
 
 
 class TestIndeterminacy:
@@ -144,14 +145,36 @@ class TestOrbit:
     def test_unexpected_indeterminate_point_names_its_step(self, monkeypatch):
         # the t = 4 member under t = 1/3: the (1, 1) orbit 1, 2, 3, 4 stays on
         # its track and meets that member's indeterminacy point [4, 0, 1],
-        # which is not the target [1/3, 0, 1], at step 3
+        # which is not the target [1/3, 0, 1], at step 3, also when that
+        # is the last step
         build = gfam.build_g
         monkeypatch.setattr(gfam, "build_g", lambda p, t: build(p, 4))
-        with pytest.raises(
-            RuntimeError,
-            match=r"^marked orbit hit an unexpected indeterminate point at step 3$",
-        ):
-            orbit_marked_point(GFamilyParams(1, 1), Fraction(1, 3), 10)
+        for n_max in (10, 3):
+            with pytest.raises(
+                RuntimeError,
+                match=r"^marked orbit hit an unexpected indeterminate point at step 3$",
+            ):
+                orbit_marked_point(GFamilyParams(1, 1), Fraction(1, 3), n_max)
+        assert orbit_marked_point(GFamilyParams(1, 1), Fraction(1, 3), 2) == NoHitWithin(2)
+
+    @pytest.mark.parametrize(
+        "t, n_max, outcome, applies",
+        [
+            # the t = 1 member's target is the marked point itself
+            (1, 2000, HitsIndeterminacyAt(0), 0),
+            (5, 50, HitsIndeterminacyAt(4), 4),
+            # the last point is applied too, to see whether it is indeterminate
+            (Fraction(1, 3), 12, NoHitWithin(12), 13),
+        ],
+    )
+    def test_walk_applies_the_map_up_to_the_hit(self, monkeypatch, t, n_max, outcome, applies):
+        calls = []
+        apply = ProjectiveMap.apply
+        monkeypatch.setattr(
+            ProjectiveMap, "apply", lambda self, q: calls.append(q) or apply(self, q)
+        )
+        assert orbit_marked_point(GFamilyParams(1, 1), t, n_max) == outcome
+        assert len(calls) == applies
 
     def test_hit_index_is_least(self):
         # (a, b) = (-1, 0) cycles 1, -1, 1, ...: t = -1 is reached first at n = 1

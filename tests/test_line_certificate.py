@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dyndeg import exactalg, ratmap
 from dyndeg.exactalg import MultiPoly, TermCapExceeded
-from dyndeg.fabc import FabcParams, build_map, build_map_symbolic
+from dyndeg.fabc import FabcParams, build_map
 from dyndeg.gfam import GFamilyParams, build_g, exceptional_set
 from dyndeg.ratmap import (
     ProjectiveMap,
@@ -102,7 +102,7 @@ def test_line_through_indeterminacy_point_declines(monkeypatch):
 
 
 def test_symbolic_parameters_stay_exact():
-    flags, _ = certified_flags(build_map_symbolic(), 2)
+    flags, _ = certified_flags(build_map(None), 2)
     assert flags == [False, False]
 
 
@@ -273,7 +273,7 @@ def test_certified_steps_compose_nothing(abc, modulus, calls):
 
 
 def test_symbolic_map_composes_every_step():
-    f = build_map_symbolic()
+    f = build_map(None)
     seq, count, _ = composed(f, 3)
     assert count == 2
     assert list(seq.degrees) == exact_degrees(f, 3)

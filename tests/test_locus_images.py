@@ -10,7 +10,7 @@ oracle for tests only.
 
 Given the field degree h_n = deg Psi_n of each order, `_slice_overlaps`
 first skips a pair of locus slices when lcm(h_n, h_m) exceeds the smaller
-slice degree.  Real slices of five families, one of them with a stripped
+slice degree.  Real slices of five families, one of them with an order-3
 slice of degree 1, check that every skipped pair has a constant exact gcd
 and that the screen changes no answer; the pair (T, 1, 1), (2T, 2, 2),
 whose slices have degree exactly h_n, checks the strict inequality.
@@ -128,9 +128,9 @@ def field_degree(n: int) -> int:
     return cos_min_poly(n).degree
 
 
-# (a, b, c): deg kappa = 1, 2 and 3 for kappa = c^2/(ab), and the last
-# family's order-3 slice keeps degree 1 once the factor T^2 + 1 it shares
-# with abc is stripped
+# (a, b, c): deg kappa = 1, 2 and 3 for kappa = c^2/(ab); every slice of
+# (2T, -1, T^2) is stripped of a power of T it shares with abc, and the
+# last family's order-3 slice is 3T + 4, of degree 1
 SCREEN_FAMILIES = (
     ("1", "-2", "3*T"),
     ("T+1", "2", "T"),
@@ -146,8 +146,12 @@ def locus_slices():
     return {f: _locus_polys(FamilyParams(*f), SCREEN_NMAX)[0] for f in SCREEN_FAMILIES}
 
 
-def test_stripped_slice_of_degree_one(locus_slices):
-    assert (3, 1) in [(n, p.degree) for n, p in locus_slices[SCREEN_FAMILIES[-1]]]
+def test_stripped_slice_of_degree_one():
+    # kappa = T for (T, 1, T): the order-3 numerator is -T^2 - T, and
+    # stripping the factor T it shares with abc = T^2 leaves T + 1
+    slices, abc, _ = _locus_polys(FamilyParams("T", "1", "T"), 3)
+    assert abc == T**2
+    assert slices == [(3, T + 1)]
 
 
 def test_every_screened_pair_is_coprime(locus_slices):

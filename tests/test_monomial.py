@@ -18,9 +18,6 @@ from dyndeg.monomial import (
     analyze,
     char_poly,
     degree_D,
-    degree_ratio_lower_bound,
-    find_k_contraction,
-    find_m_epsilon,
     full_report,
     homogenize,
     identity_rows,
@@ -30,7 +27,6 @@ from dyndeg.monomial import (
     mat_mul,
     mat_pow,
     power,
-    spectral_radius,
     spectral_radius_enclosure,
     sup_norm,
     _degree_of_rows,
@@ -249,7 +245,7 @@ class TestSpectralRadius:
         assert enc.high <= enc.low * (1 + 2e-6)
 
     def test_identity(self):
-        assert abs(spectral_radius(IDENT2) - 1.0) <= 1e-5
+        assert abs(analyze(IDENT2).radius.value - 1.0) <= 1e-5
 
     def test_estimate_above_the_radius_becomes_the_upper_bound(self, monkeypatch):
         # both ends of the float window lie above the radius, so the window's
@@ -260,17 +256,17 @@ class TestSpectralRadius:
         assert enc.high <= enc.low * (1 + Fraction(1e-6))
 
     def test_rotation(self):
-        assert abs(spectral_radius(MonomialMap([[0, 1], [-1, 0]])) - 1.0) <= 1e-5
+        assert abs(analyze(MonomialMap([[0, 1], [-1, 0]])).radius.value - 1.0) <= 1e-5
 
     def test_rel_tol_validation(self):
         with pytest.raises(ValueError):
-            spectral_radius(A21, 0.0)
+            analyze(A21, 0.0)
         with pytest.raises(ValueError):
-            spectral_radius(A21, 2e-3)
+            analyze(A21, 2e-3)
         # below the float epsilon the bisection cannot reach the tolerance
         for rel_tol in (1e-150, sys.float_info.epsilon / 2):
             with pytest.raises(ValueError, match="rel_tol must lie in"):
-                spectral_radius(A21, rel_tol)
+                analyze(A21, rel_tol)
 
     @pytest.mark.parametrize(
         "rows, rel_tol",
@@ -308,9 +304,9 @@ class TestSpectralRadius:
         assert enc.high <= enc.low * (1 + Fraction(1e-6))
 
     def test_radius_of_powers(self):
-        lam = spectral_radius(A21)
+        lam = analyze(A21).radius.value
         for k in range(1, 5):
-            lam_k = spectral_radius(power(A21, k))
+            lam_k = analyze(power(A21, k)).radius.value
             assert abs(lam_k - lam**k) / lam**k <= 1e-4
 
     def test_degree_growth_matches_radius(self):
@@ -345,13 +341,14 @@ def verify_all(m: MonomialMap) -> bool:
 
 class TestContractionIndex:
     def test_frozen_examples(self):
-        assert find_k_contraction(A21) == 0
-        assert find_k_contraction(IDENT2) == 0
+        assert analyze(A21).contraction_index() == 0
+        assert analyze(IDENT2).contraction_index() == 0
 
     def test_exhaustive_cross_check(self):
         m = MonomialMap([[3, -2], [1, 0]])
-        k = find_k_contraction(m)
-        lam = spectral_radius(m)
+        data = analyze(m)
+        k = data.contraction_index()
+        lam = data.radius.value
         factor = 2 ** (1 / 2) - 1
         norms = [sup_norm(mat_pow(m.matrix, j)) for j in range(3)]
         assert k in (0, 1)
@@ -362,14 +359,14 @@ class TestContractionIndex:
 
 class TestDegreeRatioBound:
     def test_frozen_example(self):
-        res = degree_ratio_lower_bound(A21)
+        res = analyze(A21).degree_ratio_check()
         assert isinstance(res, LowerBoundCheck)
         assert res.holds
         assert abs(res.rhs - 0.1381) <= 1e-3
         assert abs(res.lhs - GOLDEN) <= 1e-4
 
     def test_identity(self):
-        res = degree_ratio_lower_bound(IDENT2)
+        res = analyze(IDENT2).degree_ratio_check()
         assert res.holds
         assert abs(res.rhs - (2 ** 0.5 - 1) / 8) <= 1e-9
 
@@ -396,15 +393,15 @@ class TestInverseBound:
 
 class TestFindM:
     def test_identity_eps_09(self):
-        assert find_m_epsilon(IDENT2, 0.9) == 2
+        assert analyze(IDENT2).m_epsilon(0.9) == 2
 
     def test_identity_eps_05(self):
-        assert find_m_epsilon(IDENT2, 0.5) == 5
+        assert analyze(IDENT2).m_epsilon(0.5) == 5
 
     def test_frozen_example_revalidated(self):
-        m = find_m_epsilon(A21, 1.0)
+        m = analyze(A21).m_epsilon(1.0)
         assert m is not None
-        lam = spectral_radius(A21)
+        lam = analyze(A21).radius.value
         gamma = (2 ** 0.5 - 1) / 8
         for mm in range(1, m + 1):
             ok = True
@@ -418,10 +415,10 @@ class TestFindM:
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
-            find_m_epsilon(IDENT2, 0.0)
+            analyze(IDENT2).m_epsilon(0.0)
 
     def test_cap_returns_none(self):
-        assert find_m_epsilon(A21, 1e-9, m_cap=1) is None
+        assert analyze(A21).m_epsilon(1e-9, m_cap=1) is None
 
     def test_target_is_the_radius_value(self):
         # with rel_tol = 1e-3, value and high differ enough that this epsilon

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -41,6 +42,12 @@ class TestResults:
         assert SuiteResult(name="x", total=2, passed=2, failures=(), seed=None).ok
 
 
+def _fabc_grid_of_bound(bound):
+    """fabc_grid_suite on the sub-grid |a|,|b|,|c| <= bound of its grid."""
+    with mock.patch.object(suites, "_GRID_BOUND", bound):
+        return fabc_grid_suite()
+
+
 class TestReducedRuns:
     def test_monomial_sample(self):
         res = monomial_suite(count=80, seed=7)
@@ -76,7 +83,7 @@ class TestReducedRuns:
         assert all("left its predicted track at step 5" in f for f in res.failures)
 
     def test_fabc_small_grid(self):
-        res = fabc_grid_suite(bound=2, degree_bound=1)
+        res = _fabc_grid_of_bound(2)
         assert res.ok
         assert res.total == 64
 
@@ -113,7 +120,7 @@ class TestWorkDoneOnce:
             monkeypatch,
             suites,
             "_check_monomial_instance",
-            lambda m, rel_tol: (m.n, len(products)),
+            lambda m: (m.n, len(products)),
         )
         assert monomial_suite(count=50, seed=9).ok
         ends = [start for _, start in per_instance[1:]] + [len(products)]
@@ -159,7 +166,7 @@ _FAILING_CHECKS = {
         ),
     ),
     "fabc-grid": (
-        lambda: fabc_grid_suite(bound=1, degree_bound=1),
+        lambda: _fabc_grid_of_bound(1),
         (suites, "classify", lambda p: _STABLE),
         tuple(
             f"triple {t}: classifier says Stable but recurrence window has a zero"
