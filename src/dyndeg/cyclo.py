@@ -1,8 +1,8 @@
 """Cyclotomic polynomials and minimal polynomials of 2*cos(2*pi/n).
 
-Everything here is exact integer arithmetic on univariate polynomials
-(1-variable MultiPoly instances).  Results are cached per process by
-functools.cache.
+Everything here is exact integer arithmetic on ascending coefficient
+lists; each public function returns a 1-variable MultiPoly built once from
+its list.  Results are cached per process by functools.cache.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exactalg import MultiPoly, poly_divexact
-
-_X = MultiPoly.variable(1, 0)
+from .exactalg import MultiPoly, _sparse
 
 
 def euler_phi(n: int) -> int:
@@ -34,19 +32,31 @@ def euler_phi(n: int) -> int:
 
 
 @functools.cache
-def cyclotomic(n: int) -> MultiPoly:
-    """The n-th cyclotomic polynomial, monic with integer coefficients.
-
-    Computed as (x^n - 1) divided by the product of all lower cyclotomic
-    polynomials at divisors of n.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    numerator = _X**n - 1
+def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Ascending coefficients of x^n - 1 divided, exactly, by the monic
+    cyclotomic polynomials at the divisors d < n, one at a time."""
+    a = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            numerator = poly_divexact(numerator, cyclotomic(d))
-    return numerator
+            b = _cyclotomic_coeffs(d)
+            q = [0] * (len(a) - len(b) + 1)
+            for i in range(len(q) - 1, -1, -1):
+                c = q[i] = a[i + len(b) - 1]
+                for j, bj in enumerate(b):
+                    a[i + j] -= c * bj
+            if any(a):
+                raise ArithmeticError(f"cyclotomic({d}) does not divide")
+            a = q
+    return tuple(a)
+
+
+@functools.cache
+def cyclotomic(n: int) -> MultiPoly:
+    """The n-th cyclotomic polynomial, monic with integer coefficients:
+    (x^n - 1) divided by the cyclotomic polynomials at the divisors d < n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _sparse(_cyclotomic_coeffs(n))
 
 
 @functools.cache
@@ -61,28 +71,22 @@ def cos_min_poly(n: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        result = _X - 2
-    elif n == 2:
-        result = _X + 2
-    else:
-        phi = cyclotomic(n)
-        d = phi.degree
-        if d % 2 != 0:
-            raise AssertionError("cyclotomic degree must be even for n >= 3")
-        coeffs = [0] * (d + 1)
-        for exps, c in phi.terms:
-            coeffs[exps[0]] = c
-        if coeffs != coeffs[::-1]:
-            raise AssertionError("cyclotomic polynomial must be palindromic")
-        half = d // 2
-        result = MultiPoly.constant(1, coeffs[half])
-        prev, cur = MultiPoly.constant(1, 2), _X
-        for j in range(1, half + 1):
-            if j > 1:
-                prev, cur = cur, _X * cur - prev
-            result = result + cur * coeffs[half + j]
-    return result
+    if n <= 2:
+        return _sparse([-2 if n == 1 else 2, 1])
+    coeffs = _cyclotomic_coeffs(n)
+    d = len(coeffs) - 1
+    if d % 2 != 0:
+        raise AssertionError("cyclotomic degree must be even for n >= 3")
+    if coeffs != coeffs[::-1]:
+        raise AssertionError("cyclotomic polynomial must be palindromic")
+    half = d // 2
+    result = [coeffs[half]] + [0] * half
+    prev, cur = [2], [0, 1]
+    for j in range(1, half + 1):
+        for i, c in enumerate(cur):
+            result[i] += c * coeffs[half + j]
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return _sparse(result)
 
 
 def is_root_of_unity(min_poly: MultiPoly) -> int | None:

@@ -643,12 +643,17 @@ def _up_eval(a: list, x: int, p: int) -> int:
     return v
 
 
-def _up_mul(a: list, b: list, p: int) -> list:
+def _int_mul(a: list, b: list) -> list:
+    """Product of two ascending int lists, schoolbook."""
     out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         for j, v in enumerate(b):
-            out[i + j] = (out[i + j] + u * v) % p
+            out[i + j] += u * v
     return out
+
+
+def _up_mul(a: list, b: list, p: int) -> list:
+    return [c % p for c in _int_mul(a, b)]
 
 
 def _split_last(a: dict, p: int) -> dict:
@@ -913,21 +918,17 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def _univariate_image(p: MultiPoly) -> list | None:
-    """Ascending coefficient list of a nonzero univariate polynomial over Q,
-    denominators cleared, mod r = _prime(0); None when r divides its
-    leading coefficient.
+def _dense(p: MultiPoly) -> list:
+    """Ascending coefficient list of a univariate polynomial, [] for 0."""
+    out = [0] * (p.degree + 1) if p.terms else []
+    for (e,), c in p.terms:
+        out[e] = c
+    return out
 
-    Lemma (the one of _gcd_modular, with one prime and no points): let a, b
-    be integer polynomials with r dividing neither lc(a) nor lc(b).  A
-    primitive G = gcd(a, b) over Z has lc(G) dividing lc(a) (Gauss), so
-    G mod r keeps the degree of G and divides both images.  If _up_gcd of
-    the two images is constant, G is constant and gcd(a, b) = 1 over Q.  A
-    nonconstant image gcd proves nothing, so callers then run poly_gcd.
-    """
-    a = _integer_terms(p, (0,))[0]
-    image = _split_last(a, _prime(0)).get((), [])
-    return image if len(image) == max(a)[0] + 1 else None
+
+def _sparse(coeffs: Sequence) -> MultiPoly:
+    """The univariate polynomial over Q with ascending coefficients coeffs."""
+    return MultiPoly._build(1, {(i,): c for i, c in enumerate(coeffs)}, None)
 
 
 def _gcd_modular(a: dict, b: dict) -> tuple[dict, ...] | None:

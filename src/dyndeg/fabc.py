@@ -12,11 +12,12 @@ exceptional locus cut out by explicit polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from operator import indexOf
 from typing import Callable, Iterator, Union
 
@@ -30,13 +31,14 @@ from .exactalg import (
     parse_poly,
     poly_divexact,
     poly_gcd,
-    substitute_system,
     _check_modulus,
     _coerce,
+    _dense,
     _exact_fraction,
     _gcd_quotients,
+    _int_mul,
     _prime,
-    _univariate_image,
+    _sparse,
     _up_gcd,
 )
 from .ratmap import (
@@ -384,25 +386,17 @@ class ExceptionalLocus:
     truncation: int
 
 
-def _poly_coeffs_desc(poly: MultiPoly) -> list[Fraction]:
-    d = poly.degree if not poly.is_zero() else 0
-    out = [Fraction(0)] * (d + 1)
-    for exps, coeff in poly.terms:
-        out[d - exps[0]] = coeff
-    return out
-
-
 def _log(c: Rational) -> float:
     """Natural log of |c| for a nonzero int or Fraction of any size."""
     return math.log(abs(c.numerator)) - math.log(c.denominator)
 
 
-def _numeric_roots(poly: MultiPoly) -> tuple[complex, ...]:
-    """Roots of a univariate polynomial by numpy, sorted.  Past the float
-    range they are 2^k times the roots of p(2^k u) / 2^e, k the rounded
-    mean of log2|c_j / c_d| from the lowest nonzero c_j to d, and 2^e the
-    power of two nearest the largest coefficient of p(2^k u)."""
-    coeffs = _poly_coeffs_desc(poly)
+def _numeric_roots(coeffs: list) -> tuple[complex, ...]:
+    """Roots of p by numpy, sorted, coeffs its ascending coefficients.  Past
+    the float range they are 2^k times the roots of p(2^k u) / 2^e, k the
+    rounded mean of log2|c_j / c_d| from the lowest nonzero c_j to d, and
+    2^e the power of two nearest the largest coefficient of p(2^k u)."""
+    coeffs = coeffs[::-1]
     if len(coeffs) < 2:
         return ()
     try:
@@ -416,12 +410,13 @@ def _numeric_roots(poly: MultiPoly) -> tuple[complex, ...]:
     return tuple(sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))))
 
 
-def _height_from_roots(poly: MultiPoly, roots: tuple[complex, ...]) -> float:
-    """mahler_height of poly, given its numeric roots."""
-    d = poly.degree
+def _height_from_roots(coeffs: list, roots: tuple[complex, ...]) -> float:
+    """mahler_height of the polynomial with ascending coefficients coeffs,
+    given its numeric roots."""
+    d = len(coeffs) - 1
     if d < 1:
         raise ValueError("height needs a non-constant polynomial")
-    lead = poly.leading()[1]
+    lead = coeffs[-1]
     total = _log(lead) if abs(lead) > sys.float_info.max else math.log(abs(float(lead)))
     for r in roots:
         total += math.log(max(1.0, abs(r)))
@@ -431,14 +426,16 @@ def _height_from_roots(poly: MultiPoly, roots: tuple[complex, ...]) -> float:
 def mahler_height(poly: MultiPoly) -> float:
     """Degree-normalized log Mahler measure:
     (log|lead| + sum over roots of log max(1, |root|)) / deg."""
-    return _height_from_roots(poly, _numeric_roots(poly))
+    coeffs = _dense(poly)
+    return _height_from_roots(coeffs, _numeric_roots(coeffs))
 
 
 def _locus_polys(
     f: FamilyParams, n_max: int
-) -> tuple[list[tuple[int, MultiPoly]], MultiPoly, MultiPoly]:
-    """The exact part of family_exceptional_locus: the (order, polynomial)
-    slices, abc and the zeta = 1 polynomial c^2 + 4ab."""
+) -> tuple[list[tuple[int, list[int]]], MultiPoly, MultiPoly]:
+    """The exact part of family_exceptional_locus: the (order, slice)
+    pairs, each slice an ascending list of coprime ints with a positive
+    last entry, abc and the zeta = 1 polynomial c^2 + 4ab."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     generic = family_generic_stability(f)
@@ -447,23 +444,35 @@ def _locus_polys(
     ab = f.a_poly * f.b_poly
     c2 = f.c_poly * f.c_poly
     abc = (f.a_poly * f.b_poly * f.c_poly).canonical()
-    # Psi_n(w) at w = -(2ab + c^2)/(ab), cleared by (ab)^deg: substitute into
-    # Psi_n homogenised in (w, u), sum of c_j w^j u^(deg - j)
-    orders = range(3, n_max + 1)
-    homogenised = []
-    for n in orders:
-        psi = cos_min_poly(n)
-        homogenised.append(
-            MultiPoly(2, {(j, psi.degree - j): c for (j,), c in psi.terms})
-        )
-    numerators = substitute_system(homogenised, [-(2 * ab + c2), ab])
+    # Psi_n(w) at w = W/U, W = -(2ab + c^2) and U = ab, cleared by U^h for
+    # h = deg Psi_n <= n_max/2: sum of c_j W^j U^(h - j), by Horner in W,
+    # with W and U scaled by one integer so that both have integer coefficients
+    w, u = _dense(-(2 * ab + c2)), _dense(ab)
+    den = math.lcm(*(c.denominator for c in w + u))
+    w, u = [int(c * den) for c in w], [int(c * den) for c in u]
+    u_powers = list(accumulate(repeat(u, n_max // 2), _int_mul, initial=[1]))
     slices = []
-    for n, raw in zip(orders, numerators):
-        if raw.is_zero():
+    for n in range(3, n_max + 1):
+        psi = _dense(cos_min_poly(n))
+        h = len(psi) - 1
+        num = [psi[h]]
+        for j in range(h - 1, -1, -1):
+            num = _int_mul(num, w)
+            num += [0] * (len(u_powers[h - j]) - len(num))
+            for i, c in enumerate(u_powers[h - j]):
+                num[i] += psi[j] * c
+        while num and not num[-1]:
+            num.pop()
+        if not num:
             raise RuntimeError(f"order-{n} numerator vanished unexpectedly")
-        poly = _strip_shared_factors(raw.canonical(), abc).canonical()
-        if not poly.is_constant():
-            slices.append((n, poly))
+        content = math.gcd(*num) if num[-1] > 0 else -math.gcd(*num)
+        num = [c // content for c in num]
+        poly = _sparse(num)
+        stripped = _strip_shared_factors(poly, abc)
+        if stripped is not poly:
+            num = _dense(stripped.canonical())
+        if len(num) > 1:
+            slices.append((n, num))
     return slices, abc, (c2 + 4 * ab).canonical()
 
 
@@ -480,34 +489,48 @@ def family_exceptional_locus(f: FamilyParams, n_max: int) -> ExceptionalLocus:
     """
     slices, abc, zeta_one = _locus_polys(f, n_max)
     entries = []
-    for n, poly in slices:
-        roots = _numeric_roots(poly)
-        h = _height_from_roots(poly, roots)
+    for n, coeffs in slices:
+        roots = _numeric_roots(coeffs)
+        h = _height_from_roots(coeffs, roots)
         entries.append(
-            LocusEntry(order=n, poly=poly, roots=roots, heights=(h,) * len(roots))
+            LocusEntry(order=n, poly=_sparse(coeffs), roots=roots, heights=(h,) * len(roots))
         )
     return ExceptionalLocus(
         entries=tuple(entries),
-        degenerate_params=_numeric_roots(abc),
+        degenerate_params=_numeric_roots(_dense(abc)),
         zeta_one_poly=zeta_one,
         truncation=n_max,
     )
 
 
-def _distinct_root_count(poly: MultiPoly, image: list | None) -> int:
-    """Degree of the squarefree part of poly, given its _univariate_image.
+def _image(coeffs: list) -> list | None:
+    """The int list coeffs mod r = _prime(0), or None when r divides its
+    last entry.
 
-    When the image is coprime to its derivative, poly is squarefree: the
-    derivative of the cleared polynomial has leading coefficient deg * lc,
-    which the image prime (far above any degree) does not divide, so the
-    lemma of _univariate_image applies.  Otherwise the exact squarefree
-    part, poly divided by gcd(poly, poly'), decides.
+    Lemma (that of _gcd_modular with one prime and no points): if r divides
+    neither lc(a) nor lc(b) of integer polynomials a, b, the primitive
+    G = gcd(a, b) over Z keeps its degree mod r (lc(G) divides lc(a), by
+    Gauss) and divides both images, so a constant _up_gcd of the images
+    proves gcd(a, b) = 1 over Q.  A nonconstant one proves nothing, and
+    callers then run poly_gcd.
     """
+    r = _prime(0)
+    return [c % r for c in coeffs] if coeffs[-1] % r else None
+
+
+def _distinct_root_count(coeffs: list, image: list | None) -> int:
+    """Degree of the squarefree part of the polynomial with ascending int
+    coefficients coeffs, given its _image.  When the image is coprime to its
+    derivative the polynomial is squarefree, by _image's lemma: the
+    derivative's leading coefficient deg * lc is prime to the image prime,
+    far above any degree.  Otherwise the exact squarefree part, the
+    polynomial divided by its gcd with its derivative, decides."""
     if image is not None:
         r = _prime(0)
         derivative = [i * c % r for i, c in enumerate(image)][1:]
         if len(_up_gcd(image, derivative, r)) == 1:
-            return poly.degree
+            return len(coeffs) - 1
+    poly = _sparse(coeffs)
     return max(_gcd_quotients(poly, poly.partial(0))[1].degree, 0)
 
 
@@ -542,52 +565,59 @@ def same_ratio_invariant(first: FamilyParams, second: FamilyParams) -> bool:
     return (lhs - rhs).is_zero()
 
 
+@functools.cache
+def _compositum_degree(n: int, m: int) -> int:
+    """Degree D(n, m) of the compositum K of Q(zeta_n)^+ and Q(zeta_m)^+,
+    n, m >= 3: phi(L) / (2 if gcd(n, m) > 2 else 4), L = lcm(n, m).
+
+    Lemma: Gal(Q(zeta_L)/Q) = (Z/L)^x and Q(zeta_k)^+ is the fixed field of
+    H_k = {a : a = +-1 mod k} (Washington, GTM 83), so D = phi(L) / |H|,
+    H = H_n & H_m.  H holds a = 1 and a = -1 mod L, and by the CRT the two
+    a with a = +-1 mod n, a = -+1 mod m exactly when 1 = -1 mod gcd(n, m);
+    all four differ as n, m > 2.  K contains both fields, so D is a
+    multiple of lcm(h_n, h_m), h_k = phi(k) / 2.
+    """
+    return euler_phi(math.lcm(n, m)) // (2 if math.gcd(n, m) > 2 else 4)
+
+
 def _slice_overlaps(
-    first: list[tuple[int, MultiPoly]],
-    second: list[tuple[int, MultiPoly]],
-    field_degree: Callable[[int], int] | None = None,
+    first: list[tuple[int, list[int]]],
+    second: list[tuple[int, list[int]]],
+    field_degree: Callable[[int, int], int] | None = None,
 ) -> tuple[tuple[PairOverlap, ...], int, int]:
-    """Nontrivial common factors between two lists of (order, polynomial)
-    slices, and each list's distinct root count.
+    """Nontrivial common factors between two lists of (order, slice) pairs,
+    a slice a nonconstant ascending int list, and each list's root count.
 
-    field_degree, when given, maps an order n to an integer h_n dividing
-    [Q(T0):Q] for every root T0 of every order-n polynomial in either list.
-    A pair (S_n, S'_m) with lcm(h_n, h_m) > min(deg S_n, deg S'_m) is then
-    coprime and skipped with no gcd: a common root T0 would make both h_n
-    and h_m divide [Q(T0):Q], and [Q(T0):Q] <= deg gcd(S_n, S'_m) <=
+    field_degree, when given, maps orders (n, m) to an integer D dividing
+    [Q(T0):Q] for every common root T0 of an order-n slice S_n of first
+    and an order-m slice S'_m of second.  A pair with
+    D > min(deg S_n, deg S'_m) is then coprime and skipped with no gcd: a
+    common root T0 would give D <= [Q(T0):Q] <= deg gcd(S_n, S'_m) <=
     min(deg S_n, deg S'_m).  The screen compares integer degrees only.
-    Without field_degree no pair is screened, so any nonzero polynomials
-    may be compared.
+    Without field_degree no pair is screened, so any slices may be compared.
 
-    Each slice is reduced once by _univariate_image.  A pair whose images
-    have a constant gcd is coprime by that function's lemma; the exact
-    poly_gcd runs only on the other pairs, those with a nonconstant image
-    gcd or an image prime dividing a leading coefficient.
+    Each slice is reduced once by _image.  A pair whose images have a
+    constant gcd is coprime by that function's lemma; the exact poly_gcd
+    runs only on the other pairs, those with a nonconstant image gcd or an
+    image prime dividing a leading coefficient.
     """
     r = _prime(0)
-    h = field_degree or (lambda n: None)
-    imaged1 = [(n, p, _univariate_image(p), h(n)) for n, p in first]
-    imaged2 = [(n, p, _univariate_image(p), h(n)) for n, p in second]
+    imaged1 = [(n, c, _image(c)) for n, c in first]
+    imaged2 = [(n, c, _image(c)) for n, c in second]
     overlaps = []
-    for n1, p1, i1, h1 in imaged1:
-        for n2, p2, i2, h2 in imaged2:
-            if h1 is not None and math.lcm(h1, h2) > min(p1.degree, p2.degree):
+    for n1, c1, i1 in imaged1:
+        for n2, c2, i2 in imaged2:
+            if field_degree and field_degree(n1, n2) >= min(len(c1), len(c2)):
                 continue
             if i1 is not None and i2 is not None and len(_up_gcd(i1, i2, r)) == 1:
                 continue
-            g = poly_gcd(p1, p2)
+            g = poly_gcd(_sparse(c1), _sparse(c2))
             if g.is_constant():
                 continue
-            overlaps.append(
-                PairOverlap(
-                    order_first=n1,
-                    order_second=n2,
-                    poly=g,
-                    distinct_roots=_distinct_root_count(g, _univariate_image(g)),
-                )
-            )
-    size1 = sum(_distinct_root_count(p, i) for _, p, i, _ in imaged1)
-    size2 = sum(_distinct_root_count(p, i) for _, p, i, _ in imaged2)
+            coeffs = _dense(g)
+            overlaps.append(PairOverlap(n1, n2, g, _distinct_root_count(coeffs, _image(coeffs))))
+    size1 = sum(_distinct_root_count(c, i) for _, c, i in imaged1)
+    size2 = sum(_distinct_root_count(c, i) for _, c, i in imaged2)
     return tuple(overlaps), size1, size2
 
 
@@ -601,19 +631,19 @@ def unlikely_intersection_explorer(
     orders and the intersection is the union of pairwise gcd root sets.
     Only the exact slices are compared; no numeric root is computed.
 
-    Pairs are screened by field degree before any gcd.  Let T0 be a root of
-    the order-n slice S_n.  Its factors shared with abc are stripped, so
-    a(T0)b(T0) != 0, and x0 = -2 - kappa(T0) with kappa = c^2/(ab) lies in
-    Q(T0) and is a root of Psi_n = cos_min_poly(n).  Psi_n is irreducible
-    of degree h_n = phi(n)/2, so h_n = [Q(x0):Q] divides [Q(T0):Q], which
-    is the hypothesis of _slice_overlaps' screen with field_degree(n) = h_n.
+    Pairs are screened by field degree before any gcd.  Let T0 be a common
+    root of the order-n slice of the first locus and the order-m slice of
+    the second.  Factors shared with abc are stripped, so a(T0)b(T0) != 0,
+    and x0 = -2 - kappa(T0) with kappa = c^2/(ab) lies in Q(T0) and is a
+    root of Psi_n = cos_min_poly(n), likewise y0 of Psi_m.  Each root of
+    Psi_n generates the normal field Q(zeta_n)^+, so the subfield Q(x0, y0)
+    of Q(T0) is their compositum, of degree _compositum_degree(n, m): that
+    is the hypothesis of _slice_overlaps' screen.
     """
     slices1 = _locus_polys(first, n_max)[0]
     slices2 = _locus_polys(second, n_max)[0]
     phi_equal = same_ratio_invariant(first, second)
-    overlaps, size1, size2 = _slice_overlaps(
-        slices1, slices2, lambda n: euler_phi(n) // 2
-    )
+    overlaps, size1, size2 = _slice_overlaps(slices1, slices2, _compositum_degree)
     inter = sum(o.distinct_roots for o in overlaps)
     return IntersectionReport(
         truncation=n_max,

@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from itertools import islice
+from typing import Iterator, Union
 
 from .exactalg import MultiPoly, _exact_fraction
 from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint, _walk
@@ -103,6 +104,14 @@ def indeterminacy_points(p: GFamilyParams, t: Rational) -> frozenset[ProjectiveP
     return frozenset(q for q in candidates if g.apply(q) is INDETERMINATE)
 
 
+def _track(p: GFamilyParams) -> Iterator[Fraction]:
+    """e_0 = 1, e_1, e_2, ... by e_{n+1} = a*e_n + b, without end."""
+    e = Fraction(1)
+    while True:
+        yield e
+        e = p.a * e + p.b
+
+
 def exceptional_set(p: GFamilyParams, n_max: int) -> list[Fraction]:
     """First n_max + 1 unstable parameter values e_0, ..., e_{n_max}.
 
@@ -111,10 +120,7 @@ def exceptional_set(p: GFamilyParams, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    values = [Fraction(1)]
-    for _ in range(n_max):
-        values.append(p.a * values[-1] + p.b)
-    return values
+    return list(islice(_track(p), n_max + 1))
 
 
 def exact_membership(p: GFamilyParams, t: Rational) -> bool | None:
@@ -157,21 +163,20 @@ def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcom
     and report the least n with g_t^n([1, 0, 1]) = [t, 0, 1], if one exists
     with n <= n_max; the walk stops there, applying g_t no further.
 
-    Every point is cross-checked against the closed form [e_n, 0, 1]; a
-    mismatch would mean the recurrence and the map disagree and raises
-    RuntimeError, as does an indeterminate point other than [t, 0, 1].
+    Each point is checked against the closed form [e_n, 0, 1], e_n from
+    ``_track`` beside the walk; a mismatch (the recurrence and the map
+    disagree) raises RuntimeError, as does any other indeterminate point.
     """
     t = _exact_fraction(t, "t")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    track = exceptional_set(p, n_max)
     target = ProjectivePoint([t, 0, 1])
-    for n, point in enumerate(_walk(build_g(p, t), marked_point(), n_max)):
+    for n, (point, e) in enumerate(zip(_walk(build_g(p, t), marked_point(), n_max), _track(p))):
         if point is INDETERMINATE:
             raise RuntimeError(
                 f"marked orbit hit an unexpected indeterminate point at step {n - 1}"
             )
-        if point != ProjectivePoint([track[n], 0, 1]):
+        if point != ProjectivePoint([e, 0, 1]):
             raise RuntimeError(
                 f"marked orbit left its predicted track at step {n}"
             )

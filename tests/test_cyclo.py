@@ -10,7 +10,7 @@ from dyndeg.cyclo import (
     is_root_of_unity,
     rational_two_cos_values,
 )
-from dyndeg.exactalg import MultiPoly, parse_poly
+from dyndeg.exactalg import MultiPoly, _dense, parse_poly
 
 
 def U(text):
@@ -45,6 +45,13 @@ class TestCyclotomic:
         with pytest.raises(ValueError):
             cyclotomic(0)
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("x")
+        for n in range(1, 61):
+            expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
+            assert _dense(cyclotomic(n)) == expected, n
+
 
 class TestCosMinPoly:
     def test_frozen_examples(self):
@@ -66,6 +73,13 @@ class TestCosMinPoly:
             p = cos_min_poly(n)
             total = sum(float(c) * value ** exps[0] for exps, c in p.terms)
             assert abs(total) < 1e-9
+
+    def test_matches_sympy_minimal_polynomial(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("x")
+        for n in range(1, 31):
+            expected = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / n), t)
+            assert _dense(cos_min_poly(n)) == sympy.Poly(expected, t).all_coeffs()[::-1], n
 
     def test_monic_integer(self):
         for n in range(1, 40):

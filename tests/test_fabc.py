@@ -11,7 +11,8 @@ import pytest
 
 from dyndeg import fabc
 from dyndeg.cyclo import cos_min_poly
-from dyndeg.exactalg import MultiPoly, parse_poly, poly_gcd, substitute_system
+from dyndeg import exactalg
+from dyndeg.exactalg import MultiPoly, _dense, parse_poly, poly_gcd
 from dyndeg.fabc import (
     DegenerateParameterError,
     FabcParams,
@@ -549,33 +550,42 @@ class TestLocusWorkDoneOnce:
         calls = self._spy_roots(monkeypatch)
         loc = family_exceptional_locus(FamilyParams("T", "1+T", "T^2"), 12)
         assert len(calls) == len(loc.entries) + 1
-        assert calls[:-1] == [e.poly for e in loc.entries]
+        assert calls[:-1] == [_dense(e.poly) for e in loc.entries]
         for e in loc.entries:
             assert e.heights == (mahler_height(e.poly),) * len(e.roots)
 
     def test_shared_psi_powers_give_the_same_polynomials(self, monkeypatch):
-        """One substitute_system call gives every Psi_n numerator."""
-        fam = FamilyParams("T", "1+T", "T^2")
-        ab = fam.a_poly * fam.b_poly
-        neg_w_num = -(2 * ab + fam.c_poly * fam.c_poly)
-        batches = []
+        """The integer-list numerators, one per order and before the abc
+        strip, are the canonical forms of the Psi_n numerators summed from
+        fresh MultiPoly powers, with no substitute_system call.  The second
+        family clears denominators, and its W = -(2T + 1) has a lower
+        degree than U = ab = -T^2/2."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("substitute_system called")
 
-        def spy(polys, assignment, **kwargs):
-            out = substitute_system(polys, assignment, **kwargs)
-            batches.append(out)
-            return out
+        numerators = []
+        original = fabc._strip_shared_factors
 
-        monkeypatch.setattr(fabc, "substitute_system", spy)
-        fabc._locus_polys(fam, 30)
-        assert len(batches) == 1
-        assert [p.terms for p in batches[0]] == [
-            _reference_psi_numerator(n, neg_w_num, ab).terms for n in range(3, 31)
-        ]
+        def spy(poly, other):
+            numerators.append(poly)
+            return original(poly, other)
+
+        monkeypatch.setattr(exactalg, "substitute_system", refuse)
+        monkeypatch.setattr(fabc, "_strip_shared_factors", spy)
+        for fam in (FamilyParams("T", "1+T", "T^2"), FamilyParams("T", "-1/2*T", "T+1")):
+            ab = fam.a_poly * fam.b_poly
+            neg_w_num = -(2 * ab + fam.c_poly * fam.c_poly)
+            numerators.clear()
+            fabc._locus_polys(fam, 30)
+            assert [p.terms for p in numerators] == [
+                _reference_psi_numerator(n, neg_w_num, ab).canonical().terms
+                for n in range(3, 31)
+            ]
 
     def test_slices_are_the_locus_polynomials(self):
         fam = FamilyParams("T", "1+T", "T^2")
         slices, abc, zeta_one = fabc._locus_polys(fam, 20)
         loc = family_exceptional_locus(fam, 20)
-        assert slices == [(e.order, e.poly) for e in loc.entries]
+        assert slices == [(e.order, _dense(e.poly)) for e in loc.entries]
         assert zeta_one == loc.zeta_one_poly
         assert abc == (fam.a_poly * fam.b_poly * fam.c_poly).canonical()

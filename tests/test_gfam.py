@@ -176,6 +176,23 @@ class TestOrbit:
         assert orbit_marked_point(GFamilyParams(1, 1), t, n_max) == outcome
         assert len(calls) == applies
 
+    def test_verdicts_need_no_precomputed_track(self, monkeypatch):
+        # the walk checks each point against e_n computed beside it, so the
+        # whole list exceptional_set(p, n_max) is never built
+        def refuse(p, n_max):
+            raise AssertionError("exceptional_set called")
+
+        monkeypatch.setattr(gfam, "exceptional_set", refuse)
+        p = GFamilyParams(1, 1)
+        assert orbit_marked_point(p, 1, 2000) == HitsIndeterminacyAt(0)
+        assert orbit_marked_point(p, 5, 50) == HitsIndeterminacyAt(4)
+        assert orbit_marked_point(p, Fraction(1, 3), 12) == NoHitWithin(12)
+        assert orbit_marked_point(GFamilyParams(2, 0), 1024, 12) == HitsIndeterminacyAt(10)
+        assert orbit_marked_point(GFamilyParams(Fraction(1, 2), 1), Fraction(63, 32), 6) == (
+            HitsIndeterminacyAt(5)
+        )
+        assert classify_parameter(GFamilyParams(1, 2), 21, 12).n == 10
+
     def test_hit_index_is_least(self):
         # (a, b) = (-1, 0) cycles 1, -1, 1, ...: t = -1 is reached first at n = 1
         assert orbit_marked_point(GFamilyParams(-1, 0), -1, 20) == HitsIndeterminacyAt(1)

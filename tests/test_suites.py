@@ -70,14 +70,13 @@ class TestReducedRuns:
     def test_gfam_suite_fails_when_the_track_is_shifted(self, monkeypatch):
         """The orbit check inside orbit_marked_point is the suite's only
         track check: shifting one closed-form value fails every pair."""
-        original = gfam.exceptional_set
+        original = gfam._track
 
-        def shifted(p, n_max):
-            track = original(p, n_max)
-            track[5] += 1
-            return track
+        def shifted(p):
+            for n, e in enumerate(original(p)):
+                yield e + 1 if n == 5 else e
 
-        monkeypatch.setattr(gfam, "exceptional_set", shifted)
+        monkeypatch.setattr(gfam, "_track", shifted)
         res = gfam_suite()
         assert res.failed == 20
         assert all("left its predicted track at step 5" in f for f in res.failures)
