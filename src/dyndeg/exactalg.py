@@ -169,6 +169,37 @@ def _monomials(values: Sequence, mul: Callable) -> Callable:
     return product
 
 
+# Kronecker packing: a polynomial over Z as one int, its coefficients the
+# signed digits of width bytes each, digit k at bit 8 * width * k.
+
+
+def _pack(digits: Iterable[tuple[int, int]], size: int, width: int) -> int:
+    """The int sum of c * 2^(8 * width * k) over the pairs (k, c) of
+    distinct slots k < size with |c| < 2^(8 * width - 1), built from two
+    byte strings: one of the positive digits, one of the negated negative
+    ones."""
+    pos, neg = bytearray(size * width), bytearray(size * width)
+    for k, c in digits:
+        at = k * width
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        elif c:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, slots: Iterable[int], size: int, width: int) -> list[int]:
+    """The digits at `slots` of an int that _pack could build from digits
+    at slots below size: 2^(8 * width - 1) is added to every slot, which
+    makes every digit nonnegative without a carry, the sum is turned into
+    bytes once, and only the slots asked for are read back."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    raw = (value + bias).to_bytes(size * width, "little")
+    read = int.from_bytes
+    return [read(raw[k * width : (k + 1) * width], "little") - half for k in slots]
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -450,6 +481,92 @@ class TermCapExceeded(ArithmeticError):
         self.n = n
 
 
+# Widest slot the packed composition takes: past it (input coefficients of
+# about 2^70 in the iterates' forms) the sparse loop ran faster.
+_PACK_MAX_BITS = 256
+
+
+def _packed_substitute(
+    polys: Sequence[MultiPoly], assignment: Sequence[MultiPoly], term_cap: int | None
+) -> list[MultiPoly] | None:
+    """substitute_system by Kronecker substitution (Harvey, J. Symbolic
+    Comput. 44, 2009), or None where it does not run.  It runs when every
+    input is a nonzero form with int coefficients in two or more
+    variables, the assignment's forms share one degree D, the most terms
+    an output form of degree d * D can have, C(d * D + nv - 1, nv - 1), is
+    at most term_cap for every output (so the sparse loop's cap could not
+    fire either), and the slot width B is at most _PACK_MAX_BITS.
+
+    Lemma.  Let the G_i be the assignment's forms in x_0, ..., x_m,
+    P one of the polys, a form of degree d with coefficients c_e, and
+    R = d' * D + 1, d' the largest such d.  phi: x_m -> 1,
+    x_j -> 2^(B * R^j) for j < m is a ring map Z[x] -> Z.  A form H of
+    degree d * D has exponents e_j <= d * D < R, so its monomials land on
+    distinct slots s(e) = sum_{j<m} e_j * R^j, and when its coefficients
+    lie in (-2^(B-1), 2^(B-1)) they are the signed B-bit digits of phi(H),
+    the exponent of x_m being d * D minus the others: H is read back from
+    phi(H).  phi(P(G)) = sum_e c_e * prod_i phi(G_i)^(e_i), which
+    _monomials and the sums compute on ints.  As
+    ||A * B||_1 <= ||A||_1 * ||B||_1 and no norm is below 1, every
+    intermediate and final coefficient (each power, product and partial
+    sum, and P(G)) is bounded in absolute value by
+    sum_e |c_e| * prod_i ||G_i||_1^(e_i), and B is chosen so that this
+    bound and every ||G_i||_1 lie below 2^(B-1): packing and unpacking are
+    one to one.  Over F_p the residues in [0, p) are packed, the same
+    argument reads back the integer P(G) of those residues, and
+    MultiPoly._set reduces each slot mod p.
+    """
+    nv, mod = assignment[0].num_vars, assignment[0].modulus
+    if nv < 2 or not polys or not all(
+        q.terms
+        and all(c.__class__ is int for _, c in q.terms)
+        and q.is_homogeneous_in(range(q.num_vars))
+        for q in (*polys, *assignment)
+    ):
+        return None
+    inner = assignment[0].degree
+    if any(g.degree != inner for g in assignment):
+        return None
+    degrees = [p.degree * inner for p in polys]
+    if term_cap is not None and math.comb(max(degrees) + nv - 1, nv - 1) > term_cap:
+        return None
+    norms = [sum(abs(c) for _, c in g.terms) for g in assignment]
+    bound = max(
+        norms
+        + [sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in p.terms) for p in polys]
+    )
+    width = (bound.bit_length() + 8) // 8  # the least with bound < 2^(8 * width - 1)
+    if 8 * width > _PACK_MAX_BITS:
+        return None
+    radix = max(degrees) + 1
+    weights = [radix**j for j in range(nv - 1)]
+
+    def size(deg: int) -> int:
+        return deg * weights[-1] + 1
+
+    product = _monomials(
+        [
+            _pack(((sum(map(operator.mul, e, weights)), c) for e, c in g.terms), size(inner), width)
+            for g in assignment
+        ],
+        operator.mul,
+    )
+    out = []
+    for p, deg in zip(polys, degrees):
+        total = 0
+        for e, c in p.terms:
+            prod = product(e)
+            total += c if prod is None else c * prod
+        # (exponents of x_0..x_{m-1} summing to at most deg, slot, their sum)
+        vecs = [((), 0, 0)]
+        for w in weights:
+            vecs = [(e + (k,), s + k * w, t + k) for e, s, t in vecs for k in range(deg - t + 1)]
+        digits = _unpack(total, (s for _, s, _ in vecs), size(deg), width)
+        terms = {e + (deg - t,): c for (e, _, t), c in zip(vecs, digits) if c}
+        out.append(MultiPoly._build(nv, terms, mod))
+    return out
+
+
 def substitute_system(
     polys: Sequence[MultiPoly],
     assignment: Sequence[MultiPoly],
@@ -468,6 +585,9 @@ def substitute_system(
         raise DomainMismatchError("assignment polynomials disagree")
     if any(p.modulus != mod for p in polys):
         raise DomainMismatchError("assignment domain differs from polynomial")
+    packed = _packed_substitute(polys, assignment, term_cap)
+    if packed is not None:
+        return packed
     product = _monomials(assignment, operator.mul)
     out = []
     for p in polys:
@@ -490,14 +610,24 @@ def _heap_key(exps: tuple) -> tuple:
 
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact division p / d; raises NotDivisibleError when the quotient
-    would not be polynomial."""
+    would not be polynomial.  Over Q the denominators are cleared first:
+    p = s * A with A the integer terms of p, and d = D / t with D = t * d
+    primitive (t = _canonical_scale of d), so p / d = s * t * (A / D), the
+    division _divide_terms makes on integers."""
     p._check_compat(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quot = _divide_terms(dict(p.terms), d.terms, p.modulus)
+    if p.modulus is None:
+        rem, s = _integer_terms(p, (0,) * p.num_vars)
+        t = _canonical_scale((d,))
+        d, scale = d * t, s * t
+    else:
+        rem, scale = dict(p.terms), 1
+    quot = _divide_terms(rem, d.terms, p.modulus)
     if quot is None:
         raise NotDivisibleError("leading term not divisible")
-    return MultiPoly._build(p.num_vars, dict(quot), p.modulus)
+    terms = {e: c * scale for e, c in quot} if scale != 1 else dict(quot)
+    return MultiPoly._build(p.num_vars, terms, p.modulus)
 
 
 def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
@@ -505,10 +635,9 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 
     rem maps exponent vectors to nonzero coefficients and is consumed; d
     lists (exponent vector, coefficient) pairs, grlex-leading term first.
-    Coefficients are ints and Fractions over Q, or ints reduced mod p when
-    p is given.  Over Q a quotient coefficient is exact:
-    rc // lc when the divisor's int leading coefficient lc divides rc, a
-    Fraction otherwise.
+    Coefficients are ints, reduced mod p when p is given; over Q, d must
+    be primitive, and a quotient coefficient is rc // lc, or the division
+    gives up when the leading coefficient lc of d does not divide rc.
     A heap of grlex keys runs over rem; a key whose term cancelled stays in
     the heap and is skipped when popped.  Each step pops the leading
     remainder term, divides it by the leading term of d (or gives up), and
@@ -522,14 +651,16 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
     The loop therefore ends, with an empty remainder exactly when d
     divides rem: if d*q = rem, the leading term of any nonzero remainder
     d*(q - partial quotient) is divisible by the leading term of d.
+
+    Lemma (Gauss exit over Q): a primitive d in Z[x] that divides rem in
+    Q[x] has a quotient q in Z[x] (Gauss's lemma), and each quotient term
+    the loop forms is a term of q: the remainder is d*(q - partial
+    quotient), whose leading term is the leading term of d times that of
+    q - partial quotient, a term of q.  So lc not dividing rc proves that
+    d does not divide rem, and no coefficient leaves Z.
     """
     (lead_e, lead_c), rest = d[0], d[1:]
-    if p:
-        inv = pow(lead_c, -1, p)
-    elif lead_c.__class__ is int:
-        inv = None
-    else:
-        inv = 1 / lead_c
+    inv = pow(lead_c, -1, p) if p else None
     sub, add, neg = operator.sub, operator.add, operator.neg
     heap = [_heap_key(e) for e in rem]
     heapq.heapify(heap)
@@ -545,12 +676,10 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
             return None
         if p:
             qc = rc * inv % p
-        elif inv is None:
+        else:
             qc, r = divmod(rc, lead_c)
             if r:
-                qc = Fraction(rc, lead_c)
-        else:
-            qc = rc * inv
+                return None
         quot.append((qe, qc))
         for de, dc in rest:
             e = tuple(map(add, qe, de))

@@ -212,21 +212,22 @@ def classify_parameter(p: GFamilyParams, t: Rational, n_max: int) -> ParameterVe
 
 
 def _truncated_values(p: GFamilyParams, bound: int) -> tuple[int, ...]:
-    """Members of {e_n} lying in [1, bound], as a sorted tuple.
+    """Members of {e_n} lying in [1, bound], as a sorted tuple, read off
+    _track.
 
     The caller must pass a family whose values strictly increase from
     e_0 = 1, as the report families do, so the scan stops at the first
     value past bound; any other family raises ValueError.
     """
-    values = []
-    e = Fraction(1)
-    while e <= bound:
+    values, prev = [], None
+    for e in _track(p):
+        if prev is not None and e <= prev:
+            raise ValueError("the family's values must increase")
+        if e > bound:
+            return tuple(values)
         if e.denominator == 1:
             values.append(int(e))
-        e, prev = p.a * e + p.b, e
-        if e <= prev:
-            raise ValueError("the family's values must increase")
-    return tuple(values)
+        prev = e
 
 
 @dataclass(frozen=True)

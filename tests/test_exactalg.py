@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -549,3 +551,190 @@ def test_extension_inverses_and_order():
         assert x * pow(x, -1, field) % field == 1
         assert pow(x, 48, field) == 1
         assert exactalg._coeffs(pow(x, 49, field)) == exactalg._coeffs(x)
+
+
+# -- packed composition -------------------------------------------------------
+
+
+def sparse_substitute(polys, assignment, term_cap=None):
+    """substitute_system on its sparse loop, the packed path switched off."""
+    with mock.patch.object(exactalg, "_packed_substitute", lambda *args: None):
+        return substitute_system(polys, assignment, term_cap=term_cap)
+
+
+nonzero_coeffs = st.one_of(
+    st.integers(-3, -1),
+    st.integers(1, 3),
+    st.integers(2**61, 2**64),
+    st.integers(-(2**64), -(2**61)),
+)
+
+
+@st.composite
+def forms(draw, num_vars, degree, modulus):
+    """A nonzero form of one degree; zero coefficients leave gaps."""
+    exps = [
+        e for e in itertools.product(range(degree + 1), repeat=num_vars) if sum(e) == degree
+    ]
+    terms = {e: draw(st.just(0) | nonzero_coeffs) for e in exps if draw(st.booleans())}
+    terms[draw(st.sampled_from(exps))] = draw(nonzero_coeffs)
+    poly = MultiPoly(num_vars, terms, modulus)
+    assume(not poly.is_zero())
+    return poly
+
+
+@st.composite
+def compositions(draw, modulus):
+    """(outer forms, assignment forms of one degree) the packed path takes."""
+    nv = draw(st.integers(2, 3))
+    inner = draw(st.integers(1, 3))
+    assignment = [draw(forms(nv, inner, modulus)) for _ in range(nv)]
+    outer = [draw(forms(nv, draw(st.integers(0, 2)), modulus)) for _ in range(2)]
+    return outer, assignment
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 101, 2**61 - 1])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_composition_equals_the_sparse_loop(modulus, data):
+    outer, assignment = data.draw(compositions(modulus))
+    packed = exactalg._packed_substitute(outer, assignment, None)
+    assume(packed is not None)  # slots wider than the cap stay sparse
+    assert packed == sparse_substitute(outer, assignment)
+    assert substitute_system(outer, assignment) == packed
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("width", [1, 8, 9, 31])
+def test_packed_slot_width_holds_its_bound(sign, width):
+    """Output coefficients of exactly 2^(8 * width - 1), the bound of
+    Sum |c_e| * Prod ||G_i||_1^(e_i) reached, need the sign bit of a slot
+    one byte wider: one bit less and the digit reads back wrong."""
+    x, y = (MultiPoly.variable(2, i) for i in range(2))
+    top = 8 * width - 1
+    cases = [
+        ([x], [sign * 2**top * x, y]),  # the bound is an input's norm
+        ([x * y], [2 ** (top // 2) * x, sign * 2 ** (top - top // 2) * y]),  # a product's
+    ]
+    for outer, assignment in cases:
+        packed = exactalg._packed_substitute(outer, assignment, None)
+        assert packed is not None
+        assert packed == sparse_substitute(outer, assignment)
+        assert packed[0].terms[0][1] == sign * 2**top
+
+
+def test_packed_slot_width_cap():
+    """Slots of 256 bits are packed; one more byte goes to the sparse loop."""
+    x, y = (MultiPoly.variable(2, i) for i in range(2))
+    for top, packs in ((247, True), (255, False)):
+        assignment = [2**top * (x + y), x - y]  # ||G_0||_1 = 2^(top + 1)
+        outer = [x, y]
+        packed = exactalg._packed_substitute(outer, assignment, None)
+        assert (packed is not None) == packs
+        assert substitute_system(outer, assignment) == sparse_substitute(outer, assignment)
+
+
+def test_packed_dispatch_at_the_term_cap(monkeypatch):
+    """A quartic plane output has C(6, 2) = 15 slots: a cap of 15 packs and
+    gives the uncapped forms; a cap of 14 stays on the sparse loop and
+    raises after the same additions as the sparse loop does alone."""
+    f = [(X + Y + Z) ** 2, (X - Y) ** 2 + Z**2, X * Y + Y * Z + Z**2]
+    full = sparse_substitute(f, f)
+    assert len(full[0].terms) == 15
+    assert exactalg._packed_substitute(f, f, 15) == full
+    assert substitute_system(f, f, term_cap=15) == full
+    assert exactalg._packed_substitute(f, f, 14) is None
+    added = []
+    plain_add = MultiPoly.__add__
+
+    def counting_add(p, q):
+        added.append(1)
+        return plain_add(p, q)
+
+    monkeypatch.setattr(MultiPoly, "__add__", counting_add)
+    counts = []
+    for run in (substitute_system, sparse_substitute):
+        added.clear()
+        with pytest.raises(exactalg.TermCapExceeded):
+            run(f, f, term_cap=14)
+        counts.append(len(added))
+    assert counts[0] == counts[1] > 0
+
+
+def test_packed_path_skips_parameters_fractions_and_zero_forms():
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    assert exactalg._packed_substitute([x * y], [x, y, x + z], None) is not None
+    for outer, assignment in (
+        ([x * y], [x, y * z, z]),  # forms of two degrees, as a parameter's X_k
+        ([x * y], [Fraction(1, 2) * x, y, z]),  # a Fraction coefficient
+        ([x * y], [x, MultiPoly.zero(3), z]),  # a zero form
+        ([x * y + z], [x, y, z]),  # an outer polynomial that is no form
+    ):
+        assert exactalg._packed_substitute(outer, assignment, None) is None
+        assert substitute_system(outer, assignment) == sparse_substitute(outer, assignment)
+    t = MultiPoly.variable(1, 0)
+    assert exactalg._packed_substitute([t * t], [3 * t], None) is None
+
+
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=30), st.integers(9, 12))
+@settings(max_examples=60, deadline=None)
+def test_pack_unpack_round_trip(digits, width):
+    size = len(digits)
+    value = exactalg._pack(enumerate(digits), size, width)
+    assert value == sum(c << (8 * width * k) for k, c in enumerate(digits))
+    assert exactalg._unpack(value, range(size), size, width) == digits
+
+
+# -- rational division on integers --------------------------------------------
+
+
+def test_failing_rational_candidate_builds_no_fraction(monkeypatch):
+    """A primitive candidate whose leading coefficient stops dividing is
+    refused on the spot: no Fraction is formed."""
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(exactalg, "Fraction", NoFraction)
+    x, y = (MultiPoly.variable(2, i) for i in range(2))
+    d = 2 * x + 3 * y
+    for n in (x * x + y * y, d * (x - y) + y * y, d * (5 * x + y) + 2 * y):
+        rem = dict(n.terms)
+        assert exactalg._divide_terms(rem, d.terms) is None
+    assert exactalg._certify(dict((d * (x + y)).terms), dict((d * x).terms), {(0, 2): 1}) is None
+
+
+@st.composite
+def fraction_polys(draw):
+    terms = {
+        (draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    }
+    return MultiPoly(2, terms)
+
+
+@given(fraction_polys(), fraction_polys(), fraction_polys())
+@settings(max_examples=60, deadline=None)
+def test_divexact_on_fractions_matches_sympy(p, q, r):
+    sympy = pytest.importorskip("sympy")
+    assume(not q.is_zero())
+    gens = sympy.symbols("x y")
+
+    def to_sympy(m):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in m.terms} or {(0, 0): 0},
+            *gens,
+            domain="QQ",
+        )
+
+    n = p * q + r
+    quo, rem = sympy.div(to_sympy(n), to_sympy(q))
+    if rem.is_zero:
+        got = poly_divexact(n, q)
+        assert to_sympy(got) == quo
+    else:
+        with pytest.raises(NotDivisibleError):
+            poly_divexact(n, q)

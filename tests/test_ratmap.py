@@ -212,9 +212,15 @@ class TestDegreeSequences:
         with pytest.raises(TermCapExceeded):
             substitute_system(f.coords, list(f.coords), term_cap=5)
         assert len(added) == 1 < first_terms
-        added.clear()
+        monkeypatch.undo()
+        # uncapped, the composition is sympy's expansion of f(f)
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols("x y z")
+        exprs = [sympy.Poly.from_dict(dict(c.terms), *gens).as_expr() for c in f.coords]
         raw = substitute_system(f.coords, list(f.coords))
-        assert len(added) == sum(len(c.terms) for c in f.coords)
+        for c, e in zip(raw, exprs):
+            expected = sympy.Poly(e.subs(dict(zip(gens, exprs)), simultaneous=True), *gens)
+            assert dict(c.terms) == expected.as_dict()
         assert max(len(c.terms) for c in raw) > 5
 
     def test_estimates(self):
