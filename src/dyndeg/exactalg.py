@@ -428,10 +428,6 @@ class MultiPoly:
             total += coeff if prod is None else coeff * prod
         return _coerce(total, self.modulus)
 
-    def substitute(self, assignment: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute a polynomial for every variable."""
-        return substitute_system([self], assignment)[0]
-
     def partial(self, var: int) -> "MultiPoly":
         """Partial derivative with respect to one variable."""
         out = {}
@@ -1198,14 +1194,10 @@ def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
 # -- determinants and Jacobians ---------------------------------------------
 
 
-def jacobian_det(
-    forms: Sequence[MultiPoly], wrt: Sequence[int] | None = None
-) -> MultiPoly:
-    """Determinant of the Jacobian matrix of `forms`.
-
-    By default differentiates with respect to the first len(forms)
-    variables; extra variables ride along as symbolic coefficients.
-    """
+def jacobian_det(forms: Sequence[MultiPoly]) -> MultiPoly:
+    """Determinant of the Jacobian matrix of `forms` with respect to the
+    first len(forms) variables; extra variables ride along as symbolic
+    coefficients."""
     n = len(forms)
     if n == 0:
         raise ValueError("need at least one form")
@@ -1214,13 +1206,9 @@ def jacobian_det(
     for f in forms:
         if f.num_vars != nv or f.modulus != mod:
             raise DomainMismatchError("forms disagree in variables or domain")
-    if wrt is None:
-        wrt = tuple(range(n))
-    if len(wrt) != n:
-        raise ValueError("non-square Jacobian system")
-    if any(v < 0 or v >= nv for v in wrt):
-        raise ValueError("differentiation variable out of range")
-    rows = [[f.partial(v) for v in wrt] for f in forms]
+    if n > nv:
+        raise ValueError("more forms than variables")
+    rows = [[f.partial(v) for v in range(n)] for f in forms]
     return _poly_matrix_det(rows)
 
 

@@ -29,7 +29,6 @@ from .exactalg import (
     MultiPoly,
     jacobian_det,
     parse_poly,
-    poly_divexact,
     poly_gcd,
     _check_modulus,
     _coerce,
@@ -358,13 +357,23 @@ def family_generic_stability(f: FamilyParams) -> GenericStability:
     return GenericStability(status="GenericallyUnstable", kappa=kappa, witness=verdict)
 
 
-def _strip_shared_factors(poly: MultiPoly, other: MultiPoly) -> MultiPoly:
-    """Divide out of poly every factor it shares with other, repeatedly."""
+def _strip_shared_factors(num: list[int], shared: MultiPoly) -> list[int]:
+    """The locus numerator with ascending primitive int coefficients num,
+    every factor it shares with shared divided out, as the same kind of
+    list; num itself when shared is constant, with no gcd run.
+
+    shared is gcd(ab, c), and the lemma of _locus_polys makes it hold
+    every factor num shares with abc.  Each gcd hands back its quotient
+    (_gcd_quotients), so each factor is divided out once.
+    """
+    if shared.is_constant():
+        return num
+    poly = _sparse(num)
     while True:
-        g = poly_gcd(poly, other)
+        g, quotient, _ = _gcd_quotients(poly, shared)
         if g.is_constant():
-            return poly
-        poly = poly_divexact(poly, g)
+            return _dense(poly.canonical())
+        poly = quotient
 
 
 @dataclass(frozen=True)
@@ -435,7 +444,18 @@ def _locus_polys(
 ) -> tuple[list[tuple[int, list[int]]], MultiPoly, MultiPoly]:
     """The exact part of family_exceptional_locus: the (order, slice)
     pairs, each slice an ascending list of coprime ints with a positive
-    last entry, abc and the zeta = 1 polynomial c^2 + 4ab."""
+    last entry, abc and the zeta = 1 polynomial c^2 + 4ab.
+
+    Lemma: every factor that an order-n numerator shares with abc divides
+    gcd(ab, c), so the slices are stripped against that one gcd.  With
+    U = ab, W = -(2ab + c^2) and Psi_n = cos_min_poly(n) = sum psi_j w^j,
+    monic of degree h, the numerator is N_n = sum psi_j W^j U^(h - j).
+    At a root T0 of ab, N_n(T0) = (-c(T0)^2)^h, zero only if c(T0) = 0.
+    At a root T0 of c alone, W(T0) = -2U(T0), so N_n(T0) =
+    U(T0)^h Psi_n(-2), which is nonzero: -2 = 2cos(2 pi k/n) only for
+    n = 2.  So each root of an irreducible factor that N_n shares with
+    abc is a root of both ab and c, and the factor divides gcd(ab, c).
+    """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     generic = family_generic_stability(f)
@@ -443,7 +463,8 @@ def _locus_polys(
         raise ValueError("family is generically unstable; locus undefined")
     ab = f.a_poly * f.b_poly
     c2 = f.c_poly * f.c_poly
-    abc = (f.a_poly * f.b_poly * f.c_poly).canonical()
+    abc = (ab * f.c_poly).canonical()
+    shared = poly_gcd(ab, f.c_poly)
     # Psi_n(w) at w = W/U, W = -(2ab + c^2) and U = ab, cleared by U^h for
     # h = deg Psi_n <= n_max/2: sum of c_j W^j U^(h - j), by Horner in W,
     # with W and U scaled by one integer so that both have integer coefficients
@@ -466,11 +487,7 @@ def _locus_polys(
         if not num:
             raise RuntimeError(f"order-{n} numerator vanished unexpectedly")
         content = math.gcd(*num) if num[-1] > 0 else -math.gcd(*num)
-        num = [c // content for c in num]
-        poly = _sparse(num)
-        stripped = _strip_shared_factors(poly, abc)
-        if stripped is not poly:
-            num = _dense(stripped.canonical())
+        num = _strip_shared_factors([c // content for c in num], shared)
         if len(num) > 1:
             slices.append((n, num))
     return slices, abc, (c2 + 4 * ab).canonical()

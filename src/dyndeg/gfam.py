@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Iterator, Union
 
 from .exactalg import MultiPoly, _exact_fraction
-from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint, _walk
+from .ratmap import INDETERMINATE, ProjectiveMap, ProjectivePoint, orbit
 
 __all__ = [
     "GFamilyParams",
@@ -159,8 +159,8 @@ OrbitOutcome = Union[HitsIndeterminacyAt, NoHitWithin]
 
 
 def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcome:
-    """Iterate the actual map on [1, 0, 1] (the walk behind ``ratmap.orbit``)
-    and report the least n with g_t^n([1, 0, 1]) = [t, 0, 1], if one exists
+    """Walk the actual map's orbit of [1, 0, 1] (``ratmap.orbit``) and
+    report the least n with g_t^n([1, 0, 1]) = [t, 0, 1], if one exists
     with n <= n_max; the walk stops there, applying g_t no further.
 
     Each point is checked against the closed form [e_n, 0, 1], e_n from
@@ -171,7 +171,7 @@ def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcom
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     target = ProjectivePoint([t, 0, 1])
-    for n, (point, e) in enumerate(zip(_walk(build_g(p, t), marked_point(), n_max), _track(p))):
+    for n, (point, e) in enumerate(zip(orbit(build_g(p, t), marked_point(), n_max), _track(p))):
         if point is INDETERMINATE:
             raise RuntimeError(
                 f"marked orbit hit an unexpected indeterminate point at step {n - 1}"

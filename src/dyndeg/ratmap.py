@@ -242,16 +242,6 @@ class DynamicalDegreeEstimate:
     n_used: int
 
 
-@dataclass(frozen=True)
-class Orbit:
-    points: tuple[ProjectivePoint, ...]
-    hit_indeterminacy_at: int | None
-
-    @property
-    def completed(self) -> bool:
-        return self.hit_indeterminacy_at is None
-
-
 # Seed of the lines the coprimality certificate restricts iterates to.
 _LINE_SEED = 20160
 
@@ -430,10 +420,13 @@ def degree_drop_index(
     return first_drop(iter_degrees(f, n_max, term_cap), f.degree)
 
 
-def _walk(f: ProjectiveMap, start: PointLike, n_max: int) -> Iterator:
+def orbit(f: ProjectiveMap, start: PointLike, n_max: int) -> Iterator:
     """Yield P, f(P), ..., f^n_max(P), applying f only when the next item is
     asked for; where f is undefined at a yielded point, yield INDETERMINATE
-    after it and stop."""
+    after it and stop.  A negative n_max raises ValueError at the first
+    step."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     p = _as_point(start, f.modulus)
     for _ in range(n_max + 1):
         yield p
@@ -441,14 +434,3 @@ def _walk(f: ProjectiveMap, start: PointLike, n_max: int) -> Iterator:
         if p is INDETERMINATE:
             yield p
             return
-
-
-def orbit(f: ProjectiveMap, start: PointLike, n_max: int) -> Orbit:
-    """Forward orbit [P, f(P), ...], stopping at the first point where the
-    map is undefined; that index is reported as the termination reason."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    points = list(_walk(f, start, n_max))
-    if points[-1] is INDETERMINATE:
-        return Orbit(tuple(points[:-1]), hit_indeterminacy_at=len(points) - 2)
-    return Orbit(tuple(points), hit_indeterminacy_at=None)

@@ -630,7 +630,8 @@ def test_golden_stdout(capsys, case):
 
 
 # the prime-field element class removed in 0.2.0, and the wrappers
-# removed in 0.3.0 with the module each lived in
+# removed in 0.3.0 and 0.4.0 (with the orbit record) with the module or
+# class each lived in
 _REMOVED = {
     "Fp": dyndeg.exactalg,
     "spectral_radius": dyndeg.monomial,
@@ -642,13 +643,16 @@ _REMOVED = {
     "critical_locus_symbolic": dyndeg.fabc,
     "identity_map": dyndeg.ratmap,
     "is_dominant": dyndeg.ratmap.ProjectiveMap,
+    "Orbit": dyndeg.ratmap,
+    "substitute": dyndeg.exactalg.MultiPoly,
 }
 
 
 def test_public_names_resolve_and_versions_agree():
-    """Every exported name exists, no name removed in 0.2.0 or 0.3.0 is
-    exported or left in its module, and the package version matches
-    pyproject.toml (read with a regex: Python 3.10 has no tomllib)."""
+    """Every exported name exists, no name removed in 0.2.0, 0.3.0 or
+    0.4.0 is exported or left in its module, and the package version
+    matches pyproject.toml (read with a regex: Python 3.10 has no
+    tomllib)."""
     assert all(hasattr(dyndeg, name) for name in dyndeg.__all__)
     for name, home in _REMOVED.items():
         assert name not in dyndeg.__all__ and not hasattr(dyndeg, name), name

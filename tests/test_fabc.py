@@ -555,20 +555,21 @@ class TestLocusWorkDoneOnce:
             assert e.heights == (mahler_height(e.poly),) * len(e.roots)
 
     def test_shared_psi_powers_give_the_same_polynomials(self, monkeypatch):
-        """The integer-list numerators, one per order and before the abc
-        strip, are the canonical forms of the Psi_n numerators summed from
-        fresh MultiPoly powers, with no substitute_system call.  The second
-        family clears denominators, and its W = -(2T + 1) has a lower
-        degree than U = ab = -T^2/2."""
+        """The integer-list numerators, one per order and collected where
+        they enter the strip, before its gate, are the canonical forms of
+        the Psi_n numerators summed from fresh MultiPoly powers, with no
+        substitute_system call.  The first family shares T with abc and is
+        stripped; the second is not (gcd(ab, c) = 1), clears denominators,
+        and its W = -(2T + 1) has a lower degree than U = ab = -T^2/2."""
         def refuse(*args, **kwargs):
             raise AssertionError("substitute_system called")
 
         numerators = []
         original = fabc._strip_shared_factors
 
-        def spy(poly, other):
-            numerators.append(poly)
-            return original(poly, other)
+        def spy(num, shared):
+            numerators.append(num)
+            return original(num, shared)
 
         monkeypatch.setattr(exactalg, "substitute_system", refuse)
         monkeypatch.setattr(fabc, "_strip_shared_factors", spy)
@@ -577,8 +578,8 @@ class TestLocusWorkDoneOnce:
             neg_w_num = -(2 * ab + fam.c_poly * fam.c_poly)
             numerators.clear()
             fabc._locus_polys(fam, 30)
-            assert [p.terms for p in numerators] == [
-                _reference_psi_numerator(n, neg_w_num, ab).canonical().terms
+            assert numerators == [
+                _dense(_reference_psi_numerator(n, neg_w_num, ab).canonical())
                 for n in range(3, 31)
             ]
 
@@ -589,3 +590,69 @@ class TestLocusWorkDoneOnce:
         assert slices == [(e.order, _dense(e.poly)) for e in loc.entries]
         assert zeta_one == loc.zeta_one_poly
         assert abc == (fam.a_poly * fam.b_poly * fam.c_poly).canonical()
+
+
+def _slices_stripped_against_abc(fam, n_max):
+    """The order-n slices as the locus built them before the strip lemma:
+    each numerator, from fresh MultiPoly powers, with every factor it
+    shares with abc divided out by poly_gcd and poly_divexact until none
+    is left; nonconstant results only."""
+    ab = fam.a_poly * fam.b_poly
+    neg_w_num = -(2 * ab + fam.c_poly * fam.c_poly)
+    abc = ab * fam.c_poly
+    slices = []
+    for n in range(3, n_max + 1):
+        poly = _reference_psi_numerator(n, neg_w_num, ab)
+        while not (g := poly_gcd(poly, abc)).is_constant():
+            poly = exactalg.poly_divexact(poly, g)
+        if poly.degree > 0:
+            slices.append((n, _dense(poly.canonical())))
+    return slices
+
+
+# (a, b, c) and the degree of gcd(ab, c); (T, T, T) has c^2/(ab) = 1 and
+# no entries
+STRIP_FAMILIES = (
+    (("1", "-2", "3*T"), 0),
+    (("T", "1", "T"), 1),
+    (("2*T", "-1", "T^2"), 1),
+    (("T", "1/2", "3*T"), 1),
+    (("T^2+1", "1", "T^2+1"), 2),
+    (("2*T", "3*T+3", "T^2+T"), 2),
+    (("T", "T", "T"), 1),
+)
+
+
+class TestStripLemma:
+    """Every factor a locus numerator shares with abc divides gcd(ab, c)
+    (the lemma of fabc._locus_polys), so stripping against that one gcd
+    gives the slices stripped against abc."""
+
+    @pytest.mark.parametrize("abc, shared_degree", STRIP_FAMILIES)
+    def test_gated_strip_equals_the_abc_strip(self, abc, shared_degree):
+        fam = FamilyParams(*abc)
+        assert poly_gcd(fam.a_poly * fam.b_poly, fam.c_poly).degree == shared_degree
+        slices = fabc._locus_polys(fam, 24)[0]
+        assert slices == _slices_stripped_against_abc(fam, 24)
+        assert (slices == []) == (abc == ("T", "T", "T"))
+
+    def test_no_strip_runs_when_ab_and_c_are_coprime(self, monkeypatch):
+        gcds, quotients = [], []
+        original_gcd, original_quotients = fabc.poly_gcd, fabc._gcd_quotients
+
+        def spy_gcd(p, q):
+            gcds.append((p, q))
+            return original_gcd(p, q)
+
+        def spy_quotients(p, q):
+            quotients.append((p, q))
+            return original_quotients(p, q)
+
+        monkeypatch.setattr(fabc, "poly_gcd", spy_gcd)
+        monkeypatch.setattr(fabc, "_gcd_quotients", spy_quotients)
+        for abc in (("1", "-2", "3*T"), ("T", "-1/2*T", "T+1"), ("T^2", "1", "T+1")):
+            fabc._locus_polys(FamilyParams(*abc), 30)
+        assert len(gcds) == 3 and quotients == []
+        # the spy does see the strip where gcd(ab, c) = T
+        fabc._locus_polys(FamilyParams("T", "1", "T"), 30)
+        assert len(gcds) == 4 and quotients

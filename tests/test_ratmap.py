@@ -233,20 +233,36 @@ class TestDegreeSequences:
 class TestOrbit:
     def test_orbit_hits_indeterminacy(self):
         f = quad_map(1, -1, 1)
-        result = orbit(f, [0, 0, 1], 10)
-        assert result.hit_indeterminacy_at == 2
-        assert result.points == (
+        assert list(orbit(f, [0, 0, 1], 10)) == [
             ProjectivePoint([0, 0, 1]),
             ProjectivePoint([0, 1, 1]),
             ProjectivePoint([0, 1, 0]),
-        )
-        assert not result.completed
+            INDETERMINATE,
+        ]
 
     def test_orbit_completes(self):
         f = quad_map(1, 1, 1)
-        result = orbit(f, [1, 2, 1], 3)
-        assert result.completed
-        assert len(result.points) == 4
+        points = list(orbit(f, [1, 2, 1], 3))
+        assert len(points) == 4
+        assert INDETERMINATE not in points
+
+    def test_orbit_is_lazy(self, monkeypatch):
+        # f is applied only when the next point is asked for
+        f = quad_map(1, 1, 1)
+        walk = orbit(f, [1, 2, 1], 3)
+        calls = []
+        apply = ProjectiveMap.apply
+        monkeypatch.setattr(
+            ProjectiveMap, "apply", lambda self, p: calls.append(p) or apply(self, p)
+        )
+        assert next(walk) == ProjectivePoint([1, 2, 1])
+        assert calls == []
+        next(walk)
+        assert calls == [ProjectivePoint([1, 2, 1])]
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError):
+            next(orbit(quad_map(1, 1, 1), [1, 2, 1], -1))
 
 
 class TestDominance:
