@@ -200,6 +200,55 @@ def _unpack(value: int, slots: Iterable[int], size: int, width: int) -> list[int
     return [read(raw[k * width : (k + 1) * width], "little") - half for k in slots]
 
 
+def _packed_sums(
+    outer: Sequence[Sequence[tuple[tuple, int]]],
+    inner: Sequence[Sequence[tuple[int, int]]],
+    max_bits: int | None = None,
+) -> tuple[int, list[int]] | None:
+    """The one Kronecker composition (Harvey, J. Symbolic Comput. 44,
+    2009): (width, sums) with sums[k] = sum c * prod_i phi(G_i)^(e_i)
+    over the terms (e, c) of outer[k], for the polynomials G_i of Z[y]
+    whose (slot, coefficient) digits inner[i] lists, phi: y -> 2^B and
+    B = 8 * width; None when B would pass max_bits.
+
+    Lemma.  phi is a ring map Z[y] -> Z, so sums[k] = phi(H_k) for
+    H_k = P_k(G) in Z[y].  A polynomial whose coefficients lie in
+    (-2^(B-1), 2^(B-1)) has those coefficients as the signed B-bit digits
+    of its image, so _pack builds phi(G_i) and _unpack reads H_k back from
+    sums[k].  As ||A * B||_1 <= ||A||_1 * ||B||_1, every coefficient of H_k
+    is at most sum |c_e| * prod_i ||G_i||_1^(e_i) in absolute value, and B
+    is the least multiple of 8 with this bound, and every ||G_i||_1, below
+    2^(B-1).  Each caller maps its ring into Z[y] one to one on what it
+    reads back:
+    - forms of degree d * D in x_0..x_m: x_m -> 1, x_j -> y^(R^j) for
+      j < m with R > d * D, so distinct monomials land on distinct slots
+      and the exponent of x_m is d * D minus the others;
+    - one variable: T -> y;
+    - binary forms of degree d * D mod r: s -> y, t -> 1 on their
+      residues in [0, r) as integers; reducing each coefficient mod r, a
+      ring map Z -> F_r, then gives the composition mod r, as
+      MultiPoly._set does for forms over F_p.
+    """
+    norms = [sum(abs(c) for _, c in g) for g in inner]
+    bound = max(
+        norms + [sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in p) for p in outer]
+    )
+    width = (bound.bit_length() + 8) // 8  # the least with bound < 2^(8 * width - 1)
+    if max_bits is not None and 8 * width > max_bits:
+        return None
+    product = _monomials(
+        [_pack(g, 1 + max((k for k, _ in g), default=0), width) for g in inner], operator.mul
+    )
+    sums = []
+    for p in outer:
+        total = 0
+        for e, c in p:
+            prod = product(e)
+            total += c if prod is None else c * prod
+        sums.append(total)
+    return width, sums
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -485,33 +534,15 @@ _PACK_MAX_BITS = 256
 def _packed_substitute(
     polys: Sequence[MultiPoly], assignment: Sequence[MultiPoly], term_cap: int | None
 ) -> list[MultiPoly] | None:
-    """substitute_system by Kronecker substitution (Harvey, J. Symbolic
-    Comput. 44, 2009), or None where it does not run.  It runs when every
-    input is a nonzero form with int coefficients in two or more
-    variables, the assignment's forms share one degree D, the most terms
-    an output form of degree d * D can have, C(d * D + nv - 1, nv - 1), is
-    at most term_cap for every output (so the sparse loop's cap could not
-    fire either), and the slot width B is at most _PACK_MAX_BITS.
-
-    Lemma.  Let the G_i be the assignment's forms in x_0, ..., x_m,
-    P one of the polys, a form of degree d with coefficients c_e, and
-    R = d' * D + 1, d' the largest such d.  phi: x_m -> 1,
-    x_j -> 2^(B * R^j) for j < m is a ring map Z[x] -> Z.  A form H of
-    degree d * D has exponents e_j <= d * D < R, so its monomials land on
-    distinct slots s(e) = sum_{j<m} e_j * R^j, and when its coefficients
-    lie in (-2^(B-1), 2^(B-1)) they are the signed B-bit digits of phi(H),
-    the exponent of x_m being d * D minus the others: H is read back from
-    phi(H).  phi(P(G)) = sum_e c_e * prod_i phi(G_i)^(e_i), which
-    _monomials and the sums compute on ints.  As
-    ||A * B||_1 <= ||A||_1 * ||B||_1 and no norm is below 1, every
-    intermediate and final coefficient (each power, product and partial
-    sum, and P(G)) is bounded in absolute value by
-    sum_e |c_e| * prod_i ||G_i||_1^(e_i), and B is chosen so that this
-    bound and every ||G_i||_1 lie below 2^(B-1): packing and unpacking are
-    one to one.  Over F_p the residues in [0, p) are packed, the same
-    argument reads back the integer P(G) of those residues, and
-    MultiPoly._set reduces each slot mod p.
-    """
+    """substitute_system by _packed_sums, or None where it does not run.
+    It runs when every input is a nonzero form with int coefficients in
+    two or more variables, the assignment's forms share one degree D, the
+    most terms an output form of degree d * D can have,
+    C(d * D + nv - 1, nv - 1), is at most term_cap for every output (so
+    the sparse loop's cap could not fire either), and the slot width is
+    at most _PACK_MAX_BITS.  The slot of x^e is sum_{j<m} e_j * R^j with
+    R = d' * D + 1, d' the largest outer degree (the first map of
+    _packed_sums' lemma); over F_p the residues in [0, p) are packed."""
     nv, mod = assignment[0].num_vars, assignment[0].modulus
     if nv < 2 or not polys or not all(
         q.terms
@@ -526,38 +557,23 @@ def _packed_substitute(
     degrees = [p.degree * inner for p in polys]
     if term_cap is not None and math.comb(max(degrees) + nv - 1, nv - 1) > term_cap:
         return None
-    norms = [sum(abs(c) for _, c in g.terms) for g in assignment]
-    bound = max(
-        norms
-        + [sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in p.terms) for p in polys]
-    )
-    width = (bound.bit_length() + 8) // 8  # the least with bound < 2^(8 * width - 1)
-    if 8 * width > _PACK_MAX_BITS:
-        return None
     radix = max(degrees) + 1
     weights = [radix**j for j in range(nv - 1)]
-
-    def size(deg: int) -> int:
-        return deg * weights[-1] + 1
-
-    product = _monomials(
-        [
-            _pack(((sum(map(operator.mul, e, weights)), c) for e, c in g.terms), size(inner), width)
-            for g in assignment
-        ],
-        operator.mul,
+    packed = _packed_sums(
+        [p.terms for p in polys],
+        [[(sum(map(operator.mul, e, weights)), c) for e, c in g.terms] for g in assignment],
+        _PACK_MAX_BITS,
     )
+    if packed is None:
+        return None
+    width, sums = packed
     out = []
-    for p, deg in zip(polys, degrees):
-        total = 0
-        for e, c in p.terms:
-            prod = product(e)
-            total += c if prod is None else c * prod
+    for deg, total in zip(degrees, sums):
         # (exponents of x_0..x_{m-1} summing to at most deg, slot, their sum)
         vecs = [((), 0, 0)]
         for w in weights:
             vecs = [(e + (k,), s + k * w, t + k) for e, s, t in vecs for k in range(deg - t + 1)]
-        digits = _unpack(total, (s for _, s, _ in vecs), size(deg), width)
+        digits = _unpack(total, (s for _, s, _ in vecs), deg * weights[-1] + 1, width)
         terms = {e + (deg - t,): c for (e, _, t), c in zip(vecs, digits) if c}
         out.append(MultiPoly._build(nv, terms, mod))
     return out
@@ -768,17 +784,13 @@ def _up_eval(a: list, x: int, p: int) -> int:
     return v
 
 
-def _int_mul(a: list, b: list) -> list:
-    """Product of two ascending int lists, schoolbook."""
+def _up_mul(a: list, b: list, p: int) -> list:
+    """Product of two ascending lists over F_p, schoolbook."""
     out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             out[i + j] += u * v
-    return out
-
-
-def _up_mul(a: list, b: list, p: int) -> list:
-    return [c % p for c in _int_mul(a, b)]
+    return [c % p for c in out]
 
 
 def _split_last(a: dict, p: int) -> dict:

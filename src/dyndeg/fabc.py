@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import islice
 from operator import indexOf
 from typing import Callable, Iterator, Union
 
@@ -35,9 +35,10 @@ from .exactalg import (
     _dense,
     _exact_fraction,
     _gcd_quotients,
-    _int_mul,
+    _packed_sums,
     _prime,
     _sparse,
+    _unpack,
     _up_gcd,
 )
 from .ratmap import (
@@ -466,22 +467,22 @@ def _locus_polys(
     abc = (ab * f.c_poly).canonical()
     shared = poly_gcd(ab, f.c_poly)
     # Psi_n(w) at w = W/U, W = -(2ab + c^2) and U = ab, cleared by U^h for
-    # h = deg Psi_n <= n_max/2: sum of c_j W^j U^(h - j), by Horner in W,
-    # with W and U scaled by one integer so that both have integer coefficients
+    # h = deg Psi_n <= n_max/2: the form sum of c_j W^j U^(h - j) in (W, U),
+    # all of them by _packed_sums (T -> 2^B), with W and U scaled by one
+    # integer so that both have integer coefficients
     w, u = _dense(-(2 * ab + c2)), _dense(ab)
     den = math.lcm(*(c.denominator for c in w + u))
     w, u = [int(c * den) for c in w], [int(c * den) for c in u]
-    u_powers = list(accumulate(repeat(u, n_max // 2), _int_mul, initial=[1]))
+    psis = [_dense(cos_min_poly(n)) for n in range(3, n_max + 1)]
+    width, sums = _packed_sums(
+        [[((j, len(psi) - 1 - j), c) for j, c in enumerate(psi) if c] for psi in psis],
+        [list(enumerate(w)), list(enumerate(u))],
+    )
+    top = max(len(w), len(u)) - 1
     slices = []
-    for n in range(3, n_max + 1):
-        psi = _dense(cos_min_poly(n))
-        h = len(psi) - 1
-        num = [psi[h]]
-        for j in range(h - 1, -1, -1):
-            num = _int_mul(num, w)
-            num += [0] * (len(u_powers[h - j]) - len(num))
-            for i, c in enumerate(u_powers[h - j]):
-                num[i] += psi[j] * c
+    for n, psi, total in zip(range(3, n_max + 1), psis, sums):
+        size = (len(psi) - 1) * top + 1
+        num = _unpack(total, range(size), size, width)
         while num and not num[-1]:
             num.pop()
         if not num:

@@ -119,7 +119,7 @@ def exceptional_set(p: GFamilyParams, n_max: int) -> list[Fraction]:
     e_n = a^n + b(a^{n-1} + ... + a + 1).
     """
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise ValueError("n_max must be >= 0")
     return list(islice(_track(p), n_max + 1))
 
 
@@ -166,10 +166,9 @@ def orbit_marked_point(p: GFamilyParams, t: Rational, n_max: int) -> OrbitOutcom
     Each point is checked against the closed form [e_n, 0, 1], e_n from
     ``_track`` beside the walk; a mismatch (the recurrence and the map
     disagree) raises RuntimeError, as does any other indeterminate point.
+    A negative n_max raises ValueError at the walk's first step.
     """
     t = _exact_fraction(t, "t")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     target = ProjectivePoint([t, 0, 1])
     for n, (point, e) in enumerate(zip(orbit(build_g(p, t), marked_point(), n_max), _track(p))):
         if point is INDETERMINATE:
@@ -254,7 +253,7 @@ class NegativeAnswerReport:
 
 def negative_answer_report(n_max: int) -> NegativeAnswerReport:
     if n_max < 1:
-        raise ValueError("n_max must be positive")
+        raise ValueError("n_max must be >= 1")
     linear = _truncated_values(GFamilyParams(1, 1), n_max)
     odd = _truncated_values(GFamilyParams(1, 2), n_max)
     sparse = _truncated_values(GFamilyParams(2, 0), n_max)

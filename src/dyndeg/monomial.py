@@ -149,13 +149,6 @@ def degree_D(m: MonomialMap) -> int:
     return _degree_of_rows(m.matrix)
 
 
-def power(m: MonomialMap, k: int) -> MonomialMap:
-    """k-th iterate as a monomial map (k >= 1); exponent matrices multiply."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    return MonomialMap(mat_pow(m.matrix, k))
-
-
 def homogenize(m: MonomialMap) -> ProjectiveMap:
     """The map on P^N in homogeneous coordinates (last variable at infinity).
 

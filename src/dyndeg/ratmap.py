@@ -22,9 +22,9 @@ from .exactalg import (
     _canonical_scale,
     _coerce,
     _content_last,
-    _monomials,
+    _packed_sums,
     _prime,
-    _up_mul,
+    _unpack,
 )
 
 DEFAULT_TERM_CAP = 200_000
@@ -258,19 +258,11 @@ def _generic_line(n: int, r: int, rng: random.Random) -> list[list[int]]:
 
 def _line_compose(f: ProjectiveMap, forms: list[list[int]], r: int) -> list[list[int]]:
     """The forms of f, with integer coefficients, evaluated on binary forms
-    of one degree D, mod r: binary forms of degree deg(f) * D."""
+    of one degree D, mod r: binary forms of degree deg(f) * D, by
+    _packed_sums (s -> 2^B, t -> 1) and reduced mod r on unpacking."""
     size = f.degree * (len(forms[0]) - 1) + 1
-    product = _monomials(forms, lambda a, b: _up_mul(a, b, r))
-    out = []
-    for c in f.coords:
-        acc = [0] * size
-        for exps, coeff in c.terms:
-            prod = product(exps)
-            if prod is None:
-                prod = [1]
-            acc = [(u + coeff * v) % r for u, v in zip(acc, prod)]
-        out.append(acc)
-    return out
+    width, sums = _packed_sums([c.terms for c in f.coords], [list(enumerate(g)) for g in forms])
+    return [[c % r for c in _unpack(total, range(size), size, width)] for total in sums]
 
 
 def _line_coprime(forms: list[list[int]], r: int) -> bool:

@@ -295,6 +295,17 @@ class TestGfam:
         code, _, err = run_cli(capsys, "gfam", "-a", "0", "-b", "1")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (["--nmax", "-1"], "error: n_max must be >= 0\n"),
+            (["-t", "3", "--nmax", "-1"], "error: n_max must be >= 0\n"),
+            (["--report", "--nmax", "0"], "error: n_max must be >= 1\n"),
+        ],
+    )
+    def test_step_bound_exits_two(self, capsys, args, err):
+        assert run_cli(capsys, "gfam", *args) == (2, "", err)
+
 
 class TestMonomial:
     def test_full_report(self, capsys):
@@ -645,14 +656,14 @@ _REMOVED = {
     "is_dominant": dyndeg.ratmap.ProjectiveMap,
     "Orbit": dyndeg.ratmap,
     "substitute": dyndeg.exactalg.MultiPoly,
+    "power": dyndeg.monomial,
 }
 
 
 def test_public_names_resolve_and_versions_agree():
-    """Every exported name exists, no name removed in 0.2.0, 0.3.0 or
-    0.4.0 is exported or left in its module, and the package version
-    matches pyproject.toml (read with a regex: Python 3.10 has no
-    tomllib)."""
+    """Every exported name exists, no name removed in 0.2.0 to 0.5.0 is
+    exported or left in its module, and the package version matches
+    pyproject.toml (read with a regex: Python 3.10 has no tomllib)."""
     assert all(hasattr(dyndeg, name) for name in dyndeg.__all__)
     for name, home in _REMOVED.items():
         assert name not in dyndeg.__all__ and not hasattr(dyndeg, name), name

@@ -624,6 +624,20 @@ def test_packed_slot_width_holds_its_bound(sign, width):
         assert packed[0].terms[0][1] == sign * 2**top
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("width", [1, 8, 9, 31])
+def test_one_variable_slot_width_holds_its_bound(sign, width):
+    """T -> 2^B: the product 2^a T * (sign 2^b T^2) = sign 2^(8 * width - 1) T^3
+    reaches the bound, so _packed_sums widens the slot by one byte; the
+    digits read back are the product's."""
+    top = 8 * width - 1
+    inner = [[(1, 2 ** (top // 2))], [(2, sign * 2 ** (top - top // 2))]]
+    got_width, sums = exactalg._packed_sums([[((1, 1), 1)]], inner)
+    assert got_width == width + 1
+    assert exactalg._unpack(sums[0], range(4), 4, got_width) == [0, 0, 0, sign * 2**top]
+    assert exactalg._packed_sums([[((1, 1), 1)]], inner, 8 * width) is None
+
+
 def test_packed_slot_width_cap():
     """Slots of 256 bits are packed; one more byte goes to the sparse loop."""
     x, y = (MultiPoly.variable(2, i) for i in range(2))

@@ -113,7 +113,7 @@ class TestExceptionalSet:
                     assert v == closed_form(p.a, p.b, n)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
             exceptional_set(GFamilyParams(1, 1), -1)
 
 
@@ -193,6 +193,19 @@ class TestOrbit:
         )
         assert classify_parameter(GFamilyParams(1, 2), 21, 12).n == 10
 
+    def test_negative_bound_raises_before_any_step(self, monkeypatch):
+        # the step bound is ratmap.orbit's to check, in its wording, and the
+        # walk raises before it applies the map once
+        calls = []
+        apply = ProjectiveMap.apply
+        monkeypatch.setattr(
+            ProjectiveMap, "apply", lambda self, q: calls.append(q) or apply(self, q)
+        )
+        for t in (1, 5):
+            with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+                orbit_marked_point(GFamilyParams(1, 1), t, -1)
+        assert calls == []
+
     def test_hit_index_is_least(self):
         # (a, b) = (-1, 0) cycles 1, -1, 1, ...: t = -1 is reached first at n = 1
         assert orbit_marked_point(GFamilyParams(-1, 0), -1, 20) == HitsIndeterminacyAt(1)
@@ -270,8 +283,9 @@ class TestNegativeAnswerReport:
         assert set(rep.sparse_set) <= set(rep.linear_set)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            negative_answer_report(0)
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+                negative_answer_report(n_max)
 
     def test_scan_stops_past_the_bound(self):
         """The scan forms the first value past the bound and no more, and

@@ -229,6 +229,72 @@ def test_line_compose_is_the_composition_on_the_line(case):
         assert row == [coeffs.get((k, size - 1 - k), 0) for k in range(size)]
 
 
+def schoolbook_line_compose(f, forms, r):
+    """_line_compose as it was before the packed kernel: list products mod
+    r through exactalg._monomials, then one multiply-add pass per term."""
+    size = f.degree * (len(forms[0]) - 1) + 1
+    product = exactalg._monomials(forms, lambda a, b: exactalg._up_mul(a, b, r))
+    out = []
+    for c in f.coords:
+        acc = [0] * size
+        for exps, coeff in c.terms:
+            prod = product(exps)
+            if prod is None:
+                prod = [1]
+            acc = [(u + coeff * v) % r for u, v in zip(acc, prod)]
+        out.append(acc)
+    return out
+
+
+R61 = 2**61 - 1
+
+
+@st.composite
+def wide_maps_on_lines(draw):
+    """(f, forms, r): a plane map of degree 1 to 3 whose forms may be zero,
+    over Q with r = 2^61 - 1 and coefficients past 2^64, or over F_7 or
+    F_101; and three binary forms mod r of one degree D <= 4, any of them
+    zero, with residues up to r - 1."""
+    r = draw(st.sampled_from([R61, 7, 101]))
+    modulus = None if r == R61 else r
+    d = draw(st.integers(1, 3))
+    exps = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    coeff = st.integers(-3, 3) | st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+    coords = [
+        MultiPoly(3, {e: draw(coeff) for e in exps if draw(st.booleans())}, modulus)
+        for _ in range(3)
+    ]
+    assume(any(not c.is_zero() for c in coords))
+    size = draw(st.integers(1, 5))
+    residue = st.sampled_from([0, 1, r - 1]) | st.integers(0, r - 1)
+    form = st.just([0] * size) | st.lists(residue, min_size=size, max_size=size)
+    return ProjectiveMap(coords), draw(st.lists(form, min_size=3, max_size=3)), r
+
+
+@given(wide_maps_on_lines())
+@example((ProjectiveMap([X**3, Y**3, Z**3]), [[0, R61 - 1]] * 3, R61))
+@example((ProjectiveMap([X * X, MultiPoly.zero(3), Y * Z]), [[0, 0], [6, 6], [0, 0]], 7))
+@settings(max_examples=120, deadline=None)
+def test_packed_line_forms_equal_the_schoolbook_ones(case):
+    f, forms, r = case
+    got = ratmap._line_compose(f, forms, r)
+    assert got == schoolbook_line_compose(f, forms, r)
+    assert all(0 <= c < r for row in got for c in row)
+
+
+def test_line_slot_width_holds_its_bound():
+    """One-term forms reach the kernel's bound (r - 1)^3 exactly: every
+    output is one slot at the top of its width, which one byte less
+    would overlap."""
+    f = ProjectiveMap([X**3, 2 * Y**3, Z**3])
+    forms = [[0, R61 - 1], [R61 - 1, 0], [0, 1]]
+    assert ratmap._line_compose(f, forms, R61) == [
+        [0, 0, 0, R61 - 1],
+        [R61 - 2, 0, 0, 0],
+        [0, 0, 0, 1],
+    ]
+
+
 # -- compositions the engine runs ---------------------------------------------
 
 
