@@ -536,18 +536,31 @@ def _image(coeffs: list) -> list | None:
     return [c % r for c in coeffs] if coeffs[-1] % r else None
 
 
-def _distinct_root_count(coeffs: list, image: list | None) -> int:
-    """Degree of the squarefree part of the polynomial with ascending int
-    coefficients coeffs, given its _image.  When the image is coprime to its
-    derivative the polynomial is squarefree, by _image's lemma: the
-    derivative's leading coefficient deg * lc is prime to the image prime,
-    far above any degree.  Otherwise the exact squarefree part, the
-    polynomial divided by its gcd with its derivative, decides."""
-    if image is not None:
-        r = _prime(0)
-        derivative = [i * c % r for i, c in enumerate(image)][1:]
-        if len(_up_gcd(image, derivative, r)) == 1:
-            return len(coeffs) - 1
+def _critical_image(f: FamilyParams) -> list | None:
+    """The _image of K = 2c'ab - c(ab)', primitive, with kappa' = cK/(ab)^2
+    for kappa = c^2/(ab); None when K = 0 or _image gives None."""
+    ab = f.a_poly * f.b_poly
+    k = (2 * f.c_poly.partial(0) * ab - f.c_poly * ab.partial(0)).canonical()
+    return None if k.is_zero() else _image(_dense(k))
+
+
+def _distinct_root_count(coeffs: list, image: list | None, critical: list | None = None) -> int:
+    """Degree of the squarefree part of the polynomial S with ascending int
+    coefficients coeffs, given its _image and, when S is a locus slice or a
+    factor of one, its family's _critical_image.
+
+    Lemma: such an S is squarefree iff gcd(S, K) = 1.  S shares no root
+    with abc (the lemma of _locus_polys), so at a root T0 of S, U = ab and
+    c are nonzero and T0 is as multiple in S as in N_n = U^h Psi_n(w),
+    w = -2 - kappa.  Psi_n has simple roots, so T0 is multiple exactly when
+    w'(T0) = -c K / U^2 vanishes, that is when K(T0) = 0.  A constant K
+    decides with no Euclid, a constant gcd of the images by _image's lemma
+    (K = 0 makes kappa constant, and the strip leaves no slice).  Otherwise
+    the exact squarefree part, S divided by its gcd with S', decides."""
+    if critical is not None and (
+        len(critical) == 1 or image is not None and len(_up_gcd(image, critical, _prime(0))) == 1
+    ):
+        return len(coeffs) - 1
     poly = _sparse(coeffs)
     return max(_gcd_quotients(poly, poly.partial(0))[1].degree, 0)
 
@@ -602,6 +615,8 @@ def _slice_overlaps(
     first: list[tuple[int, list[int]]],
     second: list[tuple[int, list[int]]],
     field_degree: Callable[[int, int], int] | None = None,
+    critical: tuple[list | None, list | None] = (None, None),
+    paired: bool = False,
 ) -> tuple[tuple[PairOverlap, ...], int, int]:
     """Nontrivial common factors between two lists of (order, slice) pairs,
     a slice a nonconstant ascending int list, and each list's root count.
@@ -612,20 +627,33 @@ def _slice_overlaps(
     D > min(deg S_n, deg S'_m) is then coprime and skipped with no gcd: a
     common root T0 would give D <= [Q(T0):Q] <= deg gcd(S_n, S'_m) <=
     min(deg S_n, deg S'_m).  The screen compares integer degrees only.
-    Without field_degree no pair is screened, so any slices may be compared.
+    paired, when true, says that slices of different orders share no root,
+    and those pairs are skipped too.  Without either no pair is screened,
+    so any slices may be compared.
 
-    Each slice is reduced once by _image.  A pair whose images have a
-    constant gcd is coprime by that function's lemma; the exact poly_gcd
-    runs only on the other pairs, those with a nonconstant image gcd or an
-    image prime dividing a leading coefficient.
+    Each slice is reduced once by _image and counted once by
+    _distinct_root_count with its family's _critical_image, critical[0] or
+    critical[1] (None for lists that are not slices); an overlap divides
+    its first slice and is counted with critical[0].  Equal lists S have
+    the canonical S as their gcd.  A pair whose images have a constant gcd
+    is coprime by _image's lemma; the exact poly_gcd runs only on the other
+    pairs, those with a nonconstant image gcd or an image prime dividing a
+    leading coefficient.
     """
     r = _prime(0)
     imaged1 = [(n, c, _image(c)) for n, c in first]
     imaged2 = [(n, c, _image(c)) for n, c in second]
+    roots1 = [_distinct_root_count(c, i, critical[0]) for _, c, i in imaged1]
+    roots2 = [_distinct_root_count(c, i, critical[1]) for _, c, i in imaged2]
     overlaps = []
-    for n1, c1, i1 in imaged1:
+    for (n1, c1, i1), roots in zip(imaged1, roots1):
         for n2, c2, i2 in imaged2:
+            if paired and n1 != n2:
+                continue
             if field_degree and field_degree(n1, n2) >= min(len(c1), len(c2)):
+                continue
+            if c1 == c2:
+                overlaps.append(PairOverlap(n1, n2, _sparse(c1).canonical(), roots))
                 continue
             if i1 is not None and i2 is not None and len(_up_gcd(i1, i2, r)) == 1:
                 continue
@@ -633,10 +661,9 @@ def _slice_overlaps(
             if g.is_constant():
                 continue
             coeffs = _dense(g)
-            overlaps.append(PairOverlap(n1, n2, g, _distinct_root_count(coeffs, _image(coeffs))))
-    size1 = sum(_distinct_root_count(c, i) for _, c, i in imaged1)
-    size2 = sum(_distinct_root_count(c, i) for _, c, i in imaged2)
-    return tuple(overlaps), size1, size2
+            roots_g = _distinct_root_count(coeffs, _image(coeffs), critical[0])
+            overlaps.append(PairOverlap(n1, n2, g, roots_g))
+    return tuple(overlaps), sum(roots1), sum(roots2)
 
 
 def unlikely_intersection_explorer(
@@ -657,11 +684,18 @@ def unlikely_intersection_explorer(
     Psi_n generates the normal field Q(zeta_n)^+, so the subfield Q(x0, y0)
     of Q(T0) is their compositum, of degree _compositum_degree(n, m): that
     is the hypothesis of _slice_overlaps' screen.
+
+    When the kappas are equal (phi_equal), x0 = y0 is a root of Psi_n and
+    of Psi_m, and a root 2cos(2 pi k/n), gcd(k, n) = 1, determines n; so
+    n = m, and the loci are compared order by order (paired).
     """
     slices1 = _locus_polys(first, n_max)[0]
     slices2 = _locus_polys(second, n_max)[0]
     phi_equal = same_ratio_invariant(first, second)
-    overlaps, size1, size2 = _slice_overlaps(slices1, slices2, _compositum_degree)
+    critical = (_critical_image(first), _critical_image(second))
+    overlaps, size1, size2 = _slice_overlaps(
+        slices1, slices2, _compositum_degree, critical, phi_equal
+    )
     inter = sum(o.distinct_roots for o in overlaps)
     return IntersectionReport(
         truncation=n_max,

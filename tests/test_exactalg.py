@@ -608,20 +608,24 @@ def test_packed_composition_equals_the_sparse_loop(modulus, data):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("width", [1, 8, 9, 31])
 def test_packed_slot_width_holds_its_bound(sign, width):
-    """Output coefficients of exactly 2^(8 * width - 1), the bound of
-    Sum |c_e| * Prod ||G_i||_1^(e_i) reached, need the sign bit of a slot
-    one byte wider: one bit less and the digit reads back wrong."""
+    """Output coefficients of 2^(8 * width - 1) and -(2^(8 * width - 1) + 1),
+    the bound of Sum |c_e| * Prod ||G_i||_1^(e_i) reached, need the sign
+    bit of a slot one byte wider: one bit less and the digit reads back
+    wrong.  -2^(8 * width - 1) itself fits width signed bytes, so it would
+    not pin the width; 2^(8 * width - 1) + 1 is a multiple of 3, as
+    8 * width - 1 is odd."""
     x, y = (MultiPoly.variable(2, i) for i in range(2))
     top = 8 * width - 1
+    peak, split = (2**top, 2 ** (top // 2)) if sign > 0 else (-(2**top + 1), 3)
     cases = [
-        ([x], [sign * 2**top * x, y]),  # the bound is an input's norm
-        ([x * y], [2 ** (top // 2) * x, sign * 2 ** (top - top // 2) * y]),  # a product's
+        ([x], [peak * x, y]),  # the bound is an input's norm
+        ([x * y], [split * x, (peak // split) * y]),  # a product's
     ]
     for outer, assignment in cases:
         packed = exactalg._packed_substitute(outer, assignment, None)
         assert packed is not None
         assert packed == sparse_substitute(outer, assignment)
-        assert packed[0].terms[0][1] == sign * 2**top
+        assert packed[0].terms[0][1] == peak
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -2,12 +2,10 @@
 
 A locus slice is an ascending list of ints.  `_slice_overlaps` skips the
 exact gcd of a pair only when the images of both slices exist (the prime
-divides neither leading coefficient) and have a constant gcd;
-`_distinct_root_count` skips the exact squarefree part only when an image
-is coprime to its derivative.  The cases here plant common and repeated
-factors, one of them with leading coefficient 2^61 - 1, and compare
-against the exact gcd and sympy's squarefree part.  sympy is an oracle for
-tests only.
+divides neither leading coefficient) and have a constant gcd.  The cases
+here plant common and repeated factors, one of them with leading
+coefficient 2^61 - 1, and compare against the exact gcd and sympy's
+squarefree part.  sympy is an oracle for tests only.
 
 Given the degree D(n, m) of the compositum of Q(zeta_n)^+ and
 Q(zeta_m)^+, `_slice_overlaps` first skips a pair of locus slices of
@@ -19,10 +17,20 @@ the screen changes no answer; the pairs (T, 1, 1), (2T, 2, 2), whose slices
 have degree exactly h_n = D(n, n), and (T, 1, T), (T, 3, 3T), whose shared
 root T = -1 sits on slices of degree D(3, 6) = 1, check the strict
 inequality.
+
+`_distinct_root_count` skips the exact squarefree part of a slice only
+when the slice is coprime to its family's K = 2c'ab - c(ab)', whose
+roots off abc are the critical points of kappa = c^2/(ab): on real and seeded
+random slices the count must equal sympy's, and on two slices through a
+critical point the exact path must run.  When kappa is the same for both
+families, slices of different orders share no root: the paired
+comparison must equal the unscreened one, also where the two strips
+differ, and equal slices must run no gcd at all.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,14 +38,17 @@ from hypothesis import given, settings, strategies as st
 
 from dyndeg.cyclo import cos_min_poly, euler_phi
 from dyndeg.exactalg import MultiPoly, _dense, _prime, _sparse, poly_gcd
+from dyndeg import fabc
 from dyndeg.fabc import (
     FamilyParams,
     PairOverlap,
     _compositum_degree,
+    _critical_image,
     _distinct_root_count,
     _image,
     _locus_polys,
     _slice_overlaps,
+    same_ratio_invariant,
     unlikely_intersection_explorer,
 )
 
@@ -207,9 +218,14 @@ def test_every_screened_pair_is_coprime(locus_slices):
 )
 def test_screen_changes_no_overlap_or_size(locus_slices, first, second):
     slices1, slices2 = locus_slices[first], locus_slices[second]
-    assert _slice_overlaps(slices1, slices2, _compositum_degree) == _slice_overlaps(
-        slices1, slices2
-    )
+    reference = _slice_overlaps(slices1, slices2)
+    assert _slice_overlaps(slices1, slices2, _compositum_degree) == reference
+    # and with each family's K and, for a family against itself, paired
+    fams = FamilyParams(*first), FamilyParams(*second)
+    critical = tuple(_critical_image(f) for f in fams)
+    paired = same_ratio_invariant(*fams)
+    assert paired == (first == second)
+    assert _slice_overlaps(slices1, slices2, _compositum_degree, critical, paired) == reference
 
 
 def test_screen_keeps_slices_of_degree_equal_to_the_field_degree():
@@ -235,3 +251,127 @@ def test_screen_keeps_a_pair_whose_degree_is_the_compositum_degree(swap):
     assert _compositum_degree(*orders) == 1
     assert report.intersection_size == 1
     assert report.overlaps == (PairOverlap(*orders, poly=T + 1, distinct_roots=1),)
+
+
+def assert_counts_match_sympy(slices, critical):
+    for _, coeffs in slices:
+        count = _distinct_root_count(coeffs, _image(coeffs), critical)
+        assert count == sqf_degree(_sparse(coeffs)), coeffs
+
+
+def test_critical_count_matches_sympy_on_real_slices_and_overlaps(locus_slices):
+    criticals = {f: _critical_image(FamilyParams(*f)) for f in SCREEN_FAMILIES}
+    for f in SCREEN_FAMILIES:
+        assert_counts_match_sympy(locus_slices[f], criticals[f])
+    for f1, f2 in itertools.combinations_with_replacement(SCREEN_FAMILIES, 2):
+        critical = (criticals[f1], criticals[f2])
+        overlaps, *_ = _slice_overlaps(locus_slices[f1], locus_slices[f2], None, critical)
+        for o in overlaps:
+            assert o.distinct_roots == sqf_degree(o.poly), (f1, f2, o)
+            coeffs = _dense(o.poly)
+            assert _distinct_root_count(coeffs, _image(coeffs), critical[1]) == o.distinct_roots
+
+
+def random_poly(rng: random.Random) -> MultiPoly:
+    while True:
+        poly = sum((rng.randint(-3, 3) * T**e for e in range(rng.randint(1, 3))), MultiPoly.zero(1))
+        if not poly.is_zero():
+            return poly
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_critical_count_matches_sympy_on_random_families(seed):
+    rng = random.Random(seed)
+    done = 0
+    while done < 3:
+        family = FamilyParams(random_poly(rng), random_poly(rng), random_poly(rng))
+        try:
+            slices = _locus_polys(family, 12)[0]
+        except ValueError:  # generically unstable
+            continue
+        assert_counts_match_sympy(slices, _critical_image(family))
+        done += 1
+
+
+@pytest.mark.parametrize(
+    "family, order, slice_, k, roots",
+    [
+        # kappa = -(T+1)^2/(T^2+1) is -2 (order 4) at its critical point T = 1
+        (("-1", "T^2+1", "T+1"), 4, [1, -2, 1], T - 1, 1),
+        # kappa = -(T^2+1)^2 is -1 (order 3) at its critical point T = 0
+        (("1", "-1", "T^2+1"), 3, [0, 0, 2, 0, 1], T, 3),
+    ],
+)
+def test_a_slice_through_a_critical_point_of_kappa_takes_the_exact_path(
+    monkeypatch, family, order, slice_, k, roots
+):
+    """K = 2c'ab - c(ab)' shares the repeated root with the slice, so the
+    K-test cannot decide, and the exact squarefree part counts the root
+    once; reading the failed test as squarefree, or K without the factor
+    c of c(ab)', would count it twice."""
+    fam = FamilyParams(*family)
+    critical = _critical_image(fam)
+    assert critical == _image(ints(k))
+    assert (order, slice_) in _locus_polys(fam, order)[0]
+    calls = []
+    exact = fabc._gcd_quotients
+    monkeypatch.setattr(fabc, "_gcd_quotients", lambda *a: calls.append(a) or exact(*a))
+    assert _distinct_root_count(slice_, _image(slice_), critical) == roots
+    assert calls, "the K-test decided a slice with a repeated root"
+    assert roots == sqf_degree(_sparse(slice_)) < len(slice_) - 1
+
+
+# pairs with equal kappa = c^2/(ab); in the third and the fifth the second
+# family's strip removes a root of the first's locus, and the fourth has
+# equal slices with a repeated root
+EQUAL_KAPPA_PAIRS = (
+    (("1", "-2", "3*T"), ("2", "-4", "6*T")),
+    (("T", "1", "1"), ("2*T", "2", "2")),
+    (("1", "-1", "T-4"), ("T-5", "5-T", "T^2-9*T+20")),
+    (("-1", "T^2+1", "T+1"), ("-2", "2*T^2+2", "2*T+2")),
+    (("1", "-1", "T^2+1"), ("T", "-T", "T^3+T")),
+)
+
+
+@pytest.mark.parametrize("first, second", EQUAL_KAPPA_PAIRS, ids=lambda f: ";".join(f))
+def test_paired_overlaps_equal_the_unscreened_ones(first, second):
+    fam1, fam2 = FamilyParams(*first), FamilyParams(*second)
+    assert same_ratio_invariant(fam1, fam2)
+    slices1, slices2 = _locus_polys(fam1, 16)[0], _locus_polys(fam2, 16)[0]
+    critical = (_critical_image(fam1), _critical_image(fam2))
+    reference = _slice_overlaps(slices1, slices2)
+    assert _slice_overlaps(slices1, slices2, _compositum_degree, critical, True) == reference
+    report = unlikely_intersection_explorer(fam1, fam2, 16)
+    assert report.phi_equal
+    assert (report.overlaps, report.first_size, report.second_size) == reference
+
+
+def test_equal_kappa_is_not_the_whole_locus_when_the_strips_differ():
+    # kappa = -(T-4)^2 for both; T = 5 is on the first order-3 slice
+    # T^2 - 8T + 15 and a root of the second family's abc, so it is stripped
+    report = unlikely_intersection_explorer(
+        FamilyParams("1", "-1", "T-4"), FamilyParams("T-5", "5-T", "T^2-9*T+20"), 8
+    )
+    assert report.phi_equal
+    assert (report.first_size, report.second_size, report.intersection_size) == (20, 19, 19)
+    assert report.overlaps[0] == PairOverlap(3, 3, T - 3, 1)
+    assert len(report.overlaps) == 6
+
+
+def test_equal_slices_run_no_euclid(monkeypatch):
+    """(1, -2, 3T) and (2, -4, 6T): K is constant and every order-n slice
+    equals its partner, so neither the counts nor the pairs run a gcd."""
+    fams = FamilyParams("1", "-2", "3*T"), FamilyParams("2", "-4", "6*T")
+    slices1, slices2 = (_locus_polys(f, 24)[0] for f in fams)
+    critical = tuple(_critical_image(f) for f in fams)
+    assert critical == ([1], [1])
+    calls = []
+    for name in ("poly_gcd", "_up_gcd", "_gcd_quotients"):
+        real = getattr(fabc, name)
+        monkeypatch.setattr(fabc, name, lambda *a, n=name, f=real: calls.append(n) or f(*a))
+    overlaps, size1, size2 = _slice_overlaps(slices1, slices2, _compositum_degree, critical, True)
+    assert calls == []
+    assert [(o.order_first, o.order_second) for o in overlaps] == [(n, n) for n, _ in slices1]
+    assert size1 == size2 == sum(o.distinct_roots for o in overlaps) == sum(
+        euler_phi(n) for n in range(3, 25)
+    )
