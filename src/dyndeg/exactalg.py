@@ -227,7 +227,13 @@ def _packed_sums(
     - binary forms of degree d * D mod r: s -> y, t -> 1 on their
       residues in [0, r) as integers; reducing each coefficient mod r, a
       ring map Z -> F_r, then gives the composition mod r, as
-      MultiPoly._set does for forms over F_p.
+      MultiPoly._set does for forms over F_p.  A parameter T of the outer
+      forms takes its residue tau, a constant in slot 0: T -> tau is a
+      ring map and commutes with composition.  By Gauss's lemma over
+      Z[T] a common factor of positive degree in the point variables
+      stays a nonzero form of that degree on the line once some line
+      form is nonzero; a content in T alone changes no degree, and if it
+      vanishes at tau every line form is zero (ratmap._iterates).
     """
     norms = [sum(abs(c) for _, c in g) for g in inner]
     bound = max(

@@ -236,10 +236,9 @@ class StabilityVerdict:
     index m = n - 1 with V_m = 0 (verified exactly).
     """
 
-    status: str  # "Stable" | "Unstable" | "Degenerate"
+    status: str  # "Stable" | "Unstable"
     zeta_order: int | None = None
     vanishing_index: int | None = None
-    reason: str | None = None
 
 
 def classify(p: FabcParams) -> StabilityVerdict:

@@ -202,6 +202,8 @@ class ParameterVerdict:
 
 def classify_parameter(p: GFamilyParams, t: Rational, n_max: int) -> ParameterVerdict:
     t = _exact_fraction(t, "t")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if t == 1:
         return ParameterVerdict(status="DegenerateDegreeOne", n=None, n_max=n_max)
     outcome = orbit_marked_point(p, t, n_max)

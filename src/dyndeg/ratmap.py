@@ -140,26 +140,11 @@ class ProjectiveMap:
         if len(degrees) != 1:
             raise ValueError("coordinate forms have different degrees")
         coords = _cancel(coords)[1]
-        degree = next(
-            c.degree_in_vars(point_vars) for c in coords if not c.is_zero()
-        )
-        self._store(coords, n, degree, nv - (n + 1), mod)
-
-    @classmethod
-    def _coprime(cls, f: "ProjectiveMap", raw: Sequence[MultiPoly], degree: int):
-        """Internal constructor for forms already known to be homogeneous of
-        `degree`, coprime and not all zero, on the point variables and
-        parameters of f: only the canonical scale runs."""
-        m = object.__new__(cls)
-        m._store(raw, f.n, degree, f.num_params, f.modulus)
-        return m
-
-    def _store(self, coprime, n, degree, num_params, modulus) -> None:
-        """Set the fields, in `__slots__` order, the coprime forms scaled to
-        their canonical representative."""
-        scale = _canonical_scale(coprime)
-        coords = tuple(c * scale for c in coprime)
-        for name, value in zip(self.__slots__, (n, coords, degree, num_params, modulus)):
+        degree = next(c.degree_in_vars(point_vars) for c in coords if not c.is_zero())
+        # the fields in __slots__ order, the forms at their canonical scale
+        scale = _canonical_scale(coords)
+        coords = tuple(c * scale for c in coords)
+        for name, value in zip(self.__slots__, (n, coords, degree, nv - (n + 1), mod)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -258,8 +243,9 @@ def _generic_line(n: int, r: int, rng: random.Random) -> list[list[int]]:
 
 def _line_compose(f: ProjectiveMap, forms: list[list[int]], r: int) -> list[list[int]]:
     """The forms of f, with integer coefficients, evaluated on binary forms
-    of one degree D, mod r: binary forms of degree deg(f) * D, by
-    _packed_sums (s -> 2^B, t -> 1) and reduced mod r on unpacking."""
+    of one degree D and then on one constant [tau] per parameter, mod r:
+    binary forms of degree deg(f) * D, by _packed_sums (s -> 2^B, t -> 1,
+    tau in slot 0) and reduced mod r on unpacking."""
     size = f.degree * (len(forms[0]) - 1) + 1
     width, sums = _packed_sums([c.terms for c in f.coords], [list(enumerate(g)) for g in forms])
     return [[c % r for c in _unpack(total, range(size), size, width)] for total in sums]
@@ -287,54 +273,63 @@ def _iterates(
     the term cap.
 
     Coprimality certificate (a Bellon-Viallet restriction to a line).
-    For maps without symbolic parameters, fix r = 2^61 - 1 over Q (the
-    forms of a reduced map have coprime integer coefficients) or r = p
-    over F_p, a line l: P^1 -> P^N mod r and G_1 = f o l mod r, and let
-    G_n = f(G_{n-1}) mod r.  Lemma: if G_{n-1} = c * (f^{n-1} o l) mod r
-    with c a unit, then G_n = c^d * (R_n o l) for the raw composition
-    R_n = f(f^{n-1}), d = deg f.  A primitive common factor g of R_n
-    divides each R_n,i in Z[X] (Gauss's lemma; over F_p in F_p[X]) and
-    so restricts to a binary form g o l dividing each R_n,i o l mod r;
-    once some R_n,i o l is nonzero mod r, g o l is nonzero, of degree
-    deg g.  So if the forms of G_n are not all zero and their gcd has
-    degree 0, deg g = 0: gcd(R_n) = 1, and f^n is R_n times its
-    canonical scale s with deg f^n = d * deg f^(n-1).  Some coefficient
-    of R_n is then nonzero mod r, so s is a unit mod r and
-    G_n = (c^d / s) * (f^n o l) carries the invariant to step n+1.  A
-    line gcd of positive degree proves nothing (the line may meet the
-    base locus of R_n, or r may be unlucky), and stays positive at every
-    later step, so _cancel divides the common factor out, once, taking
-    the gcd certificate's quotients; if none cancels, a fresh line
-    restarts the invariant at f^n.  Maps with symbolic parameters stay
-    on the _cancel path.
+    Fix r = 2^61 - 1 over Q (the forms of a reduced map have coprime
+    integer coefficients) or r = p over F_p, a line l: P^1 -> P^N mod r,
+    one residue tau mod r for each parameter T of f, f_tau = f at
+    T = tau, G_1 = f_tau o l mod r, and let G_n = f_tau(G_{n-1}) mod r.
+    Setting T to tau is a ring map, and it commutes with composition.
+    Lemma: if G_{n-1} = c * (f^{n-1}_tau o l) mod r with c a unit, then
+    G_n = c^d * (R_n,tau o l) for the raw composition R_n = f(f^{n-1}),
+    d = deg f.  A primitive common factor g of R_n of positive degree
+    in the point variables X divides each R_n,i in Z[T][X] (Gauss's lemma
+    over Z[T]; over F_p in F_p[T][X]) and so restricts to a binary form
+    g_tau o l dividing each R_n,i,tau o l mod r; once some R_n,i,tau o l
+    is nonzero mod r, g_tau o l is nonzero, of degree deg_X g.  So if the
+    forms of G_n are not all zero and their gcd has degree 0,
+    deg_X g = 0: R_n = k * f^n for a content k in T alone (a constant
+    without parameters), which changes no degree, so
+    deg f^n = d * deg f^(n-1); and G_n = c^d * k(tau) * (f^n_tau o l)
+    with k(tau) a unit, as G_n is not zero.  If k vanishes at tau, every
+    line form is zero and the step is not certified.  A line gcd of
+    positive degree proves nothing (the line may meet the base locus of
+    R_n, or r may be unlucky), and stays positive at every later step,
+    so _cancel divides the common factor out, once, taking the gcd
+    certificate's quotients; if none cancels, a fresh line, with fresh
+    residues, restarts the invariant at f^n.
 
     G_n never reads R_n, so a certified step composes nothing: `current`
-    lags at f^built, and the skipped iterates are rebuilt (composed,
-    canonically scaled) only when a step the line does not certify needs
-    exact forms.  The term cap bounds exactly these compositions, and
-    TermCapExceeded carries the step that needed them.
+    lags at f^built, and the skipped iterates are rebuilt only when a
+    step the line does not certify needs exact forms.  Each is rebuilt
+    through ProjectiveMap, whose _cancel divides out a content in T a
+    certified step may carry: the raw f(f) of [T*X^2, T*Y^2, Y*Z] is
+    T * [T^2*X^4, T^2*Y^4, Y^3*Z].  The term cap bounds exactly these
+    compositions, and TermCapExceeded carries the step that needed them.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     cap = term_cap if term_cap is not None else term_cap_default()
     yield f.degree, False
     current, built, degree = f, 1, f.degree
-    line = None
-    if not f.num_params:
-        r = f.modulus if f.modulus is not None else _prime(0)
-        rng = random.Random(_LINE_SEED)
-        line = _line_compose(f, _generic_line(f.n, r, rng), r)
+    r = f.modulus if f.modulus is not None else _prime(0)
+    rng = random.Random(_LINE_SEED)
+
+    def restart(g: ProjectiveMap) -> tuple[list[list[int]], list[list[int]]]:
+        """g on a fresh line, one residue per parameter drawn after its points."""
+        points = _generic_line(f.n, r, rng)
+        at = [[rng.randrange(r)] for _ in range(f.num_params)]
+        return _line_compose(g, points + at, r), at
+
+    line, at = restart(f)
     for n in range(2, n_max + 1):
         degree *= f.degree
         if line is not None:
-            line = _line_compose(f, line, r)
+            line = _line_compose(f, line + at, r)
             if _line_coprime(line, r):
                 yield degree, True
                 continue
         try:
             for _ in range(built, n - 1):
-                raw = _compose_forms(f, current.coords, cap)
-                current = ProjectiveMap._coprime(f, raw, f.degree * current.degree)
+                current = ProjectiveMap(_compose_forms(f, current.coords, cap))
             raw = _compose_forms(f, current.coords, cap)
         except TermCapExceeded:
             raise TermCapExceeded(cap, n) from None
@@ -344,16 +339,13 @@ def _iterates(
                 f"f^{n}: all coordinate forms are zero (the map is not dominant)"
             )
         current = ProjectiveMap(raw)
-        if line is not None:
-            # Nothing cancelled, so the line met a common zero of its own
-            # (or r was unlucky): restart the invariant on a fresh line.
-            # After a cancellation later iterates mostly cancel too, so the
-            # exact path keeps them.
-            line = (
-                _line_compose(current, _generic_line(f.n, r, rng), r)
-                if current.degree == degree
-                else None
-            )
+        # Nothing cancelled, so the line met a common zero of its own (or r
+        # was unlucky): restart on a fresh line.  After a cancellation later
+        # iterates mostly cancel too, so the exact path keeps them.
+        if line is not None and current.degree == degree:
+            line, at = restart(current)
+        else:
+            line = None
         degree = current.degree
         yield degree, False
 

@@ -246,6 +246,11 @@ class TestClassifyParameter:
         w = classify_parameter(GFamilyParams(1, 1), -1, 10)
         assert w.status == "NoHitWithin" and w.n_max == 10
 
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_negative_nmax_refused_at_every_t(self, t):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+            classify_parameter(GFamilyParams(1, 1), t, -5)
+
 
 class TestDegreeDrops:
     def test_unstable_values_drop_quickly(self):

@@ -2,15 +2,17 @@
 every iterate it certifies on a line mod r is the exact reduced iterate."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dyndeg import exactalg, ratmap
 from dyndeg.exactalg import MultiPoly, TermCapExceeded
-from dyndeg.fabc import FabcParams, build_map
+from dyndeg.fabc import FabcParams, FamilyParams, build_map, family_generic_stability
 from dyndeg.gfam import GFamilyParams, build_g, exceptional_set
 from dyndeg.ratmap import (
+    DegreeSequence,
     ProjectiveMap,
     _compose_forms,
     _iterates,
@@ -101,9 +103,82 @@ def test_line_through_indeterminacy_point_declines(monkeypatch):
     assert flags == [False] * 4
 
 
-def test_symbolic_parameters_stay_exact():
-    flags, _ = certified_flags(build_map(None), 2)
-    assert flags == [False, False]
+def test_symbolic_parameters_ride_the_line():
+    flags, _ = certified_flags(build_map(None), 5)
+    assert flags == [False] + [True] * 4
+
+
+# plane maps over Q[T]: X, Y, Z and one parameter T
+XT, YT, ZT, T = (MultiPoly.variable(4, i) for i in range(4))
+
+
+def family(a, b, c):
+    """The fabc map [XY, XY + aZ^2, bYZ + cZ^2] for polynomials a, b, c in T."""
+    return ProjectiveMap([XT * YT, XT * YT + a * ZT**2, b * (YT * ZT) + c * ZT**2])
+
+
+# f(f) = T * [T^2*X^4, T^2*Y^4, Y^3*Z]: every iterate carries a content in T
+CONTENT_MAP = ProjectiveMap([T * XT**2, T * YT**2, YT * ZT])
+
+
+def test_generically_stable_family_is_certified_to_depth():
+    f = family(T, 1, T)
+    start = time.perf_counter()
+    for n, step in enumerate(_iterates(f, 10), start=1):
+        # checked as each step comes, so a step the line fails stops here
+        assert step == (2**n, n > 1)
+    assert time.perf_counter() - start < 5
+
+
+def test_generically_unstable_family_drops_at_its_witness():
+    f = family(T, -T, T)
+    flags, degrees = certified_flags(f, 5)
+    assert degrees == [2, 4, 7, 12, 20]
+    assert flags == [False, True, False, False, False]
+    witness = family_generic_stability(FamilyParams("T", "-T", "T")).witness
+    assert first_drop(degrees, f.degree) == witness.zeta_order == 3
+
+
+def test_content_in_t_is_cancelled_when_certified_steps_are_rebuilt(monkeypatch):
+    """Steps 2 and 3 are certified and skipped; step 4 is forced to fail, so
+    f^2 and f^3 are rebuilt, and each iterate f is composed with is the
+    exact reduced one, its content in T cancelled."""
+    chain = exact_chain(CONTENT_MAP, 5)
+    plain_coprime, plain_compose = ratmap._line_coprime, ratmap._compose_forms
+    tests, inners = [], []
+    monkeypatch.setattr(
+        ratmap,
+        "_line_coprime",
+        lambda forms, r: tests.append(1) or (len(tests) != 3 and plain_coprime(forms, r)),
+    )
+    monkeypatch.setattr(
+        ratmap,
+        "_compose_forms",
+        lambda g, inner, *a: inners.append(tuple(inner)) or plain_compose(g, inner, *a),
+    )
+    seq, count, rebuilt = composed(CONTENT_MAP, 5)
+    assert list(seq.degrees) == [m.degree for m in chain] == [2, 4, 8, 16, 32]
+    assert count == 3
+    assert [m.coords for m in rebuilt] == [chain[1].coords, chain[2].coords]
+    assert inners == [m.coords for m in chain[:3]]
+
+
+def test_vanishing_line_forms_certify_nothing(monkeypatch):
+    """With every residue 0, f_0 = [0, 0, YZ] and every line form of f(f)
+    vanishes: no step may be certified on them."""
+    plain = ratmap._line_compose
+    zero_steps = []
+
+    def at_zero(g, forms, r):
+        out = plain(g, forms[: g.n + 1] + [[0]] * g.num_params, r)
+        zero_steps.append(not any(any(form) for form in out))
+        return out
+
+    monkeypatch.setattr(ratmap, "_line_compose", at_zero)
+    flags, degrees = certified_flags(CONTENT_MAP, 4)
+    assert any(zero_steps)
+    assert degrees == [2, 4, 8, 16]
+    assert flags == [False] * 4
 
 
 coefficients = st.integers(-2, 2)
@@ -162,6 +237,44 @@ def test_random_plane_maps(f):
     certified_flags(f, 3)
 
 
+@st.composite
+def plane_quadratic_families(draw):
+    """Three quadratic forms in X, Y, Z whose coefficients are a + b*T, a
+    and b in [-2, 2], over Q or F_101."""
+    modulus = draw(st.sampled_from([None, 101]))
+    t = MultiPoly.variable(4, 3, modulus)
+    monomials = [
+        MultiPoly.monomial(4, e + (0,), 1, modulus)
+        for e in itertools.product(range(3), repeat=3)
+        if sum(e) == 2
+    ]
+    forms = [
+        sum(
+            ((draw(coefficients) + draw(coefficients) * t) * m for m in monomials),
+            MultiPoly.zero(4, modulus),
+        )
+        for _ in range(3)
+    ]
+    assume(any(not q.is_zero() for q in forms))
+    f = ProjectiveMap(forms)
+    assume(f.degree >= 1)
+    return f
+
+
+@given(plane_quadratic_families())
+@example(CONTENT_MAP)
+@example(family(T, -T, T))
+@settings(max_examples=10, deadline=None)
+def test_random_plane_families(f):
+    try:
+        expected = exact_degrees(f, 4)
+    except ValueError:
+        with pytest.raises(ValueError, match="all coordinate forms are zero"):
+            list(_iterates(f, 4))
+        return
+    assert [d for d, _ in _iterates(f, 4)] == expected
+
+
 @given(contracting_maps())
 @settings(max_examples=30, deadline=None)
 def test_planted_common_factor_never_certified(f):
@@ -176,30 +289,41 @@ def test_planted_common_factor_never_certified(f):
 @st.composite
 def maps_on_lines(draw):
     """(f, forms, r): a plane map of degree at most 3, over Q with
-    r = 2^61 - 1 or over F_r with r = 101 or 7, and three binary forms mod r
-    of one degree D <= 3 (ascending in s, as the line stores them)."""
+    r = 2^61 - 1 or over F_r with r = 101 or 7, with or without one
+    parameter T of degree at most 2, and three binary forms mod r of one
+    degree D <= 3 (ascending in s, as the line stores them), followed by
+    one residue [tau] mod r for T."""
     modulus = draw(st.sampled_from([None, 101, 7]))
     r = modulus or exactalg._prime(0)
+    params = draw(st.integers(0, 1))
     d = draw(st.integers(1, 3))
-    exps = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    exps = [
+        e + p
+        for e in itertools.product(range(d + 1), repeat=3)
+        if sum(e) == d
+        for p in itertools.product(range(3), repeat=params)
+    ]
     coords = [
-        MultiPoly(3, {e: draw(st.integers(-3, 3)) for e in exps}, modulus)
+        MultiPoly(3 + params, {e: draw(st.integers(-3, 3)) for e in exps}, modulus)
         for _ in range(3)
     ]
     assume(any(not c.is_zero() for c in coords))
     size = draw(st.integers(2, 4))
     form = st.lists(st.integers(0, r - 1), min_size=size, max_size=size)
     forms = draw(st.lists(form, min_size=3, max_size=3))
-    return ProjectiveMap(coords), forms, r
+    residues = draw(st.lists(st.integers(0, r - 1), min_size=params, max_size=params))
+    return ProjectiveMap(coords), forms + [[tau] for tau in residues], r
 
 
 def composed_on_line(f, forms, r):
     """The forms of f mod r with each point variable replaced by its binary
-    form, as MultiPolys in (s, t) mod r multiplied out term by term."""
+    form and each parameter set to its residue, as MultiPolys in (s, t)
+    mod r multiplied out term by term."""
     top = len(forms[0]) - 1
     line = [
-        MultiPoly(2, {(k, top - k): c for k, c in enumerate(form)}, r) for form in forms
-    ]
+        MultiPoly(2, {(k, top - k): c for k, c in enumerate(form)}, r)
+        for form in forms[: f.n + 1]
+    ] + [MultiPoly.constant(2, tau, r) for [tau] in forms[f.n + 1 :]]
     out = []
     for coord in f.coords:
         total = MultiPoly.zero(2, r)
@@ -283,13 +407,13 @@ def test_packed_line_forms_equal_the_schoolbook_ones(case):
 
 
 def test_line_slot_width_holds_its_bound():
-    """One-term forms reach the kernel's bound (r - 1)^3 exactly: every
-    output is one slot at the top of its width, which one byte less
-    would overlap."""
-    f = ProjectiveMap([X**3, 2 * Y**3, Z**3])
-    forms = [[0, R61 - 1], [R61 - 1, 0], [0, 1]]
+    """One-term forms, one through the parameter constant r - 1, reach the
+    kernel's bound (r - 1)^4 exactly: every output is one slot, the first
+    at the top of its width, which one byte less would overlap."""
+    f = ProjectiveMap([T * XT**3, 2 * YT**3, ZT**3])
+    forms = [[0, R61 - 1], [R61 - 1, 0], [0, 1], [R61 - 1]]
     assert ratmap._line_compose(f, forms, R61) == [
-        [0, 0, 0, R61 - 1],
+        [0, 0, 0, 1],
         [R61 - 2, 0, 0, 0],
         [0, 0, 0, 1],
     ]
@@ -299,20 +423,25 @@ def test_line_slot_width_holds_its_bound():
 
 
 def composed(f, n_max):
-    """(degree_sequence(f, n_max), the number of _compose_forms calls it
-    made, and the iterates it built as ProjectiveMap._coprime)."""
-    calls, built = [], []
-    plain_compose, plain_coprime = ratmap._compose_forms, ProjectiveMap._coprime.__func__
+    """(the degrees of f to n_max from _iterates, the number of
+    _compose_forms calls it made, and the skipped iterates it rebuilt: at
+    each step that composes, the maps ProjectiveMap built before the
+    step's own)."""
+    calls, made, rebuilt, degrees = [], [], [], []
+    plain_compose, plain_map = ratmap._compose_forms, ratmap.ProjectiveMap
 
-    def coprime(cls, g, raw, degree):
-        built.append(plain_coprime(cls, g, raw, degree))
-        return built[-1]
+    def construct(raw):
+        made.append(plain_map(raw))
+        return made[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratmap, "_compose_forms", lambda *a, **k: calls.append(1) or plain_compose(*a, **k))
-        mp.setattr(ProjectiveMap, "_coprime", classmethod(coprime))
-        seq = degree_sequence(f, n_max)
-    return seq, len(calls), built
+        mp.setattr(ratmap, "ProjectiveMap", construct)
+        for degree, _ in _iterates(f, n_max):
+            rebuilt += made[:-1]
+            made.clear()
+            degrees.append(degree)
+    return DegreeSequence(tuple(degrees), n_max), len(calls), rebuilt
 
 
 @pytest.mark.parametrize(
@@ -338,10 +467,10 @@ def test_certified_steps_compose_nothing(abc, modulus, calls):
     assert all(m.coords == by_degree[m.degree] for m in built)
 
 
-def test_symbolic_map_composes_every_step():
+def test_symbolic_map_composes_nothing():
     f = build_map(None)
     seq, count, _ = composed(f, 3)
-    assert count == 2
+    assert count == 0
     assert list(seq.degrees) == exact_degrees(f, 3)
 
 
