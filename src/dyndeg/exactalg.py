@@ -718,26 +718,25 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 # -- GCD machinery ----------------------------------------------------------
 
 
-def _reduce(a: dict, b: dict):
-    """(a', b', lift) for nonconstant a, b {exponent vector: coefficient}
-    without monomial content: the pair in a smaller ring, and the map that
-    takes a divisor or quotient of a', b' back.  With nothing to drop it
-    returns a, b and the identity.
+def _reduce(fs: list):
+    """(fs', lift) for nonconstant term dicts fs without monomial content:
+    the list in a smaller ring, and the map that takes a divisor or
+    quotient of its members back (fs and the identity if nothing drops).
 
-    Lemma.  Variables neither input uses are dropped: divisors involve only
-    the variables of what they divide.  When both are forms, the last
+    Lemma.  Variables no input uses are dropped: divisors involve only the
+    variables of what they divide.  When every input is a form, the last
     remaining variable z is then set to 1.  Divisors and quotients h of
-    forms are forms, and z divides neither input, so neither h: h(z = 1)
-    keeps the degree of h, and lift rehomogenises it to h.  Setting z = 1
-    is a ring map, one to one on forms of one degree, so h' * k' = a(z = 1)
-    lifts to lift(h') * lift(k') = a, and lift(gcd(a', b')) is a gcd of a, b.
+    forms are forms, and z divides no input, so neither h: h(z = 1) keeps
+    the degree of h, and lift rehomogenises it to h.  Setting z = 1 is a
+    ring map, one to one on forms of one degree, so h' * k' = f(z = 1)
+    lifts to lift(h') * lift(k') = f, and lift(gcd(fs')) is a gcd of fs.
     """
-    n = len(next(iter(a)))
-    slots = [v for v in range(n) if any(e[v] for f in (a, b) for e in f)]
-    forms = len({sum(e) for e in a}) == 1 == len({sum(e) for e in b})
+    n = len(next(iter(fs[0])))
+    slots = [v for v in range(n) if any(e[v] for f in fs for e in f)]
+    forms = all(len({sum(e) for e in f}) == 1 for f in fs)
     keep = slots[:-1] if forms else slots
     if len(keep) == n:
-        return a, b, lambda g: g
+        return fs, lambda g: g
 
     def lift(g: dict) -> dict:
         d, out = max(map(sum, g)), {}
@@ -748,8 +747,7 @@ def _reduce(a: dict, b: dict):
             out[tuple(full)] = c
         return out
 
-    a, b = ({tuple(e[v] for v in keep): c for e, c in f.items()} for f in (a, b))
-    return a, b, lift
+    return [{tuple(e[v] for v in keep): c for e, c in f.items()} for f in fs], lift
 
 
 # Images mod a prime p hold plain ints in [0, p), and _Ext too over a _Field:
@@ -837,45 +835,47 @@ def _content_last(cols: Iterable[list], p: int) -> list:
     return g
 
 
-def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
-    """Gcd of polynomials a, b, nonzero mod p, over the field K = F_p (or
-    the _Field p) with lex leading coefficient 1, by
-    Brown's recursion on the last variable t; lex order ranks the other
-    variables first, so leading coefficients lie in K[t].
+def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
+    """Gcd of polynomials fs, each nonzero mod p, over the field K = F_p
+    (or the _Field p) with lex leading coefficient 1, by Brown's recursion
+    on the last variable t; lex order ranks the other variables first, so
+    leading coefficients lie in K[t].
 
-    With one variable this is Euclid.  Otherwise let c be the gcd of the
-    contents of a and b in K[t], G the gcd and G' = G / c its primitive
-    part.  At the nonzero points t of K (1, ..., p - 1 over F_p), taken
-    once each, where the leading coefficients la of
-    a and lb of b do not vanish, the recursive gcd h of a(t), b(t) is
-    divisible by G(t), whose leading monomial is that of G because lc(G)
-    divides la: h never has a lower leading monomial than G, a constant h
-    proves G = c, and h = G(t) up to a scalar at all but finitely many
-    points (Brown 1971).  Images with the lowest leading monomial seen,
-    scaled to lead with gamma(t), gamma = gcd(la, lb), are values of the
-    one polynomial gamma * G / lc(G); Newton interpolation in t runs until
-    a new point leaves the interpolant unchanged.  Its primitive part C
-    has the leading monomial of the images, so if c * C divides a and b it
-    divides G without a lower leading monomial, and is G up to a scalar
-    (G' is primitive); if not, more points follow.  _PointsExhausted is
-    raised when none is left, as over small fields but not near 2^61.
-    Given a list `quotients`, a / G and b / G are appended to it unless
-    G = 1.
+    With one variable this is Euclid (_content_last).  Otherwise let c be
+    the content of all the inputs in K[t], G the gcd and G' = G / c its
+    primitive part.  At the nonzero points t of K (1, ..., p - 1 over
+    F_p), taken once each, where no leading coefficient l_i of an input
+    vanishes, the recursive gcd h of the f_i(t) is divisible by G(t),
+    whose leading monomial is that of G because lc(G) divides every l_i:
+    h never has a lower leading monomial than G, a constant h proves
+    G = c, and h = G(t) up to a scalar at all but finitely many points
+    (Brown 1971 for two inputs; for k, G = gcd(f_1, F) for a fresh
+    variable y and F = sum_{i >= 2} y^i * f_i, whose coefficients in y at
+    t are the f_i(t)).  Images with the lowest leading monomial seen,
+    scaled to lead with gamma(t), gamma = gcd(l_1, ..., l_k), are values
+    of the one polynomial gamma * G / lc(G); Newton interpolation in t
+    runs until a new point leaves the interpolant unchanged.  Its
+    primitive part C has the leading monomial of the images, so if c * C
+    divides every input it divides G without a lower leading monomial,
+    and is G up to a scalar (G' is primitive); if not, more points follow.
+    _PointsExhausted is raised when none is left, as over small fields but
+    not near 2^61.  Given a list `quotients`, the f_i / G are appended to
+    it unless G = 1.
     """
-    sa, sb = _split_last(a, p), _split_last(b, p)
-    if len(next(iter(a))) == 1:
-        return _gcd_in_last(_up_gcd(sa[()], sb[()], p), (sa, sb), p, quotients)
-    c = _up_gcd(_content_last(sa.values(), p), _content_last(sb.values(), p), p)
-    la, lb = sa[max(sa)], sb[max(sb)]
-    gamma = _up_gcd(la, lb, p)
+    splits = [_split_last(f, p) for f in fs]
+    if len(next(iter(fs[0]))) == 1:
+        return _gcd_in_last(_content_last((s[()] for s in splits), p), splits, p, quotients)
+    c = _content_last((col for s in splits for col in s.values()), p)
+    leads = [s[max(s)] for s in splits]
+    gamma = _content_last(leads, p)
     lm, interp, nodes = None, {}, [1]
     for t in p.points() if isinstance(p, _Field) else range(1, p):
-        if not _up_eval(la, t, p) or not _up_eval(lb, t, p):
+        if not all(_up_eval(lead, t, p) for lead in leads):
             continue
-        h = _gcd_mod_p(_eval_last(sa, t, p), _eval_last(sb, t, p), p)
+        h = _gcd_mod_p([_eval_last(s, t, p) for s in splits], p)
         m = max(h)
         if not any(m):
-            return _gcd_in_last(c, (sa, sb), p, quotients)
+            return _gcd_in_last(c, splits, p, quotients)
         if lm is not None and m > lm:
             continue
         if m != lm:
@@ -897,7 +897,7 @@ def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
             continue
         g = _content_last(interp.values(), p)
         cand = {m: _up_mul(_up_divmod(col, g, p)[0], c, p) for m, col in interp.items()}
-        qs = _certify(_join_last(cand, p), _join_last(sa, p), _join_last(sb, p), p)
+        qs = _certify(_join_last(cand, p), [_join_last(s, p) for s in splits], p)
         if qs is not None:
             lc = cand[max(cand)][-1]
             if quotients is not None:
@@ -906,16 +906,19 @@ def _gcd_mod_p(a: dict, b: dict, p: int, quotients: list | None = None) -> dict:
     raise _PointsExhausted(p)
 
 
-def _certify(g: dict, a: dict, b: dict, p: int | None = None) -> tuple | None:
-    """(a / g, b / g) as term lists, or None unless g divides both: the one
-    trial division of the gcd over Q and over F_p.  a and b are consumed."""
+def _certify(g: dict, fs: list, p: int | None = None) -> list | None:
+    """[f / g for f in fs] as term lists, or None unless g divides every f:
+    the one trial division of the gcd over Q and over F_p; fs is consumed."""
     d = sorted(g.items(), key=lambda term: _heap_key(term[0]))
-    qa = _divide_terms(a, d, p)
-    qb = None if qa is None else _divide_terms(b, d, p)
-    return None if qb is None else (qa, qb)
+    quots = []
+    for f in fs:
+        if (q := _divide_terms(f, d, p)) is None:
+            return None
+        quots.append(q)
+    return quots
 
 
-def _gcd_in_last(c: list, splits: tuple, p: int, quotients: list | None) -> dict:
+def _gcd_in_last(c: list, splits: list, p: int, quotients: list | None) -> dict:
     """_gcd_mod_p's gcd c in the last variable alone, with the quotients."""
     if quotients is not None and len(c) > 1:
         quotients += (
@@ -1012,26 +1015,26 @@ def _extension(p: int, k: int) -> _Field:
             return field
 
 
-def _gcd_prime_field(a: dict, b: dict, p: int) -> tuple[dict, ...] | None:
-    """(G, a / G, b / G) for _reduce's term dicts over F_p, G with lex
-    leading coefficient 1, or None when G = 1: _gcd_mod_p over F_p, and
-    while that runs out of points, over F_{p^k} for k = 2, 4, 8, ...
+def _gcd_prime_field(fs: list, p: int) -> tuple[dict, ...] | None:
+    """(G, *[f / G for f in fs]) for _reduce's term dicts over F_p, G with
+    lex leading coefficient 1, or None when G = 1: _gcd_mod_p over F_p,
+    and while that runs out of points, over F_{p^k} for k = 2, 4, 8, ...
 
-    Lemma (extension fields): for a, b over F_p, their gcd G over F_{p^k}
+    Lemma (extension fields): for fs over F_p, their gcd G over F_{p^k}
     with lex leading coefficient 1 is their gcd over F_p.  Applying
     x -> x^p to every coefficient is a ring automorphism of F_{p^k}[X]
-    that fixes a and b, so it maps G to a gcd with leading coefficient 1,
+    that fixes every f, so it maps G to a gcd with leading coefficient 1,
     that is to G; hence G has coefficients in F_p.  So do the quotients
-    a / G and b / G, which are unique and likewise fixed, so G divides a
-    and b over F_p, and every common divisor over F_p divides G.  Brown's
-    lemma in _gcd_mod_p holds over any field, so its trial division over
-    F_{p^k} certifies G, and _ext hands its coefficients back as ints.
+    f / G, which are unique and likewise fixed, so G divides every f over
+    F_p, and every common divisor over F_p divides G.  Brown's lemma in
+    _gcd_mod_p holds over any field, so its trial division over F_{p^k}
+    certifies G, and _ext hands its coefficients back as ints.
     """
     for k in itertools.count():
         field = _extension(p, 2**k) if k else p
         quotients: list = []
         try:
-            g = _gcd_mod_p(a, b, field, quotients)
+            g = _gcd_mod_p(fs, field, quotients)
         except _PointsExhausted:
             continue
         return (g, *quotients) if any(max(g)) else None
@@ -1074,40 +1077,41 @@ def _sparse(coeffs: Sequence) -> MultiPoly:
     return MultiPoly._build(1, {(i,): c for i, c in enumerate(coeffs)}, None)
 
 
-def _gcd_modular(a: dict, b: dict) -> tuple[dict, ...] | None:
-    """(G, a / G, b / G) for integer term dicts that _reduce returned, G
-    primitive, by Brown's dense modular algorithm (J. ACM 18, 1971), or
-    None when G = 1.
+def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
+    """(G, *[f / G for f in fs]) for integer term dicts that _reduce
+    returned, G primitive, by Brown's dense modular algorithm (J. ACM 18,
+    1971), or None when G = 1.
 
-    Let la, lb be the leading coefficients of a, b in lex order and
-    gamma = gcd(la, lb).  Primes r are taken downward from 2^61 - 1,
-    skipping those dividing la * lb, and each gives the image
-    h = gcd(a mod r, b mod r) from _gcd_mod_p.
+    Let l_i be the leading coefficient of f_i in lex order and
+    gamma = gcd(l_1, ..., l_k).  Primes r are taken downward from
+    2^61 - 1, skipping those dividing some l_i, and each gives the image
+    h = gcd(fs mod r) from _gcd_mod_p.
 
-    Lemma: G = gcd(a, b) has lc(G) dividing la, so r keeps the leading
-    monomial of G, and G mod r divides h: an image never has a lower
-    leading monomial than G, and a constant image proves G = 1.  The same
-    holds in _gcd_mod_p for an evaluation point t with la(t) * lb(t) != 0,
-    so gamma(t) != 0.  Only finitely many primes, and in _gcd_mod_p only
-    finitely many points, give h != G mod r up to a scalar; the others
-    give gamma * h = H mod r for the one integer polynomial
-    H = gamma * G / lc(G).  Images with a higher leading monomial than
-    the lowest seen are dropped; the rest are combined by CRT into the
+    Lemma: G = gcd(fs) has lc(G) dividing every l_i, so r keeps the
+    leading monomial of G, and G mod r divides h: an image never has a
+    lower leading monomial than G, and a constant image proves G = 1.  The
+    same holds in _gcd_mod_p for an evaluation point t where no l_i(t)
+    vanishes, so gamma(t) != 0.  Only finitely many primes, and in
+    _gcd_mod_p only finitely many points, give h != G mod r up to a scalar
+    (for k inputs, by the two-input case on f_1 and the y-sum F there);
+    the others give gamma * h = H mod r for the one integer polynomial
+    H = gamma * G / lc(G).  Images with a higher leading monomial than the
+    lowest seen are dropped; the rest are combined by CRT into the
     symmetric range, and after each prime the primitive part C of that
-    lift is trial-divided into a and b, in _reduce's ring as in
+    lift is trial-divided into every input, in _reduce's ring as in
     _gcd_mod_p.  This division is the certificate and gives the quotients:
     then C divides G with a leading monomial no lower than G's, so C = G
     up to a unit.  If it fails, another prime follows; once the lucky
     primes' product passes 2 * max|H| the lift is H, so the loop ends.
     """
-    la, lb = a[max(a)], b[max(b)]
-    gamma = math.gcd(la, lb)
+    leads = [f[max(f)] for f in fs]
+    gamma = math.gcd(*leads)
     lm, mod, res = None, 1, {}
     for i in itertools.count():
         pr = _prime(i)
-        if not la % pr or not lb % pr:
+        if not all(lead % pr for lead in leads):
             continue
-        h = _gcd_mod_p(a, b, pr)
+        h = _gcd_mod_p(fs, pr)
         m = max(h)
         if not any(m):
             return None
@@ -1123,90 +1127,84 @@ def _gcd_modular(a: dict, b: dict) -> tuple[dict, ...] | None:
         cand = {e: r - mod if 2 * r > mod else r for e, r in res.items()}
         content = math.gcd(*cand.values())
         g = {e: c // content for e, c in cand.items()}
-        qs = _certify(g, dict(a), dict(b))
+        qs = _certify(g, [dict(f) for f in fs])
         if qs is not None:
             return g, *map(dict, qs)
 
 
-def _gcd_quotients(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, ...]:
-    """(g, p / g, q / g), g = poly_gcd(p, q): for one zero input g is the
-    other's canonical form, for two all three are 0.  Otherwise g is x^m,
-    m the termwise minimum of the monomial contents x^mp and x^mq, times
-    the gcd G of the stripped parts: 1 when no variable has positive degree
-    in both (a nonconstant common factor has positive degree in some
-    variable, and then so do both), else the one that _gcd_modular (over
-    Q) or _gcd_prime_field certifies on _reduce's pair made of the term
-    dicts of p / x^mp and q / x^mq, denominators cleared.  One tail lifts
-    G and its quotients, scales G to be canonical and the quotients by the
-    inverse scale and the cleared denominators, shifts them by x^m,
-    x^(mp - m) and x^(mq - m), and builds each once.  Lemma: x^m times the
-    canonical G is canonical.  A monic monomial changes no
-    coefficient, and grlex is a monomial order, so e > e' implies
-    e + m > e' + m and the leading term stays leading.
+def _gcd_quotients(polys: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+    """(g, *[f / g for f in polys]), g = poly_gcd_many(polys), for one or
+    more polynomials of one ring.  Zero inputs drop out, and their
+    quotient is 0 (the input itself); with none left g is 0, with one left
+    its canonical form.  Otherwise g is x^m, m the termwise minimum of the
+    monomial contents x^m_i of the inputs f_i, times the gcd G of the
+    stripped parts: 1 when no variable has positive degree in all of them
+    (a nonconstant common factor has positive degree in some variable, and
+    then so does every input), else the one that _gcd_modular (over Q) or
+    _gcd_prime_field certifies on _reduce's list of the term dicts of the
+    f_i / x^m_i, denominators cleared.  One tail lifts G and its
+    quotients, scales G to be canonical and the quotients by the inverse
+    scale and the cleared denominators, shifts them by x^m and the
+    x^(m_i - m), and builds each once.  Lemma: x^m times the canonical G
+    is canonical: a monic monomial changes no coefficient, and grlex is a
+    monomial order, so e > e' implies e + m > e' + m.
     """
-    p._check_compat(q)
-    nv, mod = p.num_vars, p.modulus
-    if p.is_zero() or q.is_zero():
-        f = q if p.is_zero() else p
-        g = f.canonical()
-        lead = Fraction(f.terms[0][1], g.terms[0][1]) if f.terms else 0
-        unit = MultiPoly.constant(nv, lead, mod)
-        return g, unit if f is p else p, unit if f is q else q
+    for f in polys[1:]:
+        polys[0]._check_compat(f)
+    live = [f for f in polys if f.terms]
+    g, quots = _nonzero_gcd_quotients(live) if live else (polys[0], [])
+    quots = iter(quots)
+    return g, *(next(quots) if f.terms else f for f in polys)
+
+
+def _nonzero_gcd_quotients(polys: list[MultiPoly]) -> tuple[MultiPoly, list[MultiPoly]]:
+    """_gcd_quotients for nonzero polynomials, as (g, quotients)."""
+    nv, mod = polys[0].num_vars, polys[0].modulus
+    if len(polys) == 1:
+        g = polys[0].canonical()
+        return g, [MultiPoly.constant(nv, Fraction(polys[0].terms[0][1], g.terms[0][1]), mod)]
 
     def build(terms: Iterable[tuple], m: Sequence[int], scale: Scalar = 1):
         # scale * x^m * terms, m possibly negative
         terms = {tuple(map(operator.add, e, m)): c * scale for e, c in terms}
         return MultiPoly._build(nv, terms, mod)
 
-    mp, mq = (tuple(map(min, zip(*(e for e, _ in f.terms)))) for f in (p, q))
-    mg = tuple(map(min, mp, mq))
-    if any(p.degree_in(v) > mp[v] and q.degree_in(v) > mq[v] for v in range(nv)):
-        (a, sp), (b, sq) = _integer_terms(p, mp), _integer_terms(q, mq)
-        a, b, lift = _reduce(a, b)
-        core = _gcd_modular(a, b) if mod is None else _gcd_prime_field(a, b, mod)
+    ms = [tuple(map(min, zip(*(e for e, _ in f.terms)))) for f in polys]
+    mg = tuple(map(min, *ms))
+    if any(all(f.degree_in(v) > m[v] for f, m in zip(polys, ms)) for v in range(nv)):
+        stripped = [_integer_terms(f, m) for f, m in zip(polys, ms)]
+        fs, lift = _reduce([a for a, _ in stripped])
+        core = _gcd_modular(fs) if mod is None else _gcd_prime_field(fs, mod)
         if core is not None:
             g, *quots = map(lift, core)
             lead = max(g.items(), key=_grlex_term_key)[1]
             # G * u is canonical: G is monic in lex order over F_p, primitive over Q
             u = pow(lead, -1, mod) if mod else 1 if lead > 0 else -1
             v = lead if mod else u  # 1 / u
-            return build(g.items(), mg, u), *(
-                build(f.items(), [*map(operator.sub, m, mg)], v * s)
-                for f, m, s in zip(quots, (mp, mq), (sp, sq))
-            )
+            return build(g.items(), mg, u), [
+                build(q.items(), [*map(operator.sub, m, mg)], v * s)
+                for q, m, (_, s) in zip(quots, ms, stripped)
+            ]
     down = [-e for e in mg]
-    return MultiPoly._build(nv, {mg: 1}, mod), *(
-        build(f.terms, down) if any(mg) else f for f in (p, q)
-    )
+    return MultiPoly._build(nv, {mg: 1}, mod), [
+        build(f.terms, down) if any(mg) else f for f in polys
+    ]
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Greatest common divisor, canonically normalized (0 for two zeros).
-    The trial division of _gcd_modular or _gcd_mod_p certifies it once, in
-    the ring _reduce makes of the inputs stripped of monomial content (see
-    _gcd_quotients)."""
-    return _gcd_quotients(p, q)[0]
-
-
-def _cancel(forms: Sequence[MultiPoly]) -> tuple[MultiPoly, list[MultiPoly]]:
-    """(g, [f / g for f in forms]), g = poly_gcd_many(forms), for two or
-    more forms: _gcd_quotients folded over them until g is 1.  When
-    g' = gcd(g, f), the quotients so far are multiplied by u = g / g'; both
-    gcds are canonical, so u is 1 or nonconstant, and only then a factor.
-    """
-    g, *quots = _gcd_quotients(forms[0], forms[1])
-    for f in forms[2:]:
-        g, u, b = (g, g, f) if g.degree == 0 else _gcd_quotients(g, f)
-        if not u.is_constant():
-            quots = [c * u for c in quots]
-        quots.append(b)
-    return g, quots
+    """Greatest common divisor, canonically normalized (0 for two zeros):
+    the gcd of the pair, certified once by one trial division of each
+    input (see _gcd_quotients)."""
+    return _gcd_quotients((p, q))[0]
 
 
 def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
+    """Canonical gcd of one or more polynomials of one ring, all at once
+    (_gcd_quotients): zero inputs drop out, a single nonzero one comes back
+    canonical, only zeros give 0, and an empty list raises ValueError."""
     if not polys:
         raise ValueError("need at least one polynomial")
-    return _cancel(polys)[0] if len(polys) > 1 else polys[0].canonical()
+    return _gcd_quotients(polys)[0]
 
 
 # -- determinants and Jacobians ---------------------------------------------

@@ -370,7 +370,7 @@ def _strip_shared_factors(num: list[int], shared: MultiPoly) -> list[int]:
         return num
     poly = _sparse(num)
     while True:
-        g, quotient, _ = _gcd_quotients(poly, shared)
+        g, quotient, _ = _gcd_quotients((poly, shared))
         if g.is_constant():
             return _dense(poly.canonical())
         poly = quotient
@@ -561,7 +561,7 @@ def _distinct_root_count(coeffs: list, image: list | None, critical: list | None
     ):
         return len(coeffs) - 1
     poly = _sparse(coeffs)
-    return max(_gcd_quotients(poly, poly.partial(0))[1].degree, 0)
+    return max(_gcd_quotients((poly, poly.partial(0)))[1].degree, 0)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from .exactalg import (
     MultiPoly,
     TermCapExceeded,
     substitute_system,
-    _cancel,
     _canonical_scale,
     _coerce,
     _content_last,
+    _gcd_quotients,
     _packed_sums,
     _prime,
     _unpack,
@@ -139,7 +139,7 @@ class ProjectiveMap:
             raise ValueError("all coordinate forms are zero")
         if len(degrees) != 1:
             raise ValueError("coordinate forms have different degrees")
-        coords = _cancel(coords)[1]
+        coords = _gcd_quotients(coords)[1:]
         degree = next(c.degree_in_vars(point_vars) for c in coords if not c.is_zero())
         # the fields in __slots__ order, the forms at their canonical scale
         scale = _canonical_scale(coords)
@@ -267,7 +267,7 @@ def _iterates(
 ) -> Iterator[tuple[int, bool]]:
     """Yield (deg f^n, certified) for n = 1..n_max: each reduced iterate is
     f composed with the previous one, and `certified` says whether a line
-    certificate, not _cancel, proved the composition coprime.
+    certificate, not _gcd_quotients, proved the composition coprime.
     Raises ValueError when n_max < 1, on the first step, and
     TermCapExceeded, carrying n, when step n composes and a form passes
     the term cap.
@@ -293,15 +293,15 @@ def _iterates(
     line form is zero and the step is not certified.  A line gcd of
     positive degree proves nothing (the line may meet the base locus of
     R_n, or r may be unlucky), and stays positive at every later step,
-    so _cancel divides the common factor out, once, taking the gcd
-    certificate's quotients; if none cancels, a fresh line, with fresh
-    residues, restarts the invariant at f^n.
+    so _gcd_quotients divides the common factor out of all the forms at
+    once, taking the gcd certificate's quotients; if none cancels, a fresh
+    line, with fresh residues, restarts the invariant at f^n.
 
     G_n never reads R_n, so a certified step composes nothing: `current`
     lags at f^built, and the skipped iterates are rebuilt only when a
     step the line does not certify needs exact forms.  Each is rebuilt
-    through ProjectiveMap, whose _cancel divides out a content in T a
-    certified step may carry: the raw f(f) of [T*X^2, T*Y^2, Y*Z] is
+    through ProjectiveMap, whose _gcd_quotients divides out a content in
+    T a certified step may carry: the raw f(f) of [T*X^2, T*Y^2, Y*Z] is
     T * [T^2*X^4, T^2*Y^4, Y^3*Z].  The term cap bounds exactly these
     compositions, and TermCapExceeded carries the step that needed them.
     """

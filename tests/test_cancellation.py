@@ -1,23 +1,24 @@
-"""Each common factor is divided out once: the gcd's certificate returns
-the quotients (exactalg._gcd_quotients), and a map's forms are cancelled
-by folding it over them (exactalg._cancel)."""
+"""Each common factor is divided out once: one gcd of every input at once
+(exactalg._gcd_quotients) returns the quotients of its certificate, and a
+map's forms are cancelled by that one call."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyndeg import exactalg
-from dyndeg.exactalg import MultiPoly, _cancel, _gcd_quotients, poly_gcd, poly_gcd_many
+from dyndeg.exactalg import MultiPoly, _gcd_quotients, poly_gcd, poly_gcd_many
 from dyndeg.fabc import FabcParams, build_map
 from dyndeg.ratmap import degree_sequence
 
 
 @st.composite
-def gcd_pairs(draw, modulus=None):
-    """(p, q) in three variables, each feature drawn or not: a planted common
-    factor, monomial content, forms, a zero input and a variable neither
-    uses."""
+def gcd_lists(draw, modulus=None):
+    """1 to 4 polynomials in three variables, each feature drawn or not: a
+    planted common factor, monomial content, forms, zero inputs in any
+    position and a variable none uses."""
     use = draw(st.sampled_from([(0, 1, 2), (0, 2), (1, 2)]))
     homogeneous = draw(st.booleans())
 
@@ -43,32 +44,32 @@ def gcd_pairs(draw, modulus=None):
         return MultiPoly.monomial(3, exps, 1, modulus)
 
     g = poly(1, 2)
-    p, q = g * poly(0, 2) * content(), g * poly(0, 2) * content()
-    zero = draw(st.sampled_from([None, 0, 1]))
-    if zero == 0:
-        p = MultiPoly.zero(3, modulus)
-    elif zero == 1:
-        q = MultiPoly.zero(3, modulus)
-    return p, q
+    fs = [g * poly(0, 2) * content() for _ in range(draw(st.integers(1, 4)))]
+    for i in draw(st.sets(st.integers(0, len(fs) - 1))):
+        fs[i] = MultiPoly.zero(3, modulus)
+    return fs
 
 
-def check_quotients(p, q):
-    g, a, b = _gcd_quotients(p, q)
-    assert g == poly_gcd(p, q) == poly_gcd(q, p)
-    assert g * a == p
-    assert g * b == q
+def check_quotients(fs):
+    g, *quots = _gcd_quotients(fs)
+    # the pairwise fold, from 0 so that a single input comes back canonical
+    reference = functools.reduce(poly_gcd, fs, MultiPoly.zero(3, fs[0].modulus))
+    assert g == reference == poly_gcd_many(fs) == _gcd_quotients(fs[::-1])[0]
+    assert len(quots) == len(fs)
+    for f, q in zip(fs, quots):
+        assert g * q == f
 
 
-@given(gcd_pairs())
+@given(gcd_lists())
 @settings(max_examples=80, deadline=None)
-def test_quotients_over_q(pair):
-    check_quotients(*pair)
+def test_quotients_over_q(fs):
+    check_quotients(fs)
 
 
-@given(gcd_pairs(modulus=7))
+@given(gcd_lists(modulus=7))
 @settings(max_examples=80, deadline=None)
-def test_quotients_over_f7(pair):
-    check_quotients(*pair)
+def test_quotients_over_f7(fs):
+    check_quotients(fs)
 
 
 X, Y, Z = (MultiPoly.variable(3, i) for i in range(3))
@@ -96,7 +97,7 @@ def test_gcd_builds_only_its_three_results(modulus, monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__init__", counting_init)
     monkeypatch.setattr(MultiPoly, "_build", classmethod(counting_build))
-    got, a, b = _gcd_quotients(p, q)
+    got, a, b = _gcd_quotients((p, q))
     monkeypatch.undo()
     assert (got, got * a, got * b) == (g, p, q)
     assert calls.count("init") == 0
@@ -104,6 +105,9 @@ def test_gcd_builds_only_its_three_results(modulus, monkeypatch):
 
 
 def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):
+    """A pairwise fold's running gcd would fall from degree 3 to 2 to 1;
+    the one gcd of the list runs Brown's algorithm once, on all four forms,
+    and trial-divides each form once over Q."""
     k, h1, h2 = 2 * X + Z, X + Y, X - 2 * Z
     forms = [
         -3 * k * h1 * h2 * (X + Z),
@@ -111,18 +115,16 @@ def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):
         k * h1 * (Y - Z),
         k * (Y**2 + Z**2),
     ]
-    running = []
-    inner = exactalg._gcd_quotients
-
-    def spy(p, q):
-        out = inner(p, q)
-        running.append(out[0].degree)
-        return out
-
-    monkeypatch.setattr(exactalg, "_gcd_quotients", spy)
-    g, quots = _cancel(forms)
+    runs, divisions = [], []
+    modular, divide = exactalg._gcd_modular, exactalg._divide_terms
+    monkeypatch.setattr(exactalg, "_gcd_modular", lambda fs: runs.append(len(fs)) or modular(fs))
+    monkeypatch.setattr(
+        exactalg, "_divide_terms", lambda rem, d, p=None: divisions.append(p) or divide(rem, d, p)
+    )
+    g, *quots = _gcd_quotients(forms)
     monkeypatch.undo()
-    assert running == [3, 2, 1]
+    assert runs == [4]
+    assert divisions.count(None) == 4
     assert g == poly_gcd_many(forms) == k
     assert [g * f for f in quots] == forms
 
@@ -136,14 +138,23 @@ def test_degree_sequence_divides_each_common_factor_once(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(exactalg, "_divide_terms", spy)
-    seq = degree_sequence(build_map(FabcParams(1, -1, 1)), 5)
-    assert seq.degrees == (2, 4, 7, 12, 20)
-    assert len(calls) <= 16
+    # two gcds find a factor, and each certificate divides each of the three
+    # forms once: over Q in the recursion mod 2^61 - 1 and again over Z
+    for modulus, bound in ((None, 12), (101, 6)):
+        calls.clear()
+        seq = degree_sequence(build_map(FabcParams(1, -1, 1), modulus), 5)
+        assert seq.degrees == (2, 4, 7, 12, 20)
+        assert len(calls) <= bound, modulus
 
 
 @pytest.mark.parametrize("modulus", [None, 7, 101])
 def test_zero_and_constant_forms(modulus):
     one = MultiPoly.constant(2, 1, modulus)
     x, zero = MultiPoly.variable(2, 0, modulus), MultiPoly.zero(2, modulus)
-    assert _cancel([zero, 3 * x, zero]) == (x, [zero, 3 * one, zero])
-    assert _cancel([x, one, 2 * x]) == (one, [x, one, 2 * x])
+    assert _gcd_quotients([zero, 3 * x, zero]) == (x, zero, 3 * one, zero)
+    assert _gcd_quotients([x, one, 2 * x]) == (one, x, one, 2 * x)
+    assert _gcd_quotients([zero, zero]) == (zero, zero, zero)
+    assert _gcd_quotients([3 * x]) == (x, 3 * one)
+    assert poly_gcd_many([3 * x]) == poly_gcd_many([zero, 3 * x]) == x
+    with pytest.raises(ValueError, match="at least one"):
+        poly_gcd_many([])

@@ -721,7 +721,7 @@ def test_failing_rational_candidate_builds_no_fraction(monkeypatch):
     for n in (x * x + y * y, d * (x - y) + y * y, d * (5 * x + y) + 2 * y):
         rem = dict(n.terms)
         assert exactalg._divide_terms(rem, d.terms) is None
-    assert exactalg._certify(dict((d * (x + y)).terms), dict((d * x).terms), {(0, 2): 1}) is None
+    assert exactalg._certify(dict((d * (x + y)).terms), [dict((d * x).terms), {(0, 2): 1}]) is None
 
 
 @st.composite

@@ -644,9 +644,9 @@ class TestStripLemma:
             gcds.append((p, q))
             return original_gcd(p, q)
 
-        def spy_quotients(p, q):
-            quotients.append((p, q))
-            return original_quotients(p, q)
+        def spy_quotients(polys):
+            quotients.append(polys)
+            return original_quotients(polys)
 
         monkeypatch.setattr(fabc, "poly_gcd", spy_gcd)
         monkeypatch.setattr(fabc, "_gcd_quotients", spy_quotients)

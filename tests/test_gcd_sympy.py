@@ -1,13 +1,14 @@
-"""poly_gcd against sympy.gcd, one ring shape per path of the gcd.
+"""poly_gcd against sympy.gcd_list, one ring shape per path of the gcd.
 
 Each case builds pairs with a planted common factor and coprime pairs from
-seeded random polynomials, checks that the expected path ran, and asserts
-that poly_gcd equals sympy's gcd up to the canonical scale.  More rational
+seeded random polynomials, and a triple whose first two inputs share more
+than all three do, checks that the expected path ran, and asserts that the
+gcd equals sympy's up to the canonical scale.  More rational
 cases reach the corners of the modular gcd: a discarded candidate, a
 skipped prime, a CRT over several primes, a coefficient that vanishes mod
 the first prime, and unlucky evaluation points.  Over small prime fields
 the gcd runs out of points and moves to an extension field; its pairs,
-its two known hard inputs over F_7 and its choice of modulus m are checked
+its two known hard triples over F_7 and its choice of modulus m are checked
 against sympy too.  sympy is an oracle for tests only.
 """
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from dyndeg import exactalg
-from dyndeg.exactalg import MultiPoly, poly_gcd
+from dyndeg.exactalg import MultiPoly, _gcd_quotients, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -40,7 +41,9 @@ def random_poly(rng, num_vars, degree, n_terms, modulus=None, homogeneous=False,
     return MultiPoly(num_vars, terms, modulus)
 
 
-def sympy_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+def sympy_gcd(*fs: MultiPoly) -> MultiPoly:
+    """sympy.gcd_list of fs, at the canonical scale."""
+    p = fs[0]
     gens = sympy.symbols(f"x0:{p.num_vars}")
     opts = {"modulus": p.modulus} if p.modulus is not None else {"domain": "QQ"}
 
@@ -48,9 +51,9 @@ def sympy_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         coeff = (lambda c: c) if f.modulus is not None else (
             lambda c: sympy.Rational(c.numerator, c.denominator)
         )
-        return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms}, gens, **opts)
+        return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms}, gens, **opts).as_expr()
 
-    g = sympy.gcd(to_sympy(p), to_sympy(q))
+    g = sympy.gcd_list([to_sympy(f) for f in fs], *gens, polys=True, **opts)
     terms = {
         e: Fraction(int(c.p), int(c.q)) if p.modulus is None else int(c)
         for e, c in g.as_dict().items()
@@ -82,7 +85,7 @@ def branch_calls(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             out = _inner(*args)
             if _name == "_reduce":
-                arity = (len(next(iter(f))) for f in (args[0], out[0]))
+                arity = (len(next(iter(fs[0]))) for fs in (args[0], out[0]))
                 calls["dropped"].append(next(arity) - next(arity))
             return out
 
@@ -105,6 +108,23 @@ def test_poly_gcd_matches_sympy(name, branch, dropped, shape, planted, seed, bra
     assert got == poly_gcd(b, a)
     if planted:
         assert not got.is_constant()
+    assert branch_calls.get(branch, 0) > 0
+    if dropped is not None:
+        assert set(branch_calls["dropped"]) == {dropped}
+
+
+@pytest.mark.parametrize("name,branch,dropped,shape", SHAPES, ids=[s[0] for s in SHAPES])
+def test_gcd_of_a_triple_matches_sympy(name, branch, dropped, shape, branch_calls):
+    """g * h * a, g * h * b and g * c: the first two share g * h, all three
+    only g, which the one gcd of the list must find and certify."""
+    rng = random.Random(f"{name}-triple")
+    g, h = (random_poly(rng, degree=1, n_terms=2, **shape) for _ in range(2))
+    a, b, c = (random_poly(rng, degree=2, n_terms=3, **shape) for _ in range(3))
+    fs = (g * h * a, g * h * b, g * c)
+    got, *quots = _gcd_quotients(fs)
+    assert got == sympy_gcd(*fs) == _gcd_quotients(fs[::-1])[0]
+    assert [got * q for q in quots] == list(fs)
+    assert poly_gcd(*fs[:2]).degree > got.degree > 0
     assert branch_calls.get(branch, 0) > 0
     if dropped is not None:
         assert set(branch_calls["dropped"]) == {dropped}
@@ -139,11 +159,11 @@ def primes_used(monkeypatch):
     primes = []
     inner = exactalg._gcd_mod_p
 
-    def spy(a, b, p):
+    def spy(fs, p):
         if p not in primes:
             primes.append(p)
             assert len(primes) <= 10, "the modular gcd is not converging"
-        return inner(a, b, p)
+        return inner(fs, p)
 
     monkeypatch.setattr(exactalg, "_gcd_mod_p", spy)
     return primes
@@ -179,8 +199,8 @@ def test_image_of_higher_degree_is_dropped(monkeypatch):
     images, divisors = [], []
     image, divide = exactalg._gcd_mod_p, exactalg._divide_terms
 
-    def image_spy(a, b, p):
-        h = image(a, b, p)
+    def image_spy(fs, p):
+        h = image(fs, p)
         images.append((p, max(h)[0]))
         return h
 
@@ -207,9 +227,7 @@ def test_unlucky_evaluation_points_are_discarded():
     t = X1
     c = (t - 1) * (t - 2)
     a, b = X0**2 + c, X0**3 + c
-    image = exactalg._gcd_mod_p(
-        {e: int(v) % P0 for e, v in a.terms}, {e: int(v) % P0 for e, v in b.terms}, P0
-    )
+    image = exactalg._gcd_mod_p([{e: int(v) % P0 for e, v in f.terms} for f in (a, b)], P0)
     assert image == {(0, 0): 1}
     assert poly_gcd(a, b) == sympy_gcd(a, b) == MultiPoly.constant(2, 1)
 
@@ -252,21 +270,23 @@ Y0, Y1 = MultiPoly.variable(2, 0, 7), MultiPoly.variable(2, 1, 7)
 
 
 @pytest.mark.parametrize(
-    "g,a,b",
+    "g,cofactors",
     [
         # the leading coefficient Y^7 - Y vanishes at every point of F_7
-        (Y0 + Y1 + 1, (Y1**7 - Y1) * Y0 + 1, (Y1**7 - Y1) * Y0 + 2),
+        (Y0 + Y1 + 1, [(Y1**7 - Y1) * Y0 + k for k in (1, 2, 3)]),
         # a Y-degree of 7 needs 8 points to interpolate, F_7 has 6
-        (Y1**7 + Y0 + Y1 + 1, Y0 + 2, Y0 + 3),
+        (Y1**7 + Y0 + Y1 + 1, [Y0 + k for k in (2, 3, 4)]),
     ],
     ids=["vanishing-leading-coefficient", "degree-7-in-the-last-variable"],
 )
-def test_f7_runs_out_of_points_and_extends(g, a, b, extensions_used):
-    a, b = g * a, g * b
+def test_f7_runs_out_of_points_and_extends(g, cofactors, extensions_used):
+    fs = [g * f for f in cofactors]
     with pytest.raises(exactalg._PointsExhausted):
-        exactalg._gcd_mod_p(dict(a.terms), dict(b.terms), 7)
-    assert poly_gcd(a, b) == sympy_gcd(a, b) == g
-    assert extensions_used == [(7, 2)]
+        exactalg._gcd_mod_p([dict(f.terms) for f in fs], 7)
+    got, *quots = _gcd_quotients(fs)
+    assert got == poly_gcd(*fs[:2]) == sympy_gcd(*fs) == g
+    assert quots == cofactors
+    assert extensions_used == [(7, 2)] * 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

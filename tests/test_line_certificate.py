@@ -26,7 +26,7 @@ MONOMIALS2 = (X * X, X * Y, X * Z, Y * Y, Y * Z, Z * Z)
 
 
 def exact_chain(f, n_max):
-    """f^1..f^n_max, with _cancel at every step."""
+    """f^1..f^n_max, with _gcd_quotients at every step."""
     chain = [f]
     for _ in range(n_max - 1):
         chain.append(ProjectiveMap(_compose_forms(f, chain[-1].coords)))
@@ -39,7 +39,7 @@ def exact_degrees(f, n_max):
 
 def certified_flags(f, n_max):
     """Run the engine next to its own exact chain (f after the previous
-    exact iterate, _cancel at every step): nothing cancels at a certified
+    exact iterate, _gcd_quotients at every step): nothing cancels at a certified
     step, and every yielded degree is the exact one."""
     flags, degrees, prev = [], [], None
     for degree, certified in _iterates(f, n_max):
@@ -63,7 +63,7 @@ def test_fabc_grid_certifies_exactly_the_stable_prefix(a, b, c):
     flags, degrees = certified_flags(f, 4)
     drop = first_drop(degrees, f.degree)
     # every iterate before the first drop is proved coprime on the line;
-    # the drop and everything after it go through _cancel
+    # the drop and everything after it go through _gcd_quotients
     assert flags == [False] + [drop is None or n < drop for n in range(2, 5)]
 
 
@@ -95,8 +95,8 @@ def test_line_through_indeterminacy_point_declines(monkeypatch):
     )
     f = build_map(FabcParams(1, 1, 1))
     calls = []
-    plain = ratmap._cancel
-    monkeypatch.setattr(ratmap, "_cancel", lambda forms: calls.append(1) or plain(forms))
+    plain = ratmap._gcd_quotients
+    monkeypatch.setattr(ratmap, "_gcd_quotients", lambda forms: calls.append(1) or plain(forms))
     assert [d for d, _ in _iterates(f, 4)] == [2, 4, 8, 16]
     assert len(calls) == 3
     flags, _ = certified_flags(f, 4)

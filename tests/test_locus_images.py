@@ -315,7 +315,7 @@ def test_a_slice_through_a_critical_point_of_kappa_takes_the_exact_path(
     assert (order, slice_) in _locus_polys(fam, order)[0]
     calls = []
     exact = fabc._gcd_quotients
-    monkeypatch.setattr(fabc, "_gcd_quotients", lambda *a: calls.append(a) or exact(*a))
+    monkeypatch.setattr(fabc, "_gcd_quotients", lambda polys: calls.append(polys) or exact(polys))
     assert _distinct_root_count(slice_, _image(slice_), critical) == roots
     assert calls, "the K-test decided a slice with a repeated root"
     assert roots == sqf_degree(_sparse(slice_)) < len(slice_) - 1
