@@ -835,17 +835,18 @@ def _content_last(cols: Iterable[list], p: int) -> list:
     return g
 
 
-def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
-    """Gcd of polynomials fs, each nonzero mod p, over the field K = F_p
-    (or the _Field p) with lex leading coefficient 1, by Brown's recursion
-    on the last variable t; lex order ranks the other variables first, so
-    leading coefficients lie in K[t].
+def _candidates(splits: list, p: int):
+    """Brown's candidates for the gcd G of split polynomials, each nonzero
+    mod p, over the field K = F_p (or the _Field p), by his recursion on
+    the last variable t; lex order ranks the other variables first, so
+    leading coefficients lie in K[t].  Each candidate is a split dict c * C,
+    unscaled; one in t alone is G up to a scalar, and none follows it.
 
     With one variable this is Euclid (_content_last).  Otherwise let c be
-    the content of all the inputs in K[t], G the gcd and G' = G / c its
-    primitive part.  At the nonzero points t of K (1, ..., p - 1 over
-    F_p), taken once each, where no leading coefficient l_i of an input
-    vanishes, the recursive gcd h of the f_i(t) is divisible by G(t),
+    the content of all the inputs in K[t] and G' = G / c the primitive
+    part.  At the nonzero points t of K (1, ..., p - 1 over F_p), taken
+    once each, where no leading coefficient l_i of an input vanishes, the
+    gcd h of the f_i(t) (_gcd_mod_p, certified) is divisible by G(t),
     whose leading monomial is that of G because lc(G) divides every l_i:
     h never has a lower leading monomial than G, a constant h proves
     G = c, and h = G(t) up to a scalar at all but finitely many points
@@ -854,17 +855,16 @@ def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
     t are the f_i(t)).  Images with the lowest leading monomial seen,
     scaled to lead with gamma(t), gamma = gcd(l_1, ..., l_k), are values
     of the one polynomial gamma * G / lc(G); Newton interpolation in t
-    runs until a new point leaves the interpolant unchanged.  Its
-    primitive part C has the leading monomial of the images, so if c * C
-    divides every input it divides G without a lower leading monomial,
-    and is G up to a scalar (G' is primitive); if not, more points follow.
-    _PointsExhausted is raised when none is left, as over small fields but
-    not near 2^61.  Given a list `quotients`, the f_i / G are appended to
-    it unless G = 1.
+    runs until a new point leaves the interpolant unchanged, and then c
+    times its primitive part C is a candidate.  C has the leading
+    monomial of the images, so if c * C divides every input it divides G
+    without a lower leading monomial, and is G up to a scalar (G' is
+    primitive); if not, more points follow.  The generator ends when no
+    point is left, as over small fields but not near 2^61.
     """
-    splits = [_split_last(f, p) for f in fs]
-    if len(next(iter(fs[0]))) == 1:
-        return _gcd_in_last(_content_last((s[()] for s in splits), p), splits, p, quotients)
+    if () in splits[0]:
+        yield {(): _content_last((s[()] for s in splits), p)}
+        return
     c = _content_last((col for s in splits for col in s.values()), p)
     leads = [s[max(s)] for s in splits]
     gamma = _content_last(leads, p)
@@ -875,7 +875,8 @@ def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
         h = _gcd_mod_p([_eval_last(s, t, p) for s in splits], p)
         m = max(h)
         if not any(m):
-            return _gcd_in_last(c, splits, p, quotients)
+            yield {m: c}
+            return
         if lm is not None and m > lm:
             continue
         if m != lm:
@@ -896,10 +897,27 @@ def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
         if changed:
             continue
         g = _content_last(interp.values(), p)
-        cand = {m: _up_mul(_up_divmod(col, g, p)[0], c, p) for m, col in interp.items()}
+        yield {mono: _up_mul(_up_divmod(col, g, p)[0], c, p) for mono, col in interp.items()}
+
+
+def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
+    """Gcd of polynomials fs, each nonzero mod p, over the field K = F_p
+    (or the _Field p) with lex leading coefficient 1: the first of
+    _candidates' that divides every input mod p, or the one in the last
+    variable alone, which needs no division.  This trial division is the
+    certificate over F_p and at every inner level of the recursion, whose
+    images must be true gcds; over Q, _gcd_modular consumes _candidates
+    itself.  _PointsExhausted is raised when no point is left.  Given a
+    list `quotients`, the f_i / G are appended to it unless G = 1.
+    """
+    splits = [_split_last(f, p) for f in fs]
+    for cand in _candidates(splits, p):
+        top = max(cand)
+        if not any(top):
+            return _gcd_in_last(cand, splits, p, quotients)
         qs = _certify(_join_last(cand, p), [_join_last(s, p) for s in splits], p)
         if qs is not None:
-            lc = cand[max(cand)][-1]
+            lc = cand[top][-1]
             if quotients is not None:
                 quotients += ({e: u * lc % p for e, u in f} for f in qs)
             return _join_last(cand, p, pow(lc, -1, p))
@@ -918,14 +936,15 @@ def _certify(g: dict, fs: list, p: int | None = None) -> list | None:
     return quots
 
 
-def _gcd_in_last(c: list, splits: list, p: int, quotients: list | None) -> dict:
-    """_gcd_mod_p's gcd c in the last variable alone, with the quotients."""
+def _gcd_in_last(cand: dict, splits: list, p: int, quotients: list | None) -> dict:
+    """_gcd_mod_p's gcd, monic in the last variable alone, with the quotients."""
+    (c,) = cand.values()
     if quotients is not None and len(c) > 1:
         quotients += (
             _join_last({m: _up_divmod(col, c, p)[0] for m, col in s.items()}, p)
             for s in splits
         )
-    return _join_last({(0,) * len(next(iter(splits[0]))): c}, p)
+    return _join_last(cand, p)
 
 
 class _PointsExhausted(ArithmeticError):
@@ -1084,25 +1103,44 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
 
     Let l_i be the leading coefficient of f_i in lex order and
     gamma = gcd(l_1, ..., l_k).  Primes r are taken downward from
-    2^61 - 1, skipping those dividing some l_i, and each gives the image
-    h = gcd(fs mod r) from _gcd_mod_p.
+    2^61 - 1, skipping those dividing some l_i, and _candidates gives the
+    candidates h for G_r = gcd(fs mod r), scaled to lex leading
+    coefficient 1 and not yet certified.
 
-    Lemma: G = gcd(fs) has lc(G) dividing every l_i, so r keeps the
-    leading monomial of G, and G mod r divides h: an image never has a
-    lower leading monomial than G, and a constant image proves G = 1.  The
-    same holds in _gcd_mod_p for an evaluation point t where no l_i(t)
+    Lemma (Brown): G = gcd(fs) has lc(G) dividing every l_i, so r keeps
+    the leading monomial of G, and G mod r divides G_r: G_r never has a
+    lower leading monomial than G, and a constant G_r proves G = 1.  The
+    same holds in _candidates for an evaluation point t where no l_i(t)
     vanishes, so gamma(t) != 0.  Only finitely many primes, and in
-    _gcd_mod_p only finitely many points, give h != G mod r up to a scalar
-    (for k inputs, by the two-input case on f_1 and the y-sum F there);
-    the others give gamma * h = H mod r for the one integer polynomial
-    H = gamma * G / lc(G).  Images with a higher leading monomial than the
-    lowest seen are dropped; the rest are combined by CRT into the
-    symmetric range, and after each prime the primitive part C of that
-    lift is trial-divided into every input, in _reduce's ring as in
-    _gcd_mod_p.  This division is the certificate and gives the quotients:
-    then C divides G with a leading monomial no lower than G's, so C = G
-    up to a unit.  If it fails, another prime follows; once the lucky
-    primes' product passes 2 * max|H| the lift is H, so the loop ends.
+    _candidates only finitely many points, give G_r != G mod r up to a
+    scalar (for k inputs, by the two-input case on f_1 and the y-sum F
+    there); the others give gamma * G_r = H mod r for the one integer
+    polynomial H = gamma * G / lc(G).  Certified images are combined by
+    CRT into the symmetric range, from scratch when one has a lower
+    leading monomial than the lowest seen; once the lucky primes' product
+    passes 2 * max|H| the lift is H.
+
+    The certificate.  Each candidate h is lifted by CRT on a copy of that
+    state, and the primitive part C of the lift is trial-divided into
+    every input over Z, in _reduce's ring.  If it divides, C = G up to a
+    unit, and the division gives the quotients.  If not, h is
+    trial-divided into every input mod r (a candidate in the last
+    variable alone needs no division): if that holds, h = G_r enters the
+    CRT state and the next prime follows; if not, h was an unlucky
+    interpolant and the next candidate follows.  A candidate above the
+    lowest leading monomial certified ends its prime undivided: since
+    that monomial is at least G's, the candidate's lift is not G.
+
+    Lemma (one certificate over Q).  Suppose C divides every f_i over Q.
+    C is primitive, so by Gauss's lemma the quotients lie in Z[x], and
+    C mod r divides every f_i mod r.  The lift is gamma * h mod r, so its
+    lex leading coefficient is gamma mod r, which r does not divide;
+    neither does the lift's content, and C mod r is a unit times h.  So
+    h divides every input mod r, and h has the leading monomial of its
+    point images; by the lemma of _candidates, h = G_r up to a scalar.  A
+    Q certificate that holds thus implies the mod-r certificate of every
+    image it lifts: each is G_r, so C divides G with a leading monomial
+    no lower than G's, and C = G up to a unit.
     """
     leads = [f[max(f)] for f in fs]
     gamma = math.gcd(*leads)
@@ -1111,25 +1149,30 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
         pr = _prime(i)
         if not all(lead % pr for lead in leads):
             continue
-        h = _gcd_mod_p(fs, pr)
-        m = max(h)
-        if not any(m):
-            return None
-        if lm is not None and m > lm:
-            continue
-        if m != lm:
-            lm, mod, res = m, 1, {}
-        s, w = gamma % pr, pow(mod, -1, pr)
-        for e in res.keys() | h.keys():
-            r = res.get(e, 0)
-            res[e] = r + mod * ((h.get(e, 0) * s - r) * w % pr)
-        mod *= pr
-        cand = {e: r - mod if 2 * r > mod else r for e, r in res.items()}
-        content = math.gcd(*cand.values())
-        g = {e: c // content for e, c in cand.items()}
-        qs = _certify(g, [dict(f) for f in fs])
-        if qs is not None:
-            return g, *map(dict, qs)
+        splits = [_split_last(f, pr) for f in fs]
+        for cand in _candidates(splits, pr):
+            top = max(cand)
+            h = _join_last(cand, pr, pow(cand[top][-1], -1, pr))
+            m = max(h)
+            if not any(m):
+                return None
+            if lm is not None and m > lm:
+                break
+            old, old_mod = (res, mod) if m == lm else ({}, 1)
+            s, w = gamma % pr, pow(old_mod, -1, pr)
+            new, new_mod = {}, old_mod * pr
+            for e in old.keys() | h.keys():
+                r = old.get(e, 0)
+                new[e] = r + old_mod * ((h.get(e, 0) * s - r) * w % pr)
+            lift = {e: r - new_mod if 2 * r > new_mod else r for e, r in new.items()}
+            content = math.gcd(*lift.values())
+            g = {e: c // content for e, c in lift.items()}
+            qs = _certify(g, [dict(f) for f in fs])
+            if qs is not None:
+                return g, *map(dict, qs)
+            if not any(top) or _certify(h, [_join_last(sp, pr) for sp in splits], pr) is not None:
+                lm, mod, res = m, new_mod, new
+                break
 
 
 def _gcd_quotients(polys: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:

@@ -139,12 +139,32 @@ def test_degree_sequence_divides_each_common_factor_once(monkeypatch):
 
     monkeypatch.setattr(exactalg, "_divide_terms", spy)
     # two gcds find a factor, and each certificate divides each of the three
-    # forms once: over Q in the recursion mod 2^61 - 1 and again over Z
-    for modulus, bound in ((None, 12), (101, 6)):
+    # forms once: over Q only over Z, since a lift that divides there
+    # certifies its image mod 2^61 - 1 too
+    for modulus, bound in ((None, 6), (101, 6)):
         calls.clear()
         seq = degree_sequence(build_map(FabcParams(1, -1, 1), modulus), 5)
         assert seq.degrees == (2, 4, 7, 12, 20)
         assert len(calls) <= bound, modulus
+
+
+def test_rational_gcd_divides_only_over_z(monkeypatch):
+    """A bivariate pair with a planted factor and small coefficients: the
+    lift of the first prime's image divides both inputs over Z, so no
+    division mod p runs."""
+    moduli = []
+    inner = exactalg._divide_terms
+
+    def spy(rem, d, p=None):
+        moduli.append(p)
+        return inner(rem, d, p)
+
+    monkeypatch.setattr(exactalg, "_divide_terms", spy)
+    x, y = (MultiPoly.variable(2, i) for i in range(2))
+    g = x**2 - 3 * x * y + 2 * y + 1
+    a, b = g * (x + 2 * y - 1), g * (x * y - y**2 + 3)
+    assert poly_gcd(a, b) == g
+    assert moduli == [None, None]
 
 
 @pytest.mark.parametrize("modulus", [None, 7, 101])

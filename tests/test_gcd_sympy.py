@@ -157,16 +157,53 @@ def test_candidate_agreeing_mod_the_first_prime_is_discarded(monkeypatch):
 @pytest.fixture
 def primes_used(monkeypatch):
     primes = []
-    inner = exactalg._gcd_mod_p
+    inner = exactalg._candidates
 
-    def spy(fs, p):
+    def spy(splits, p):
         if p not in primes:
             primes.append(p)
             assert len(primes) <= 10, "the modular gcd is not converging"
-        return inner(fs, p)
+        return inner(splits, p)
 
-    monkeypatch.setattr(exactalg, "_gcd_mod_p", spy)
+    monkeypatch.setattr(exactalg, "_candidates", spy)
     return primes
+
+
+@pytest.fixture
+def division_log(monkeypatch):
+    """(modulus or None, divisor, whether it divided) for each _divide_terms
+    call, in order; a run that keeps dividing is cut off."""
+    log = []
+    divide = exactalg._divide_terms
+
+    def spy(rem, d, p=None):
+        out = divide(rem, d, p)
+        log.append((p, MultiPoly(len(d[0][0]), dict(d), p), out is not None))
+        assert len(log) <= 40, "the modular gcd is not converging"
+        return out
+
+    monkeypatch.setattr(exactalg, "_divide_terms", spy)
+    return log
+
+
+def check_fallbacks(log, k):
+    """Each failed division over Q is followed by divisions mod one prime
+    only: none when the image is Euclid's gcd, else k that all hold (the
+    image enters the CRT state), or one that fails (an unlucky
+    interpolant, so another candidate of that prime follows)."""
+    i = 0
+    while i < len(log):
+        p, _, ok = log[i]
+        assert p is None, log[i]
+        i += 1
+        if ok:
+            continue
+        run = []
+        while i < len(log) and log[i][0] is not None:
+            run.append(log[i])
+            i += 1
+        assert len({q for q, _, _ in run}) <= 1
+        assert [ok for _, _, ok in run] in ([], [True] * k, [False]), run
 
 
 def test_prime_dividing_a_leading_coefficient_is_skipped(primes_used):
@@ -182,54 +219,109 @@ def test_prime_dividing_a_leading_coefficient_is_skipped(primes_used):
     [X0 + (2**64 + 13) * X1 - (2**62 + 1), X0 + P0 * X1 + 1],
     ids=["above-2^61", "vanishing-mod-first-prime"],
 )
-def test_large_coefficients_need_crt_over_several_primes(g, primes_used):
+def test_large_coefficients_need_crt_over_several_primes(g, primes_used, division_log):
+    """The lift of the first prime's image fails over Q, so that image is
+    certified mod P0 before it enters the CRT, and the lift over two
+    primes holds over Q."""
     a, b = g * (X0 + X1 - 2), g * (X0 * X1 - 3 * X1 + 1)
     got = poly_gcd(a, b)
     assert got == sympy_gcd(a, b) == g
     assert len(primes_used) >= 2
+    assert [(p, ok) for p, _, ok in division_log] == [
+        (None, False), (P0, True), (P0, True), (None, True), (None, True)
+    ]
+    check_fallbacks(division_log, 2)
 
 
-def test_image_of_higher_degree_is_dropped(monkeypatch):
+def check_image_of_higher_degree_is_dropped(num_vars, monkeypatch, division_log):
     """Mod _prime(1) the cofactor x + 3 - _prime(1) is x + 3, so that image
-    is the whole of a, of degree 2, against the gcd's 1.  CRT must drop it
-    and combine the images mod _prime(0) and _prime(2), whose product
-    passes 2 * (2^70 + 1): every candidate tried over Q has degree 1."""
+    is the whole of a, of degree 2 in x, against the gcd's 1.  CRT must
+    drop it undivided and combine the images mod _prime(0) and _prime(2),
+    whose product passes 2 * (2^70 + 1): every candidate tried over Q has
+    degree 1 in x."""
+    x = MultiPoly.variable(num_vars, 0)
+    variables = (MultiPoly.variable(num_vars, v) for v in range(num_vars))
+    cofactor = sum(variables, MultiPoly.constant(num_vars, 3))  # x + 3, or x + y + 3
     g = x + 2**70 + 1
-    a, b = g * (x + 3), g * (x + 3 - exactalg._prime(1))
-    images, divisors = [], []
-    image, divide = exactalg._gcd_mod_p, exactalg._divide_terms
+    a, b = g * cofactor, g * (cofactor - exactalg._prime(1))
+    images = []
+    image = exactalg._candidates
 
-    def image_spy(fs, p):
-        h = image(fs, p)
-        images.append((p, max(h)[0]))
-        return h
+    def image_spy(splits, p):
+        for cand in image(splits, p):
+            if len(next(iter(cand))) == num_vars - 1:  # not an image at a point
+                images.append((p, max(exactalg._join_last(cand, p))[0]))
+            yield cand
 
-    def divide_spy(rem, d, p=None):
-        if p is None:
-            divisors.append(d[0][0])
-        return divide(rem, d, p)
-
-    monkeypatch.setattr(exactalg, "_gcd_mod_p", image_spy)
-    monkeypatch.setattr(exactalg, "_divide_terms", divide_spy)
+    monkeypatch.setattr(exactalg, "_candidates", image_spy)
     got = poly_gcd(a, b)
     monkeypatch.undo()
     assert got == sympy_gcd(a, b) == g
     assert images == [(exactalg._prime(i), d) for i, d in enumerate((1, 2, 1))]
-    # one failed division by the candidate mod _prime(0), two certifying ones
+    # the x-exponents of the leading terms: one failed division by the
+    # candidate over Q, two certifying ones
+    divisors = [d.terms[0][0][:1] for p, d, _ in division_log if p is None]
     assert divisors == [(1,)] * 3
+    check_fallbacks(division_log, 2)
+    return [(p, ok) for p, _, ok in division_log if p is not None]
 
 
-def test_unlucky_evaluation_points_are_discarded():
+def test_image_of_higher_degree_is_dropped(monkeypatch, division_log):
+    """The image mod _prime(0), whose lift fails over Q, is Euclid's gcd,
+    certified with no division."""
+    assert check_image_of_higher_degree_is_dropped(1, monkeypatch, division_log) == []
+
+
+def test_image_of_higher_degree_is_dropped_in_two_variables(monkeypatch, division_log):
+    """With x + y + 3 in the cofactors, the image mod _prime(0), whose lift
+    fails over Q, is an interpolant, and two divisions mod _prime(0)
+    certify it before it enters the CRT."""
+    modular = check_image_of_higher_degree_is_dropped(2, monkeypatch, division_log)
+    assert modular == [(P0, True)] * 2
+
+
+def test_unlucky_evaluation_points_are_discarded(division_log):
     """At t = 1 and t = 2 both inputs specialise to multiples of x^2, for
     every prime, so the first two images agree on a false gcd; the trial
-    division mod p must reject it, and the image at t = 3 proves the pair
-    coprime."""
+    division of its lift over Q fails, then the one mod p rejects the
+    image itself, and the image at t = 3 proves the pair coprime."""
     t = X1
     c = (t - 1) * (t - 2)
     a, b = X0**2 + c, X0**3 + c
     image = exactalg._gcd_mod_p([{e: int(v) % P0 for e, v in f.terms} for f in (a, b)], P0)
     assert image == {(0, 0): 1}
+    assert division_log == [(P0, MultiPoly(2, {(2, 0): 1}, P0), False)]
+    division_log.clear()
     assert poly_gcd(a, b) == sympy_gcd(a, b) == MultiPoly.constant(2, 1)
+    assert division_log == [
+        (None, X0**2, False),
+        (P0, MultiPoly(2, {(2, 0): 1}, P0), False),
+    ]
+    check_fallbacks(division_log, 2)
+
+
+def test_unlucky_candidate_at_every_prime_is_refused(division_log):
+    """g(t) = x + 5 at t = 1 and t = 2, so every prime's first candidate is
+    x + 5, with the leading monomial of g.  Mod P0 its lift fails over Q
+    and it fails mod P0; the true image's lift fails over Q (a coefficient
+    above 2^64), and it enters the CRT certified.  Mod P1 the false
+    candidate, lifted with the image mod P0, fails over Q and mod P1, and
+    the true image, lifted with the image mod P0, divides over Q."""
+    t = X1
+    g = X0 + (2**64 + 13) * (t - 1) * (t - 2) + 5
+    a, b = g * (X0 + t - 2), g * (X0 * t - 3 * t + 1)
+    assert poly_gcd(a, b) == sympy_gcd(a, b) == g
+    P1 = exactalg._prime(1)
+    assert [(p, ok) for p, _, ok in division_log] == [
+        (None, False), (P0, False),
+        (None, False), (P0, True), (P0, True),
+        (None, False), (P1, False),
+        (None, True), (None, True),
+    ]
+    assert [d for p, d, ok in division_log if p and not ok] == [
+        MultiPoly(2, {(1, 0): 1, (0, 0): 5}, m) for m in (P0, P1)
+    ]
+    check_fallbacks(division_log, 2)
 
 
 @pytest.fixture
