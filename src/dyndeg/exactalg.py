@@ -903,25 +903,38 @@ def _candidates(splits: list, p: int):
 def _gcd_mod_p(fs: list, p: int, quotients: list | None = None) -> dict:
     """Gcd of polynomials fs, each nonzero mod p, over the field K = F_p
     (or the _Field p) with lex leading coefficient 1: the first of
-    _candidates' that divides every input mod p, or the one in the last
-    variable alone, which needs no division.  This trial division is the
-    certificate over F_p and at every inner level of the recursion, whose
-    images must be true gcds; over Q, _gcd_modular consumes _candidates
-    itself.  _PointsExhausted is raised when no point is left.  Given a
-    list `quotients`, the f_i / G are appended to it unless G = 1.
+    _candidates' that _holds_mod_p certifies.  That certificate holds over
+    F_p and at every inner level of the recursion, whose images must be
+    true gcds; over Q, _gcd_modular consumes _candidates itself.
+    _PointsExhausted is raised when no point is left.  Given a list
+    `quotients`, the f_i / G are appended to it unless G = 1.
     """
     splits = [_split_last(f, p) for f in fs]
     for cand in _candidates(splits, p):
-        top = max(cand)
-        if not any(top):
-            return _gcd_in_last(cand, splits, p, quotients)
-        qs = _certify(_join_last(cand, p), [_join_last(s, p) for s in splits], p)
+        qs = _holds_mod_p(cand, splits, p)
         if qs is not None:
-            lc = cand[top][-1]
-            if quotients is not None:
+            lc = cand[max(cand)][-1]
+            g = _join_last(cand, p, pow(lc, -1, p))
+            if quotients is not None and any(max(g)):
                 quotients += ({e: u * lc % p for e, u in f} for f in qs)
-            return _join_last(cand, p, pow(lc, -1, p))
+            return g
     raise _PointsExhausted(p)
+
+
+def _holds_mod_p(cand: dict, splits: list, p: int):
+    """The quotients of split polynomials by a candidate of _candidates, as
+    an iterable of term iterables, or None unless it divides all of them:
+    the certificate mod p.  A candidate in the last variable alone is
+    Euclid's gcd and needs no division; its quotients are computed only
+    when they are iterated."""
+    top = max(cand)
+    if not any(top):
+        c = cand[top]
+        return (
+            _join_last({m: _up_divmod(col, c, p)[0] for m, col in s.items()}, p).items()
+            for s in splits
+        )
+    return _certify(_join_last(cand, p), [_join_last(s, p) for s in splits], p)
 
 
 def _certify(g: dict, fs: list, p: int | None = None) -> list | None:
@@ -934,17 +947,6 @@ def _certify(g: dict, fs: list, p: int | None = None) -> list | None:
             return None
         quots.append(q)
     return quots
-
-
-def _gcd_in_last(cand: dict, splits: list, p: int, quotients: list | None) -> dict:
-    """_gcd_mod_p's gcd, monic in the last variable alone, with the quotients."""
-    (c,) = cand.values()
-    if quotients is not None and len(c) > 1:
-        quotients += (
-            _join_last({m: _up_divmod(col, c, p)[0] for m, col in s.items()}, p)
-            for s in splits
-        )
-    return _join_last(cand, p)
 
 
 class _PointsExhausted(ArithmeticError):
@@ -1123,13 +1125,15 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
     The certificate.  Each candidate h is lifted by CRT on a copy of that
     state, and the primitive part C of the lift is trial-divided into
     every input over Z, in _reduce's ring.  If it divides, C = G up to a
-    unit, and the division gives the quotients.  If not, h is
-    trial-divided into every input mod r (a candidate in the last
-    variable alone needs no division): if that holds, h = G_r enters the
-    CRT state and the next prime follows; if not, h was an unlucky
-    interpolant and the next candidate follows.  A candidate above the
-    lowest leading monomial certified ends its prime undivided: since
-    that monomial is at least G's, the candidate's lift is not G.
+    unit, and the division gives the quotients.  If not, _holds_mod_p
+    tries h mod r: if it holds, h = G_r enters the CRT state and the next
+    prime follows; if not, h was an unlucky interpolant and the next
+    candidate follows.  A candidate above the lowest leading monomial
+    certified is not lifted, since that monomial is at least G's, so its
+    lift is not G; it still faces _holds_mod_p, and ends its prime only
+    as a certified G_r.  An unlucky interpolant may sit above that
+    monomial at every prime (points where every input has an integer
+    root), and dropping the prime for it would drop them all.
 
     Lemma (one certificate over Q).  Suppose C divides every f_i over Q.
     C is primitive, so by Gauss's lemma the quotients lie in Z[x], and
@@ -1151,12 +1155,13 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
             continue
         splits = [_split_last(f, pr) for f in fs]
         for cand in _candidates(splits, pr):
-            top = max(cand)
-            h = _join_last(cand, pr, pow(cand[top][-1], -1, pr))
+            h = _join_last(cand, pr, pow(cand[max(cand)][-1], -1, pr))
             m = max(h)
             if not any(m):
                 return None
             if lm is not None and m > lm:
+                if _holds_mod_p(cand, splits, pr) is None:
+                    continue
                 break
             old, old_mod = (res, mod) if m == lm else ({}, 1)
             s, w = gamma % pr, pow(old_mod, -1, pr)
@@ -1170,7 +1175,7 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
             qs = _certify(g, [dict(f) for f in fs])
             if qs is not None:
                 return g, *map(dict, qs)
-            if not any(top) or _certify(h, [_join_last(sp, pr) for sp in splits], pr) is not None:
+            if _holds_mod_p(cand, splits, pr) is not None:
                 lm, mod, res = m, new_mod, new
                 break
 

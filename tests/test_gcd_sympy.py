@@ -187,23 +187,33 @@ def division_log(monkeypatch):
 
 
 def check_fallbacks(log, k):
-    """Each failed division over Q is followed by divisions mod one prime
-    only: none when the image is Euclid's gcd, else k that all hold (the
-    image enters the CRT state), or one that fails (an unlucky
-    interpolant, so another candidate of that prime follows)."""
-    i = 0
+    """Each lifted candidate is one division over Q, and one that fails
+    falls back to divisions mod its prime: none when the candidate is
+    Euclid's gcd, else k that all hold (it enters the CRT state) or one
+    that fails (an unlucky interpolant, so another candidate of that prime
+    follows).  A candidate above the leading monomial of a certified image
+    is not lifted: it has only its divisions mod a later prime, k that
+    hold (the prime is dropped) or one that fails."""
+    i, certified = 0, None
     while i < len(log):
-        p, _, ok = log[i]
-        assert p is None, log[i]
-        i += 1
-        if ok:
-            continue
-        run = []
-        while i < len(log) and log[i][0] is not None:
-            run.append(log[i])
+        lifted = log[i][0] is None
+        if lifted:
             i += 1
-        assert len({q for q, _, _ in run}) <= 1
-        assert [ok for _, _, ok in run] in ([], [True] * k, [False]), run
+            if log[i - 1][2]:
+                continue
+        run = []
+        while (
+            i < len(log) and log[i][0] is not None and len(run) < k and all(ok for _, ok in run)
+            and log[i][0] == (run[0][0] if run else log[i][0])
+        ):
+            run.append((log[i][0], log[i][2]))
+            i += 1
+        oks = [ok for _, ok in run]
+        assert oks in ([True] * k, [False]) or lifted and not oks, log
+        if not lifted:
+            assert certified is not None and run[0][0] != certified, log
+        elif oks != [False]:
+            certified = run[0][0] if run else "Euclid"
 
 
 def test_prime_dividing_a_leading_coefficient_is_skipped(primes_used):
@@ -236,7 +246,7 @@ def test_large_coefficients_need_crt_over_several_primes(g, primes_used, divisio
 def check_image_of_higher_degree_is_dropped(num_vars, monkeypatch, division_log):
     """Mod _prime(1) the cofactor x + 3 - _prime(1) is x + 3, so that image
     is the whole of a, of degree 2 in x, against the gcd's 1.  CRT must
-    drop it undivided and combine the images mod _prime(0) and _prime(2),
+    drop it unlifted and combine the images mod _prime(0) and _prime(2),
     whose product passes 2 * (2^70 + 1): every candidate tried over Q has
     degree 1 in x."""
     x = MultiPoly.variable(num_vars, 0)
@@ -273,11 +283,12 @@ def test_image_of_higher_degree_is_dropped(monkeypatch, division_log):
 
 
 def test_image_of_higher_degree_is_dropped_in_two_variables(monkeypatch, division_log):
-    """With x + y + 3 in the cofactors, the image mod _prime(0), whose lift
-    fails over Q, is an interpolant, and two divisions mod _prime(0)
-    certify it before it enters the CRT."""
+    """With x + y + 3 in the cofactors, the images are interpolants: two
+    divisions mod _prime(0) certify the first, whose lift fails over Q,
+    before it enters the CRT, and two mod _prime(1) certify the image of
+    higher degree before its prime is dropped."""
     modular = check_image_of_higher_degree_is_dropped(2, monkeypatch, division_log)
-    assert modular == [(P0, True)] * 2
+    assert modular == [(P0, True)] * 2 + [(exactalg._prime(1), True)] * 2
 
 
 def test_unlucky_evaluation_points_are_discarded(division_log):
@@ -320,6 +331,33 @@ def test_unlucky_candidate_at_every_prime_is_refused(division_log):
     ]
     assert [d for p, d, ok in division_log if p and not ok] == [
         MultiPoly(2, {(1, 0): 1, (0, 0): 5}, m) for m in (P0, P1)
+    ]
+    check_fallbacks(division_log, 2)
+
+
+def test_unlucky_candidate_above_the_certified_image_is_refused(primes_used, division_log):
+    """At t = 1 and t = 2 the inputs specialise to g(1) * x^2 and g(1) * x^3,
+    for every prime, so every prime's first candidate is x^3 + 5x^2, above
+    the leading monomial of g.  Mod P0 it fails over Q and mod P0, and g
+    mod P0, whose lift fails over Q (a coefficient above 2^64), enters the
+    CRT certified.  Mod P1 the false candidate, above that image, is not
+    lifted; it fails mod P1, so the prime is kept, and g mod P1, lifted
+    with the image mod P0, divides over Q."""
+    t = X1
+    c = (t - 1) * (t - 2)
+    g = X0 + (2**64 + 13) * c + 5
+    a, b = g * (X0**2 + c), g * (X0**3 + c)
+    assert poly_gcd(a, b) == sympy_gcd(a, b) == g
+    P1 = exactalg._prime(1)
+    assert primes_used == [P0, P1]
+    assert [(p, ok) for p, _, ok in division_log] == [
+        (None, False), (P0, False),
+        (None, False), (P0, True), (P0, True),
+        (P1, False),
+        (None, True), (None, True),
+    ]
+    assert [d for p, d, ok in division_log if p and not ok] == [
+        MultiPoly(2, {(3, 0): 1, (2, 0): 5}, m) for m in (P0, P1)
     ]
     check_fallbacks(division_log, 2)
 
