@@ -359,13 +359,20 @@ class MultiPoly:
     def degree_in_vars(self, vars_subset: Sequence[int]):
         if not self.terms:
             return NEG_INF
-        return max(sum(e[v] for v in vars_subset) for e, _ in self.terms)
+        return max(self._degrees_in(vars_subset))
 
     def is_homogeneous_in(self, vars_subset: Sequence[int]) -> bool:
         if not self.terms:
             return True
-        degs = {sum(e[v] for v in vars_subset) for e, _ in self.terms}
-        return len(degs) == 1
+        return len(set(self._degrees_in(vars_subset))) == 1
+
+    def _degrees_in(self, vars_subset: Sequence[int]) -> Iterable[int]:
+        """Each term's degree in the variables vars_subset."""
+        if not vars_subset:
+            return itertools.repeat(0, len(self.terms))
+        exps = map(operator.itemgetter(0), self.terms)
+        pick = operator.itemgetter(*vars_subset)
+        return map(pick, exps) if len(vars_subset) == 1 else map(sum, map(pick, exps))
 
     def leading(self):
         """(exponent vector, coefficient) of the graded-lex leading term."""
@@ -718,10 +725,12 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
 # -- GCD machinery ----------------------------------------------------------
 
 
-def _reduce(fs: list):
+def _reduce(fs: list, r: int):
     """(fs', lift) for nonconstant term dicts fs without monomial content:
-    the list in a smaller ring, and the map that takes a divisor or
-    quotient of its members back (fs and the identity if nothing drops).
+    the list in a smaller ring, its variables possibly reordered, and the
+    map that takes a divisor or quotient of its members back (fs and the
+    identity if no variable drops or moves).  r is a prime: p over F_p,
+    _prime(0) over Q.
 
     Lemma.  Variables no input uses are dropped: divisors involve only the
     variables of what they divide.  When every input is a form, the last
@@ -730,24 +739,65 @@ def _reduce(fs: list):
     the degree of h, and lift rehomogenises it to h.  Setting z = 1 is a
     ring map, one to one on forms of one degree, so h' * k' = f(z = 1)
     lifts to lift(h') * lift(k') = f, and lift(gcd(fs')) is a gcd of fs.
+
+    The order.  Brown's recursion needs about deg_t(gamma * G / lc(G)) + 2
+    points in its last variable t, gamma the gcd of the inputs' lex
+    leading coefficients in t.  So one kept variable t moves to the last
+    place: the one whose gamma mod r has the least degree
+    (_gamma_degree), the last one in index order on ties, and no other is
+    tried when that one's gamma is constant.  A permutation of the
+    variables is a ring automorphism, so it maps gcds to gcds and
+    quotients to quotients, and lift undoes it.  Brown's lemma holds in
+    every order, and the trial division certifies in any, so the choice
+    changes the speed only.
     """
     n = len(next(iter(fs[0])))
     slots = [v for v in range(n) if any(e[v] for f in fs for e in f)]
     forms = all(len({sum(e) for e in f}) == 1 for f in fs)
-    keep = slots[:-1] if forms else slots
-    if len(keep) == n:
+    keep = slots[:-1] if forms else slots[:]
+    if len(keep) > 1 and (least := _gamma_degree(fs, keep, keep[-1], r)):
+        t = keep[-1]
+        for v in reversed(keep[:-1]):
+            if (d := _gamma_degree(fs, keep, v, r)) < least:
+                t, least = v, d
+                if not d:
+                    break
+        keep.remove(t)
+        keep.append(t)
+    if keep == list(range(n)):
         return fs, lambda g: g
+    order = keep + slots[-1:] if forms else keep  # z last, if set to 1
 
     def lift(g: dict) -> dict:
         d, out = max(map(sum, g)), {}
         for e, c in g.items():
             full = [0] * n
-            for v, k in zip(slots, e + (d - sum(e),)):  # z = slots[-1] if set to 1
+            for v, k in zip(order, e + (d - sum(e),)):
                 full[v] = k
             out[tuple(full)] = c
         return out
 
     return [{tuple(e[v] for v in keep): c for e, c in f.items()} for f in fs], lift
+
+
+def _gamma_degree(fs: list, keep: list, t: int, r: int) -> int | float:
+    """The degree in variable t of the gcd mod r of the term dicts fs' lex
+    leading coefficients in t, the other variables of keep ranked first in
+    their order; inf when every one vanishes mod r.  Each leading column
+    is found by a scan of the exponent vectors, with no dict built."""
+    rank = operator.itemgetter(*(v for v in keep if v != t))
+    cols = []
+    for f in fs:
+        top = max(map(rank, f))
+        pairs = [(e[t], c) for e, c in f.items() if rank(e) == top]
+        col = [0] * (1 + max(pairs)[0])
+        for k, c in pairs:
+            col[k] = c % r
+        while col and not col[-1]:
+            col.pop()
+        if col:
+            cols.append(col)
+    return len(_content_last(cols, r)) - 1 if cols else math.inf
 
 
 # Images mod a prime p hold plain ints in [0, p), and _Ext too over a _Field:
@@ -1221,7 +1271,7 @@ def _nonzero_gcd_quotients(polys: list[MultiPoly]) -> tuple[MultiPoly, list[Mult
     mg = tuple(map(min, *ms))
     if any(all(f.degree_in(v) > m[v] for f, m in zip(polys, ms)) for v in range(nv)):
         stripped = [_integer_terms(f, m) for f, m in zip(polys, ms)]
-        fs, lift = _reduce([a for a, _ in stripped])
+        fs, lift = _reduce([a for a, _ in stripped], _prime(0) if mod is None else mod)
         core = _gcd_modular(fs) if mod is None else _gcd_prime_field(fs, mod)
         if core is not None:
             g, *quots = map(lift, core)

@@ -148,6 +148,24 @@ def test_degree_sequence_divides_each_common_factor_once(monkeypatch):
         assert len(calls) <= bound, modulus
 
 
+def test_degree_sequence_interpolates_in_the_cheap_variable(monkeypatch):
+    """The forms of the (1, -1, 1) iterates to f^5 give γ of degree 2, 5
+    and 9 with Y last, where the recursion made 20 point images; with X
+    last γ has degree 0, 1 and 2, so _reduce puts X last, and at most 9
+    images are made."""
+    images = []
+    inner = exactalg._gcd_mod_p
+
+    def spy(*args):
+        images.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(exactalg, "_gcd_mod_p", spy)
+    seq = degree_sequence(build_map(FabcParams(1, -1, 1)), 5)
+    assert seq.degrees == (2, 4, 7, 12, 20)
+    assert len(images) <= 9
+
+
 def test_rational_gcd_divides_only_over_z(monkeypatch):
     """A bivariate pair with a planted factor and small coefficients: the
     lift of the first prime's image divides both inputs over Z, so no

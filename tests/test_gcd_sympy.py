@@ -41,24 +41,32 @@ def random_poly(rng, num_vars, degree, n_terms, modulus=None, homogeneous=False,
     return MultiPoly(num_vars, terms, modulus)
 
 
-def sympy_gcd(*fs: MultiPoly) -> MultiPoly:
-    """sympy.gcd_list of fs, at the canonical scale."""
-    p = fs[0]
+def _sympy_ring(p: MultiPoly):
     gens = sympy.symbols(f"x0:{p.num_vars}")
-    opts = {"modulus": p.modulus} if p.modulus is not None else {"domain": "QQ"}
+    return gens, {"modulus": p.modulus} if p.modulus is not None else {"domain": "QQ"}
 
-    def to_sympy(f):
-        coeff = (lambda c: c) if f.modulus is not None else (
-            lambda c: sympy.Rational(c.numerator, c.denominator)
-        )
-        return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms}, gens, **opts).as_expr()
 
-    g = sympy.gcd_list([to_sympy(f) for f in fs], *gens, polys=True, **opts)
+def to_sympy(f: MultiPoly):
+    gens, opts = _sympy_ring(f)
+    coeff = (lambda c: c) if f.modulus is not None else (
+        lambda c: sympy.Rational(c.numerator, c.denominator)
+    )
+    return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms}, gens, **opts)
+
+
+def from_sympy(g, like: MultiPoly) -> MultiPoly:
     terms = {
-        e: Fraction(int(c.p), int(c.q)) if p.modulus is None else int(c)
+        e: Fraction(int(c.p), int(c.q)) if like.modulus is None else int(c)
         for e, c in g.as_dict().items()
     }
-    return MultiPoly(p.num_vars, terms, p.modulus).canonical()
+    return MultiPoly(like.num_vars, terms, like.modulus)
+
+
+def sympy_gcd(*fs: MultiPoly) -> MultiPoly:
+    """sympy.gcd_list of fs, at the canonical scale."""
+    gens, opts = _sympy_ring(fs[0])
+    g = sympy.gcd_list([to_sympy(f).as_expr() for f in fs], *gens, polys=True, **opts)
+    return from_sympy(g, fs[0]).canonical()
 
 
 # (name, path that must run, variables _reduce drops or None, random_poly
@@ -363,6 +371,64 @@ def test_unlucky_candidate_above_the_certified_image_is_refused(primes_used, div
 
 
 @pytest.fixture
+def last_variables(monkeypatch):
+    """The original index of the variable each _reduce call puts last, read
+    off its lift of that variable."""
+    moved = []
+    inner = exactalg._reduce
+
+    def spy(fs, r):
+        out, lift = inner(fs, r)
+        n = len(next(iter(out[0])))
+        (e,) = lift({(0,) * (n - 1) + (1,): 1})
+        moved.append(e.index(1))
+        return out, lift
+
+    monkeypatch.setattr(exactalg, "_reduce", spy)
+    return moved
+
+
+# (num_vars, modulus, the variable the order moves last)
+MOVED_ORDERS = [(2, None, 0), (2, 101, 0), (3, None, 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "num_vars,modulus,moved", MOVED_ORDERS, ids=["rational", "mod-101", "three-variables"]
+)
+def test_moved_order_matches_sympy(num_vars, modulus, moved, seed, last_variables):
+    """A planted factor whose lex leading coefficient in the last variable
+    has degree 3 (x0^2 * x1^3, or x0^2 * x2^3) and in the other order is 1
+    (x1^5, or x0^2 * x2^3 again), times cofactors whose leading
+    coefficients are 1 in every order: the reduction moves a variable last,
+    and the gcd and the quotients are sympy's."""
+    rng = random.Random(f"moved-{num_vars}-{modulus}-{seed}")
+    v = [MultiPoly.variable(num_vars, i, modulus) for i in range(num_vars)]
+
+    def low(max_exps):
+        # a random polynomial whose exponent of each variable i stays
+        # below max_exps[i]
+        terms = {}
+        for _ in range(4):
+            e = tuple(rng.randrange(m) for m in max_exps)
+            terms[e] = rng.choice([c for c in range(-5, 6) if c])
+        return MultiPoly(num_vars, terms, modulus)
+
+    if num_vars == 2:
+        g = v[0] ** 2 * v[1] ** 3 + v[1] ** 5 + low((2, 5))
+    else:
+        g = v[0] ** 2 * v[2] ** 3 + low((2, 3, 3))
+    ones = sum((u**2 for u in v), MultiPoly.zero(num_vars, modulus))
+    fs = [g * (ones + low((2,) * num_vars)) for _ in range(2)]
+    got, *quots = _gcd_quotients(fs)
+    assert last_variables == [moved]
+    assert got == sympy_gcd(*fs) == g.canonical()
+    for f, q in zip(fs, quots):
+        want, rem = to_sympy(f).div(to_sympy(got))
+        assert rem.is_zero and q == from_sympy(want, f)
+
+
+@pytest.fixture
 def extensions_used(monkeypatch):
     fields = []
     inner = exactalg._extension
@@ -402,8 +468,13 @@ Y0, Y1 = MultiPoly.variable(2, 0, 7), MultiPoly.variable(2, 1, 7)
 @pytest.mark.parametrize(
     "g,cofactors",
     [
-        # the leading coefficient Y^7 - Y vanishes at every point of F_7
-        (Y0 + Y1 + 1, [(Y1**7 - Y1) * Y0 + k for k in (1, 2, 3)]),
+        # the leading coefficient vanishes at every point of F_7 in either
+        # order of the variables: (Y1^7 - Y1) * Y1 with Y1 last, and
+        # (Y0^7 - Y0) * Y0 with Y0 last
+        (
+            Y0 + Y1 + 1,
+            [(Y0**7 - Y0) * (Y1**7 - Y1) * Y0 * Y1 + k for k in (1, 2, 3)],
+        ),
         # a Y-degree of 7 needs 8 points to interpolate, F_7 has 6
         (Y1**7 + Y0 + Y1 + 1, [Y0 + k for k in (2, 3, 4)]),
     ],
