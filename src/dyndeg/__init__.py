@@ -1,7 +1,7 @@
 """Exact degree sequences and dynamical degrees for rational self-maps
 of projective space."""
 
-from .cyclo import cos_min_poly, cyclotomic, rational_two_cos_values
+from .cyclo import cos_min_poly
 from .exactalg import (
     DomainMismatchError,
     MultiPoly,
@@ -9,11 +9,9 @@ from .exactalg import (
     PolynomialParseError,
     TermCapExceeded,
     format_poly,
-    jacobian_det,
     parse_poly,
     poly_divexact,
     poly_gcd,
-    poly_gcd_many,
 )
 from .fabc import (
     DegenerateParameterError,
@@ -23,9 +21,6 @@ from .fabc import (
     IntersectionReport,
     LocusEntry,
     ModPResult,
-    PreimageEmpty,
-    PreimageLine,
-    PreimagePoint,
     StabilityVerdict,
     build_map,
     classify,
@@ -35,7 +30,6 @@ from .fabc import (
     family_generic_stability,
     indeterminacy_points,
     mahler_height,
-    preimage,
     unlikely_intersection_explorer,
     vn_sequence,
 )
@@ -79,15 +73,11 @@ __all__ = [
     "PolynomialParseError",
     "TermCapExceeded",
     "format_poly",
-    "jacobian_det",
     "parse_poly",
     "poly_divexact",
     "poly_gcd",
-    "poly_gcd_many",
-    # cyclotomic helpers
+    # cyclotomic helper
     "cos_min_poly",
-    "cyclotomic",
-    "rational_two_cos_values",
     # projective maps and degree sequences
     "INDETERMINATE",
     "DegreeSequence",
@@ -104,9 +94,6 @@ __all__ = [
     "IntersectionReport",
     "LocusEntry",
     "ModPResult",
-    "PreimageEmpty",
-    "PreimageLine",
-    "PreimagePoint",
     "StabilityVerdict",
     "build_map",
     "classify",
@@ -116,7 +103,6 @@ __all__ = [
     "family_generic_stability",
     "indeterminacy_points",
     "mahler_height",
-    "preimage",
     "unlikely_intersection_explorer",
     "vn_sequence",
     # the marked-orbit family
@@ -144,4 +130,4 @@ __all__ = [
     "run_suite",
 ]
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -1,8 +1,8 @@
 """Cyclotomic polynomials and minimal polynomials of 2*cos(2*pi/n).
 
 Everything here is exact integer arithmetic on ascending coefficient
-lists; each public function returns a 1-variable MultiPoly built once from
-its list.  Results are cached per process by functools.cache.
+lists; cos_min_poly returns a 1-variable MultiPoly built once from its
+list.  Results are cached per process by functools.cache.
 """
 
 from __future__ import annotations
@@ -51,15 +51,6 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def cyclotomic(n: int) -> MultiPoly:
-    """The n-th cyclotomic polynomial, monic with integer coefficients:
-    (x^n - 1) divided by the cyclotomic polynomials at the divisors d < n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _sparse(_cyclotomic_coeffs(n))
-
-
-@functools.cache
 def cos_min_poly(n: int) -> MultiPoly:
     """Minimal polynomial of 2*cos(2*pi/n), monic over the integers.
 
@@ -89,29 +80,6 @@ def cos_min_poly(n: int) -> MultiPoly:
     return _sparse(result)
 
 
-def is_root_of_unity(min_poly: MultiPoly) -> int | None:
-    """Order of the root of unity with the given minimal polynomial.
-
-    Input must be monic with integer coefficients in one variable.  Returns
-    the n with min_poly equal to the n-th cyclotomic polynomial, or None.
-    The search bound 2*d^2 suffices because phi(n) >= sqrt(n/2).
-    """
-    if min_poly.num_vars != 1 or min_poly.modulus is not None:
-        raise ValueError("expected a rational univariate polynomial")
-    if min_poly.is_zero() or min_poly.leading()[1] != 1:
-        raise ValueError("expected a monic polynomial")
-    for _, c in min_poly.terms:
-        if c.denominator != 1:
-            raise ValueError("expected integer coefficients")
-    d = min_poly.degree
-    if d < 1:
-        return None
-    for n in range(1, 2 * d * d + 1):
-        if euler_phi(n) == d and cyclotomic(n) == min_poly:
-            return n
-    return None
-
-
 @functools.cache
 def _two_cos_orders() -> dict[Fraction, int]:
     """The rational values w of zeta + 1/zeta over roots of unity, each with
@@ -126,8 +94,3 @@ def _two_cos_orders() -> dict[Fraction, int]:
         if p.degree == 1:
             orders[Fraction(-p.evaluate([0]), p.leading()[1])] = n
     return orders
-
-
-def rational_two_cos_values() -> frozenset[Fraction]:
-    """Exact set of rational values of zeta + 1/zeta over roots of unity."""
-    return frozenset(_two_cos_orders())

@@ -380,12 +380,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
 
-    def constant_value(self):
-        for exps, c in self.terms:
-            if sum(exps) == 0:
-                return c
-        return 0
-
     def _check_compat(self, other: "MultiPoly"):
         if self.num_vars != other.num_vars:
             raise DomainMismatchError(
@@ -1231,8 +1225,8 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
 
 
 def _gcd_quotients(polys: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
-    """(g, *[f / g for f in polys]), g = poly_gcd_many(polys), for one or
-    more polynomials of one ring.  Zero inputs drop out, and their
+    """(g, *[f / g for f in polys]), g the canonical gcd of all of polys at
+    once, for one or more polynomials of one ring.  Zero inputs drop out, and their
     quotient is 0 (the input itself); with none left g is 0, with one left
     its canonical form.  Otherwise g is x^m, m the termwise minimum of the
     monomial contents x^m_i of the inputs f_i, times the gcd G of the
@@ -1294,63 +1288,6 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     the gcd of the pair, certified once by one trial division of each
     input (see _gcd_quotients)."""
     return _gcd_quotients((p, q))[0]
-
-
-def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
-    """Canonical gcd of one or more polynomials of one ring, all at once
-    (_gcd_quotients): zero inputs drop out, a single nonzero one comes back
-    canonical, only zeros give 0, and an empty list raises ValueError."""
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    return _gcd_quotients(polys)[0]
-
-
-# -- determinants and Jacobians ---------------------------------------------
-
-
-def jacobian_det(forms: Sequence[MultiPoly]) -> MultiPoly:
-    """Determinant of the Jacobian matrix of `forms` with respect to the
-    first len(forms) variables; extra variables ride along as symbolic
-    coefficients."""
-    n = len(forms)
-    if n == 0:
-        raise ValueError("need at least one form")
-    nv = forms[0].num_vars
-    mod = forms[0].modulus
-    for f in forms:
-        if f.num_vars != nv or f.modulus != mod:
-            raise DomainMismatchError("forms disagree in variables or domain")
-    if n > nv:
-        raise ValueError("more forms than variables")
-    rows = [[f.partial(v) for v in range(n)] for f in forms]
-    return _poly_matrix_det(rows)
-
-
-def _poly_matrix_det(rows: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(rows)
-    nv = rows[0][0].num_vars
-    mod = rows[0][0].modulus
-    memo: dict = {}
-
-    def minor(r: int, cols: tuple[int, ...]) -> MultiPoly:
-        if r == n:
-            return MultiPoly.constant(nv, 1, mod)
-        key = (r, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = MultiPoly.zero(nv, mod)
-        for i, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            sub = minor(r + 1, cols[:i] + cols[i + 1 :])
-            term = entry * sub
-            total = total + term if i % 2 == 0 else total - term
-        memo[key] = total
-        return total
-
-    return minor(0, tuple(range(n)))
 
 
 # -- text format -------------------------------------------------------------

@@ -1,9 +1,13 @@
 """The quadratic plane family [XY, XY + aZ^2, bYZ + cZ^2] and its stability.
 
-For rational parameters with abc != 0 this map is birational with explicit
-inverse and fiber structure.  Its stability is governed by the linear
-recurrence V_0 = 1, V_1 = c, V_{n+1} = c V_n + ab V_{n-1}: a degree drop
-occurs exactly when some V_m vanishes, which for rational parameters happens
+For rational parameters with abc != 0 this map is birational: with
+w = cX - cY + aZ its inverse is [ab^2 X(Y - X), w^2, bw(Y - X)].  The map
+contracts the line Y = 0 to [0 : a : c] and the line Z = 0 to [1 : 1 : 0].
+The inverse sends [0 : 0 : 1] and [a : at : ct - c] (t != 1) to the
+map's indeterminacy points [0 : 1 : 0] and [1 : 0 : 0], so those two
+have no preimage.  Stability is governed by the linear recurrence
+V_0 = 1, V_1 = c, V_{n+1} = c V_n + ab V_{n-1}: a degree drop occurs
+exactly when some V_m vanishes, which for rational parameters happens
 iff c^2/(ab) is one of -1, -2, -3 (a root-of-unity condition with orders
 3, 4, 6).  The same machinery runs modulo primes and for one-parameter
 polynomial families, where the parameters with a drop form a bounded-height
@@ -27,7 +31,6 @@ from .cyclo import _two_cos_orders, cos_min_poly, euler_phi
 from .exactalg import (
     DomainMismatchError,
     MultiPoly,
-    jacobian_det,
     parse_poly,
     poly_gcd,
     _check_modulus,
@@ -100,14 +103,6 @@ def build_map(p: FabcParams | None, modulus: int | None = None) -> ProjectiveMap
     return ProjectiveMap([x * y, x * y + a * z**2, b * (y * z) + c * z**2])
 
 
-def inverse_map(p: FabcParams | None, modulus: int | None = None) -> ProjectiveMap:
-    """The inverse map, normalized; composing with build_map and cancelling
-    the common factor a^2 b^2 Y Z^2 gives the identity."""
-    x, y, z, a, b, c = _symbols(p, modulus)
-    w = c * x - c * y + a * z
-    return ProjectiveMap([(a * b * b) * (x * (y - x)), w * w, b * (w * (y - x))])
-
-
 def indeterminacy_points(p: FabcParams) -> frozenset[ProjectivePoint]:
     """Common zeros of the three coordinate forms, derived from the system:
     XY = 0 and (XY + aZ^2) = 0 force Z = 0 (a != 0), leaving XY = 0 on the
@@ -125,86 +120,10 @@ def indeterminacy_points(p: FabcParams) -> frozenset[ProjectivePoint]:
 
 
 def critical_locus(p: FabcParams | None) -> MultiPoly:
-    """Jacobian determinant of the coordinate forms in X, Y, Z, canonically
-    scaled; equals -2ab * Y * Z^2 up to that scaling."""
-    return jacobian_det(build_map(p).coords).canonical()
-
-
-@dataclass(frozen=True)
-class PreimagePoint:
-    """A single-point fiber."""
-
-    point: ProjectivePoint
-
-
-@dataclass(frozen=True)
-class PreimageLine:
-    """A whole coordinate line minus finitely many removed points.
-
-    vanishing_var is the index (0=X, 1=Y, 2=Z) of the coordinate that
-    vanishes on the line.
-    """
-
-    vanishing_var: int
-    removed: tuple[ProjectivePoint, ...]
-
-
-@dataclass(frozen=True)
-class PreimageEmpty:
-    """An empty fiber."""
-
-
-PreimageResult = Union[PreimagePoint, PreimageLine, PreimageEmpty]
-
-
-def preimage(p: FabcParams, target) -> PreimageResult:
-    """Exact fiber of the map over a point, by case analysis on the target.
-
-    Single-point answers are verified by applying the forward map.
-    """
-    q = target if isinstance(target, ProjectivePoint) else ProjectivePoint(target)
-    if q.dim != 2 or q.modulus is not None:
-        raise ValueError("target must be a rational point of the plane")
-    alpha, beta, gamma = q.coords
-    a, b, c = p.a, p.b, p.c
-    f = build_map(p)
-
-    def verified_point(coords) -> PreimagePoint:
-        pt = ProjectivePoint(coords)
-        image = f.apply(pt)
-        if image is INDETERMINATE or image != q:
-            raise RuntimeError(f"fiber formula failed verification at {q}")
-        return PreimagePoint(pt)
-
-    if alpha == 0:
-        if beta == 0:
-            # [0,0,1]: nothing maps there (X Y = 0 and X Y + a Z^2 = 0
-            # force Z = 0, but then the last coordinate also vanishes).
-            return PreimageEmpty()
-        if beta * c == gamma * a:
-            # [0,a,c]: the whole line Y = 0 collapses onto it.
-            return PreimageLine(
-                vanishing_var=1, removed=(ProjectivePoint([1, 0, 0]),)
-            )
-        return verified_point([0, a * gamma - c * beta, b * beta])
-    if beta == alpha:
-        if gamma == 0:
-            # [1,1,0]: the image of the line Z = 0 minus the indeterminacy.
-            return PreimageLine(
-                vanishing_var=2,
-                removed=(ProjectivePoint([0, 1, 0]), ProjectivePoint([1, 0, 0])),
-            )
-        # First two coordinates agree only on Z = 0, whose image has
-        # vanishing last coordinate; gamma != 0 is unreachable.
-        return PreimageEmpty()
-    w = alpha * c - beta * c + gamma * a
-    if w == 0:
-        # Targets [a, a*t, c*t - c] with t != 1 have no preimage: the
-        # candidate from the inverse formula lands on [0,1,0].
-        return PreimageEmpty()
-    return verified_point(
-        [alpha * (beta - alpha) * a * b * b, w * w, (beta - alpha) * w * b]
-    )
+    """The Jacobian determinant of the coordinate forms in X, Y, Z,
+    -2ab * Y * Z^2, canonically scaled."""
+    x, y, z, a, b, c = _symbols(p, None)
+    return (-2 * a * b * y * z**2).canonical()
 
 
 def _vn_terms(a, b, c, modulus: int | None) -> Iterator:
@@ -323,14 +242,6 @@ class FamilyParams:
         object.__setattr__(self, "a_poly", polys[0])
         object.__setattr__(self, "b_poly", polys[1])
         object.__setattr__(self, "c_poly", polys[2])
-
-    def specialize(self, t: Rational) -> FabcParams:
-        tt = _exact_fraction(t, "t")
-        return FabcParams(
-            self.a_poly.evaluate([tt]),
-            self.b_poly.evaluate([tt]),
-            self.c_poly.evaluate([tt]),
-        )
 
 
 @dataclass(frozen=True)
@@ -499,12 +410,14 @@ def family_exceptional_locus(f: FamilyParams, n_max: int) -> ExceptionalLocus:
 
     For each n the defining polynomial is the primitive numerator of
     Psi_n(-2 - c(T)^2/(a(T)b(T))), with factors shared with a*b*c stripped
-    (those parameters are degenerate and reported separately).  Orders whose
+    (those parameters are degenerate and reported separately, each once:
+    the roots of abc divided by its gcd with abc').  Orders whose
     polynomial is constant contribute no entry.  The locus where
     c^2 + 4ab = 0 never meets these entries (its 2cos value is 2, not a
     root of any Psi_n with n >= 3) and is reported on the side.
     """
     slices, abc, zeta_one = _locus_polys(f, n_max)
+    squarefree = _gcd_quotients((abc, abc.partial(0)))[1]
     entries = []
     for n, coeffs in slices:
         roots = _numeric_roots(coeffs)
@@ -514,7 +427,7 @@ def family_exceptional_locus(f: FamilyParams, n_max: int) -> ExceptionalLocus:
         )
     return ExceptionalLocus(
         entries=tuple(entries),
-        degenerate_params=_numeric_roots(_dense(abc)),
+        degenerate_params=_numeric_roots(_dense(squarefree)),
         zeta_one_poly=zeta_one,
         truncation=n_max,
     )

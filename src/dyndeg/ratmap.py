@@ -168,15 +168,6 @@ class ProjectiveMap:
 
     # -- operations ----------------------------------------------------------
 
-    def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
-        """self after other (apply `other` first)."""
-        f, g = self, other
-        if f.n != g.n or f.modulus != g.modulus:
-            raise DomainMismatchError("maps live on different spaces")
-        if f.coords[0].num_vars != g.coords[0].num_vars:
-            raise DomainMismatchError("maps have different parameter rings")
-        return ProjectiveMap(_compose_forms(f, g.coords))
-
     def apply(self, point: PointLike):
         """Evaluate at a point; returns INDETERMINATE when all forms vanish."""
         if self.num_params:

@@ -21,15 +21,12 @@ from dyndeg.exactalg import MultiPoly, poly_gcd
 from dyndeg.fabc import (
     FabcParams,
     FamilyParams,
-    PreimageEmpty,
-    PreimagePoint,
     build_map,
     classify,
     classify_mod_p,
     critical_locus,
     family_exceptional_locus,
-    inverse_map,
-    preimage,
+    indeterminacy_points,
     vn_sequence,
 )
 from dyndeg.gfam import (
@@ -48,8 +45,10 @@ from dyndeg.monomial import (
     mat_pow,
 )
 from dyndeg.ratmap import (
+    INDETERMINATE,
     ProjectiveMap,
     ProjectivePoint,
+    _compose_forms,
     degree_drop_index,
     degree_sequence,
 )
@@ -120,10 +119,12 @@ def test_criterion_4_mod_p_exceptional_primes():
     report("criterion 4: mod-p exceptional primes for (-2,1,3)", time.time() - t0)
 
 
-def test_criterion_5_inverse_and_fiber_geometry():
+def test_criterion_5_inverse_and_fiber_geometry(fabc_inverse):
+    # fabc_inverse: the inverse [ab^2 X(Y - X), w^2, bw(Y - X)],
+    # w = cX - cY + aZ, that the fabc docstring states
     t0 = time.time()
     rng = random.Random(20260816)
-    ident = ProjectiveMap([MultiPoly.variable(3, i) for i in range(3)]).coords
+    ident = tuple(MultiPoly.variable(3, i) for i in range(3))
     for _ in range(20):
         vals = []
         while len(vals) < 3:
@@ -131,28 +132,29 @@ def test_criterion_5_inverse_and_fiber_geometry():
             if v != 0:
                 vals.append(v)
         p = FabcParams(*vals)
-        assert inverse_map(p).compose(build_map(p)).coords == ident
+        g = ProjectiveMap(fabc_inverse(p))
+        assert ProjectiveMap(_compose_forms(g, build_map(p).coords)).coords == ident
 
     x, y, z, a, b, c = (MultiPoly.variable(6, i) for i in range(6))
     assert critical_locus(None) == (-2 * a * b * y * z**2).canonical()
 
     p = FabcParams(2, -3, 5)
-    f = build_map(p)
+    f, g = build_map(p), ProjectiveMap(fabc_inverse(p))
     hits = 0
     while hits < 50:
         target = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
         if all(v == 0 for v in target):
             continue
-        res = preimage(p, target)
-        if isinstance(res, PreimagePoint):
-            assert f.apply(res.point) == ProjectivePoint(target)
+        point = g.apply(target)
+        if point is not INDETERMINATE and f.apply(point) is not INDETERMINATE:
+            assert f.apply(point) == ProjectivePoint(target)
             hits += 1
 
-    assert isinstance(preimage(p, [0, 0, 1]), PreimageEmpty)
+    undefined = indeterminacy_points(p)
+    assert g.apply([0, 0, 1]) in undefined
     for t in (0, 2, 3, -1, 4, -2, 5, 7, Fraction(1, 2), Fraction(-3, 4)):
         t = Fraction(t)
-        target = [p.a, p.a * t, p.c * t - p.c]
-        assert isinstance(preimage(p, target), PreimageEmpty)
+        assert g.apply([p.a, p.a * t, p.c * t - p.c]) in undefined
     report("criterion 5: inverse and fiber geometry", time.time() - t0)
 
 

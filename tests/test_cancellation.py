@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyndeg import exactalg
-from dyndeg.exactalg import MultiPoly, _gcd_quotients, poly_gcd, poly_gcd_many
+from dyndeg.exactalg import MultiPoly, _gcd_quotients, poly_gcd
 from dyndeg.fabc import FabcParams, build_map
 from dyndeg.ratmap import degree_sequence
 
@@ -54,7 +54,7 @@ def check_quotients(fs):
     g, *quots = _gcd_quotients(fs)
     # the pairwise fold, from 0 so that a single input comes back canonical
     reference = functools.reduce(poly_gcd, fs, MultiPoly.zero(3, fs[0].modulus))
-    assert g == reference == poly_gcd_many(fs) == _gcd_quotients(fs[::-1])[0]
+    assert g == reference == _gcd_quotients(fs[::-1])[0]
     assert len(quots) == len(fs)
     for f, q in zip(fs, quots):
         assert g * q == f
@@ -125,7 +125,7 @@ def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):
     monkeypatch.undo()
     assert runs == [4]
     assert divisions.count(None) == 4
-    assert g == poly_gcd_many(forms) == k
+    assert g == k
     assert [g * f for f in quots] == forms
 
 
@@ -193,6 +193,4 @@ def test_zero_and_constant_forms(modulus):
     assert _gcd_quotients([x, one, 2 * x]) == (one, x, one, 2 * x)
     assert _gcd_quotients([zero, zero]) == (zero, zero, zero)
     assert _gcd_quotients([3 * x]) == (x, 3 * one)
-    assert poly_gcd_many([3 * x]) == poly_gcd_many([zero, 3 * x]) == x
-    with pytest.raises(ValueError, match="at least one"):
-        poly_gcd_many([])
+    assert _gcd_quotients([zero, 3 * x])[0] == x

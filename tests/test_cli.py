@@ -190,6 +190,23 @@ class TestFabcLocus:
         # abc = T vanishes at t = 0, so that value is set aside as degenerate
         assert doc["degenerate_params"] == [{"im": 0.0, "re": 0.0}]
 
+    @pytest.mark.parametrize(
+        "a, b, c, expected",
+        [
+            # abc = (T - 1)^3: numpy's roots of the cube split t = 1 into
+            # three perturbed floats
+            ("T^2-2*T+1", "1", "T-1", [(1.0, 0.0)]),
+            ("T", "1/2", "3*T", [(0.0, 0.0)]),
+            # abc = (T^2 + 1)^2
+            ("T^2+1", "T^2+1", "1", [(0.0, -1.0), (0.0, 1.0)]),
+        ],
+    )
+    def test_repeated_degenerate_parameter_is_listed_once(self, capsys, a, b, c, expected):
+        # the roots of abc's squarefree part give each degenerate t once
+        code, doc = run_json(capsys, "fabc-locus", "-a", a, "-b", b, "-c", c, "--nmax", "6")
+        assert code == 0
+        assert doc["degenerate_params"] == [{"im": im, "re": re} for re, im in expected]
+
     def test_default_truncation_thirty(self, capsys):
         code, doc = run_json(capsys, "fabc-locus", "-a", "1", "-b", "1", "-c", "T")
         assert code == 0 and doc["truncation"] == 30
@@ -658,11 +675,26 @@ _REMOVED = {
     "substitute": dyndeg.exactalg.MultiPoly,
     "power": dyndeg.monomial,
     "reason": dyndeg.fabc.StabilityVerdict,
+    "poly_gcd_many": dyndeg.exactalg,
+    "jacobian_det": dyndeg.exactalg,
+    "_poly_matrix_det": dyndeg.exactalg,
+    "constant_value": dyndeg.exactalg.MultiPoly,
+    "preimage": dyndeg.fabc,
+    "PreimagePoint": dyndeg.fabc,
+    "PreimageLine": dyndeg.fabc,
+    "PreimageEmpty": dyndeg.fabc,
+    "PreimageResult": dyndeg.fabc,
+    "inverse_map": dyndeg.fabc,
+    "specialize": dyndeg.fabc.FamilyParams,
+    "cyclotomic": dyndeg.cyclo,
+    "is_root_of_unity": dyndeg.cyclo,
+    "rational_two_cos_values": dyndeg.cyclo,
+    "compose": dyndeg.ratmap.ProjectiveMap,
 }
 
 
 def test_public_names_resolve_and_versions_agree():
-    """Every exported name exists, no name removed in 0.2.0 to 0.6.0 is
+    """Every exported name exists, no name removed in 0.2.0 to 0.7.0 is
     exported or left in its module, and the package version matches
     pyproject.toml (read with a regex: Python 3.10 has no tomllib)."""
     assert all(hasattr(dyndeg, name) for name in dyndeg.__all__)

@@ -3,14 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dyndeg.cyclo import (
-    cos_min_poly,
-    cyclotomic,
-    euler_phi,
-    is_root_of_unity,
-    rational_two_cos_values,
-)
-from dyndeg.exactalg import MultiPoly, _dense, parse_poly
+from dyndeg.cyclo import _cyclotomic_coeffs, _two_cos_orders, cos_min_poly, euler_phi
+from dyndeg.exactalg import MultiPoly, _dense, _sparse, parse_poly
 
 
 def U(text):
@@ -18,6 +12,11 @@ def U(text):
 
 
 x = MultiPoly.variable(1, 0)
+
+
+def cyclotomic(n):
+    """The n-th cyclotomic polynomial from the list cos_min_poly starts from."""
+    return _sparse(_cyclotomic_coeffs(n))
 
 
 class TestCyclotomic:
@@ -43,14 +42,16 @@ class TestCyclotomic:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            cyclotomic(0)
+            cos_min_poly(0)
+        with pytest.raises(ValueError):
+            euler_phi(0)
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("x")
         for n in range(1, 61):
             expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
-            assert _dense(cyclotomic(n)) == expected, n
+            assert list(_cyclotomic_coeffs(n)) == expected, n
 
 
 class TestCosMinPoly:
@@ -88,27 +89,11 @@ class TestCosMinPoly:
             assert all(c.denominator == 1 for _, c in p.terms)
 
 
-class TestRootOfUnityDetection:
-    def test_detects_cyclotomics(self):
-        for n in (1, 2, 3, 4, 5, 6, 8, 12, 15):
-            assert is_root_of_unity(cyclotomic(n)) == n
-
-    def test_golden_ratio_polynomial(self):
-        assert is_root_of_unity(x**2 - x - 1) is None
-
-    def test_non_monic_rejected(self):
-        with pytest.raises(ValueError):
-            is_root_of_unity(2 * x - 2)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            is_root_of_unity(x - Fraction(1, 2))
-
-
 class TestRationalTwoCos:
     def test_exact_set(self):
-        expected = {Fraction(k) for k in (-2, -1, 0, 1, 2)}
-        assert rational_two_cos_values() == frozenset(expected)
+        # w = 2cos(2 pi/n) for the orders n whose minimal polynomial is linear
+        assert _two_cos_orders() == {2: 1, -2: 2, -1: 3, 0: 4, 1: 6}
+        assert all(isinstance(w, Fraction) for w in _two_cos_orders())
 
     def test_exhaustive_degree_scan(self):
         # degree-one minimal polynomials occur only for n in {1, 2, 3, 4, 6}

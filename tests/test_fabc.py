@@ -17,9 +17,6 @@ from dyndeg.fabc import (
     DegenerateParameterError,
     FabcParams,
     FamilyParams,
-    PreimageEmpty,
-    PreimageLine,
-    PreimagePoint,
     StabilityVerdict,
     build_map,
     classify,
@@ -28,9 +25,7 @@ from dyndeg.fabc import (
     family_exceptional_locus,
     family_generic_stability,
     indeterminacy_points,
-    inverse_map,
     mahler_height,
-    preimage,
     same_ratio_invariant,
     unlikely_intersection_explorer,
     vn_sequence,
@@ -40,6 +35,7 @@ from dyndeg.ratmap import (
     INDETERMINATE,
     ProjectiveMap,
     ProjectivePoint,
+    _compose_forms,
     degree_drop_index,
     degree_sequence,
 )
@@ -94,29 +90,36 @@ class TestBuildMap:
             build_map(FabcParams(Fraction(1, 5), 1, 1), modulus=5)
 
 
-class TestInverse:
-    def test_unit_params_formula(self):
-        g = inverse_map(FabcParams(1, 1, 1))
-        x, y, z = (MultiPoly.variable(3, i) for i in range(3))
-        expected = ProjectiveMap(
-            [x * (y - x), (x - y + z) ** 2, (x - y + z) * (y - x)]
-        )
-        assert g.coords == expected.coords
-        assert g.degree == 2
+def compose(outer: ProjectiveMap, inner: ProjectiveMap) -> tuple:
+    """The forms of outer after inner with their common factor cancelled."""
+    return ProjectiveMap(_compose_forms(outer, inner.coords)).coords
 
-    def test_symbolic_composition_is_identity(self):
+
+class TestInverse:
+    """The inverse stated in the fabc docstring (the fabc_inverse fixture)
+    undoes build_map from both sides once the common factor is cancelled."""
+
+    def test_unit_params_formula(self, fabc_inverse):
+        x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+        g = ProjectiveMap([x * (y - x), (x - y + z) ** 2, (x - y + z) * (y - x)])
+        assert g.coords == ProjectiveMap(fabc_inverse(FabcParams(1, 1, 1))).coords
+        assert g.degree == 2
+        f = build_map(FabcParams(1, 1, 1))
+        assert compose(g, f) == compose(f, g) == (x, y, z)
+
+    def test_symbolic_composition_is_identity(self, fabc_inverse):
         f = build_map(None)
-        g = inverse_map(None)
-        ident = ProjectiveMap([MultiPoly.variable(6, i) for i in range(3)]).coords
-        assert g.compose(f).coords == ident
-        assert f.compose(g).coords == ident
+        g = ProjectiveMap(fabc_inverse(None))
+        ident = tuple(MultiPoly.variable(6, i) for i in range(3))
+        assert compose(g, f) == ident
+        assert compose(f, g) == ident
 
     def test_symbolic_degree_sequence(self):
         assert degree_sequence(build_map(None), 4).degrees == (2, 4, 8, 16)
 
-    def test_random_triples_compose_to_identity(self):
+    def test_random_triples_compose_to_identity(self, fabc_inverse):
         rng = random.Random(2024)
-        ident = ProjectiveMap([MultiPoly.variable(3, i) for i in range(3)]).coords
+        ident = tuple(MultiPoly.variable(3, i) for i in range(3))
         for _ in range(20):
             vals = []
             while len(vals) < 3:
@@ -124,9 +127,9 @@ class TestInverse:
                 if v != 0:
                     vals.append(v)
             p = FabcParams(*vals)
-            f, g = build_map(p), inverse_map(p)
-            assert g.compose(f).coords == ident
-            assert f.compose(g).coords == ident
+            f, g = build_map(p), ProjectiveMap(fabc_inverse(p))
+            assert compose(g, f) == ident
+            assert compose(f, g) == ident
 
 
 class TestIndeterminacy:
@@ -151,63 +154,75 @@ class TestCriticalLocus:
         assert critical_locus(FabcParams(1, 1, 1)) == poly3("Y*Z^2")
         assert critical_locus(FabcParams(1, -1, 1)) == poly3("Y*Z^2")
 
+    def test_closed_form_is_the_jacobian(self, jacobian):
+        x, y, z, a, b, c = (MultiPoly.variable(6, i) for i in range(6))
+        assert jacobian(build_map(None).coords) == -2 * a * b * y * z**2
+        for p in (FabcParams(2, -3, 5), FabcParams(Fraction(1, 2), 7, Fraction(-4, 3))):
+            assert critical_locus(p) == jacobian(build_map(p).coords).canonical()
+
 
 class TestPreimage:
-    def test_generic_point(self):
-        res = preimage(FabcParams(1, 1, 1), [1, 2, 3])
-        assert isinstance(res, PreimagePoint)
-        assert res.point == ProjectivePoint([1, 4, 2])
+    """Fibers of f = build_map(p).  The docstring inverse g gives the
+    one-point fibers, f(g(q)) = q wherever both are defined, and sends the
+    targets with no preimage into I(f)."""
+
+    def test_generic_point(self, fabc_inverse):
+        p = FabcParams(1, 1, 1)
+        assert ProjectiveMap(fabc_inverse(p)).apply([1, 2, 3]) == ProjectivePoint([1, 4, 2])
+        assert build_map(p).apply([1, 4, 2]) == ProjectivePoint([1, 2, 3])
 
     def test_collapsed_line_target(self):
-        res = preimage(FabcParams(1, 1, 1), [0, 1, 1])
-        assert isinstance(res, PreimageLine)
-        assert res.vanishing_var == 1
-        assert res.removed == (ProjectivePoint([1, 0, 0]),)
+        # the whole line Y = 0 but [1, 0, 0] collapses onto [0, a, c]
+        f = build_map(FabcParams(1, 1, 1))
+        for x, z in ((0, 1), (1, 1), (3, -2), (-5, 7)):
+            assert f.apply([x, 0, z]) == ProjectivePoint([0, 1, 1])
+        assert f.apply([1, 0, 0]) is INDETERMINATE
 
     def test_image_of_z_line(self):
-        res = preimage(FabcParams(2, 3, 5), [1, 1, 0])
-        assert isinstance(res, PreimageLine)
-        assert res.vanishing_var == 2
-        assert set(res.removed) == {
+        # the line Z = 0 but its two indeterminacy points maps onto [1, 1, 0]
+        p = FabcParams(2, 3, 5)
+        f = build_map(p)
+        for x, y in ((1, 1), (2, -3), (-7, 4)):
+            assert f.apply([x, y, 0]) == ProjectivePoint([1, 1, 0])
+        assert indeterminacy_points(p) == {
             ProjectivePoint([0, 1, 0]),
             ProjectivePoint([1, 0, 0]),
         }
 
-    def test_empty_cases(self):
+    def test_empty_cases(self, fabc_inverse):
         p = FabcParams(1, 1, 1)
-        assert isinstance(preimage(p, [0, 0, 1]), PreimageEmpty)
+        g = ProjectiveMap(fabc_inverse(p))
+        assert g.apply([0, 0, 1]) in indeterminacy_points(p)
         # [a, a*t, c*t - c] for several t != 1
         a, b, c = 2, 3, -5
         q = FabcParams(a, b, c)
+        h = ProjectiveMap(fabc_inverse(q))
         for t in (0, 2, 3, -1, 4, 7, -3, 5, Fraction(1, 2), Fraction(-2, 3)):
             t = Fraction(t)
-            target = [Fraction(a), a * t, c * t - c]
-            assert isinstance(preimage(q, target), PreimageEmpty)
+            assert h.apply([Fraction(a), a * t, c * t - c]) in indeterminacy_points(q)
         # first two coordinates equal, last nonzero: unreachable
-        assert isinstance(preimage(p, [1, 1, 2]), PreimageEmpty)
-        assert isinstance(preimage(q, [3, 3, 1]), PreimageEmpty)
+        assert g.apply([1, 1, 2]) in indeterminacy_points(p)
+        assert h.apply([3, 3, 1]) in indeterminacy_points(q)
 
-    def test_vertical_line_targets(self):
+    def test_vertical_line_targets(self, fabc_inverse):
         p = FabcParams(2, 3, 5)
-        res = preimage(p, [0, 1, 7])
-        assert isinstance(res, PreimagePoint)
-        f = build_map(p)
-        assert f.apply(res.point) == ProjectivePoint([0, 1, 7])
+        point = ProjectiveMap(fabc_inverse(p)).apply([0, 1, 7])
+        assert point not in indeterminacy_points(p)
+        assert build_map(p).apply(point) == ProjectivePoint([0, 1, 7])
 
-    def test_round_trip_random(self):
+    def test_round_trip_random(self, fabc_inverse):
         rng = random.Random(99)
         p = FabcParams(Fraction(3, 2), -2, Fraction(5, 3))
-        f = build_map(p)
-        a, c = p.a, p.c
+        f, g = build_map(p), ProjectiveMap(fabc_inverse(p))
         checked = 0
         while checked < 50:
             q = [Fraction(rng.randint(-8, 8)) for _ in range(3)]
             if all(v == 0 for v in q):
                 continue
-            alpha, beta, gamma = q
-            res = preimage(p, q)
-            if isinstance(res, PreimagePoint):
-                assert f.apply(res.point) == ProjectivePoint(q)
+            point = g.apply(q)
+            image = INDETERMINATE if point is INDETERMINATE else f.apply(point)
+            if image is not INDETERMINATE:
+                assert image == ProjectivePoint(q)
                 checked += 1
 
     def test_line_points_actually_map_to_target(self):
@@ -369,14 +384,6 @@ class TestFamilyParams:
     def test_zero_rejected(self):
         with pytest.raises(DegenerateParameterError):
             FamilyParams("0", "1", "T")
-
-    def test_specialize(self):
-        f = FamilyParams("1", "1", "T")
-        assert f.specialize(3) == FabcParams(1, 1, 3)
-        with pytest.raises(DegenerateParameterError):
-            f.specialize(0)
-        with pytest.raises(TypeError):
-            f.specialize(0.5)
 
 
 class TestGenericStability:

@@ -6,7 +6,6 @@ from dyndeg import ratmap
 from dyndeg.exactalg import (
     MultiPoly,
     TermCapExceeded,
-    jacobian_det,
     parse_poly,
     substitute_system,
 )
@@ -15,6 +14,7 @@ from dyndeg.ratmap import (
     DegreeSequence,
     ProjectiveMap,
     ProjectivePoint,
+    _compose_forms,
     degree_drop_index,
     degree_sequence,
     dyndeg_estimate,
@@ -29,6 +29,11 @@ IDENTITY = ProjectiveMap([X, Y, Z])
 def quad_map(a, b, c):
     """The plane quadratic family [XY, XY + a*Z^2, b*YZ + c*Z^2]."""
     return ProjectiveMap([X * Y, X * Y + a * Z**2, b * Y * Z + c * Z**2])
+
+
+def compose(f, g):
+    """f after g (apply g first), the common factor cancelled."""
+    return ProjectiveMap(_compose_forms(f, g.coords))
 
 
 class TestProjectivePoint:
@@ -90,13 +95,13 @@ class TestProjectiveMapConstruction:
 class TestComposeAndApply:
     def test_compose_degree_multiplies_generically(self):
         f = quad_map(1, 1, 1)
-        ff = f.compose(f)
+        ff = compose(f, f)
         assert ff.degree == 4
 
     def test_compose_with_identity(self):
         f = quad_map(2, 3, 5)
-        assert f.compose(IDENTITY) == f
-        assert IDENTITY.compose(f) == f
+        assert compose(f, IDENTITY) == f
+        assert compose(IDENTITY, f) == f
 
     def test_apply_basic(self):
         f = quad_map(1, 1, 1)
@@ -111,7 +116,7 @@ class TestComposeAndApply:
     def test_apply_compose_coherence(self):
         f = quad_map(1, 2, 1)
         g = quad_map(2, 1, 3)
-        fg = f.compose(g)
+        fg = compose(f, g)
         for coords in ([1, 2, 3], [1, 1, 2], [5, 1, 1]):
             via_compose = fg.apply(coords)
             step = g.apply(coords)
@@ -269,20 +274,20 @@ class TestDominance:
     """In characteristic zero a map is dominant iff the Jacobian determinant
     of its forms in the point variables is nonzero."""
 
-    def test_quadratic_family_dominant(self):
-        assert not jacobian_det(quad_map(1, 1, 1).coords).is_zero()
-        assert not jacobian_det(quad_map(1, -1, 1).coords).is_zero()
+    def test_quadratic_family_dominant(self, jacobian):
+        assert not jacobian(quad_map(1, 1, 1).coords).is_zero()
+        assert not jacobian(quad_map(1, -1, 1).coords).is_zero()
 
-    def test_symbolic_family_dominant(self):
+    def test_symbolic_family_dominant(self, jacobian):
         nv = 6
         x, y, z, a, b, c = (MultiPoly.variable(nv, i) for i in range(nv))
         f = ProjectiveMap([x * y, x * y + a * z**2, b * y * z + c * z**2])
-        assert not jacobian_det(f.coords).is_zero()
+        assert not jacobian(f.coords).is_zero()
 
-    def test_non_dominant_map(self):
+    def test_non_dominant_map(self, jacobian):
         # a genuinely degenerate system: all coordinates depend on X, Y only
         g = ProjectiveMap([X**2, X * Y, Y**2])
-        assert jacobian_det(g.coords).is_zero()
+        assert jacobian(g.coords).is_zero()
 
 
 class TestPrimeFieldMaps:
