@@ -203,13 +203,12 @@ def _unpack(value: int, slots: Iterable[int], size: int, width: int) -> list[int
 def _packed_sums(
     outer: Sequence[Sequence[tuple[tuple, int]]],
     inner: Sequence[Sequence[tuple[int, int]]],
-    max_bits: int | None = None,
-) -> tuple[int, list[int]] | None:
+) -> tuple[int, list[int]]:
     """The one Kronecker composition (Harvey, J. Symbolic Comput. 44,
     2009): (width, sums) with sums[k] = sum c * prod_i phi(G_i)^(e_i)
     over the terms (e, c) of outer[k], for the polynomials G_i of Z[y]
     whose (slot, coefficient) digits inner[i] lists, phi: y -> 2^B and
-    B = 8 * width; None when B would pass max_bits.
+    B = 8 * width, at whatever width the bound below asks for.
 
     Lemma.  phi is a ring map Z[y] -> Z, so sums[k] = phi(H_k) for
     H_k = P_k(G) in Z[y].  A polynomial whose coefficients lie in
@@ -240,8 +239,6 @@ def _packed_sums(
         norms + [sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in p) for p in outer]
     )
     width = (bound.bit_length() + 8) // 8  # the least with bound < 2^(8 * width - 1)
-    if max_bits is not None and 8 * width > max_bits:
-        return None
     product = _monomials(
         [_pack(g, 1 + max((k for k, _ in g), default=0), width) for g in inner], operator.mul
     )
@@ -533,47 +530,39 @@ class TermCapExceeded(ArithmeticError):
         self.n = n
 
 
-# Widest slot the packed composition takes: past it (input coefficients of
-# about 2^70 in the iterates' forms) the sparse loop ran faster.
-_PACK_MAX_BITS = 256
-
-
 def _packed_substitute(
     polys: Sequence[MultiPoly], assignment: Sequence[MultiPoly], term_cap: int | None
 ) -> list[MultiPoly] | None:
     """substitute_system by _packed_sums, or None where it does not run.
-    It runs when every input is a nonzero form with int coefficients in
-    two or more variables, the assignment's forms share one degree D, the
-    most terms an output form of degree d * D can have,
-    C(d * D + nv - 1, nv - 1), is at most term_cap for every output (so
-    the sparse loop's cap could not fire either), and the slot width is
-    at most _PACK_MAX_BITS.  The slot of x^e is sum_{j<m} e_j * R^j with
-    R = d' * D + 1, d' the largest outer degree (the first map of
-    _packed_sums' lemma); over F_p the residues in [0, p) are packed."""
+    It runs when every input is a form with int coefficients in two or
+    more variables, the assignment's nonzero forms share one degree D (0
+    when all are zero), and the most terms an output form of degree d * D
+    can have, C(d * D + nv - 1, nv - 1), is at most term_cap for every
+    output (so the sparse loop's cap could not fire either); a zero outer
+    form has d = 0 and gives the zero form.  The slot of x^e is
+    sum_{j<m} e_j * R^j with R = d' * D + 1, d' the largest outer degree
+    (the first map of _packed_sums' lemma), at any slot width; over F_p
+    the residues in [0, p) are packed.  Symbolic parameters (their forms
+    have two degrees, or are no forms), Fractions and one variable stay
+    on the sparse loop."""
     nv, mod = assignment[0].num_vars, assignment[0].modulus
-    if nv < 2 or not polys or not all(
-        q.terms
-        and all(c.__class__ is int for _, c in q.terms)
-        and q.is_homogeneous_in(range(q.num_vars))
+    if nv < 2 or not all(
+        all(c.__class__ is int for _, c in q.terms) and q.is_homogeneous_in(range(q.num_vars))
         for q in (*polys, *assignment)
     ):
         return None
-    inner = assignment[0].degree
-    if any(g.degree != inner for g in assignment):
+    inner = {g.degree for g in assignment if g.terms}
+    if len(inner) > 1:
         return None
-    degrees = [p.degree * inner for p in polys]
-    if term_cap is not None and math.comb(max(degrees) + nv - 1, nv - 1) > term_cap:
+    degrees = [max(p.degree, 0) * max(inner, default=0) for p in polys]
+    top = max(degrees, default=0)
+    if term_cap is not None and math.comb(top + nv - 1, nv - 1) > term_cap:
         return None
-    radix = max(degrees) + 1
-    weights = [radix**j for j in range(nv - 1)]
-    packed = _packed_sums(
+    weights = [(top + 1) ** j for j in range(nv - 1)]
+    width, sums = _packed_sums(
         [p.terms for p in polys],
         [[(sum(map(operator.mul, e, weights)), c) for e, c in g.terms] for g in assignment],
-        _PACK_MAX_BITS,
     )
-    if packed is None:
-        return None
-    width, sums = packed
     out = []
     for deg, total in zip(degrees, sums):
         # (exponents of x_0..x_{m-1} summing to at most deg, slot, their sum)

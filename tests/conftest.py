@@ -1,10 +1,11 @@
 """Oracles that several test modules share."""
 
+import collections
 from fractions import Fraction
 
 import pytest
 
-from dyndeg import fabc
+from dyndeg import exactalg, fabc
 from dyndeg.exactalg import MultiPoly
 
 
@@ -38,3 +39,21 @@ def fabc_inverse():
         return [a * b * b * (x * (y - x)), w * w, b * (w * (y - x))]
 
     return forms
+
+
+@pytest.fixture
+def composition_paths(monkeypatch):
+    """Counts of the substitute_system calls that ran packed and of those
+    that took the sparse loop, as {"packed": n, "sparse": m}, read from a
+    spy on exactalg._packed_substitute (None sends a call to the sparse
+    loop)."""
+    counts = collections.Counter(packed=0, sparse=0)
+    plain = exactalg._packed_substitute
+
+    def spy(polys, assignment, term_cap):
+        out = plain(polys, assignment, term_cap)
+        counts["sparse" if out is None else "packed"] += 1
+        return out
+
+    monkeypatch.setattr(exactalg, "_packed_substitute", spy)
+    return counts

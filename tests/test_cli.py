@@ -18,6 +18,15 @@ SRC = os.path.dirname(os.path.dirname(dyndeg.__file__))
 
 UNSTABLE_MAP = '{"N":2,"coords":["X*Y","X*Y+Z^2","-1*Y*Z+Z^2"]}'
 STABLE_MAP = '{"N":2,"coords":["X*Y","X*Y+Z^2","Y*Z+Z^2"]}'
+# f^2 = [0 : 0 : Z^4], and every later iterate is constant too
+DEGREE_ZERO_MAP = '{"N":2,"coords":["0","X*Y","Z^2"]}'
+# f = [XZ : X^2 : 0] reduces to [Z : X : 0], f^2 = [0 : Z : 0], f^3 = 0
+ZERO_FORMS_MAP = '{"N":2,"coords":["X*Z","X^2","0"]}'
+# (2^70, -2, 2^36) at order 4: its line declines at the drop n = 4, and
+# f^2, f^3 and f^4 are composed in slots of 144, 288 and 504 bits
+WIDE_SLOT_MAP = json.dumps(
+    {"N": 2, "coords": ["X*Y", f"X*Y+{2**70}*Z^2", f"-2*Y*Z+{2**36}*Z^2"]}
+)
 
 
 def run_cli(capsys, *argv):
@@ -496,8 +505,7 @@ class TestPlumbing:
     def test_iterate_of_degree_zero(self, capsys):
         # f^2 = [0 : 0 : Z^4] is constant, and so is every later iterate:
         # both estimates read 0, not 0/0
-        f = '{"N":2,"coords":["0","X*Y","Z^2"]}'
-        code, doc = run_json(capsys, "degseq", "--map", f, "--nmax", "3")
+        code, doc = run_json(capsys, "degseq", "--map", DEGREE_ZERO_MAP, "--nmax", "3")
         assert code == 0
         assert doc["degrees"] == [2, 0, 0] and doc["drop_at"] == 2
         assert doc["ratio_estimate"] == 0.0 and doc["root_estimate"] == 0.0
@@ -505,8 +513,7 @@ class TestPlumbing:
     def test_iterate_with_only_zero_forms_names_it(self, capsys):
         # f = [XZ : X^2 : 0] reduces to [Z : X : 0], f^2 = [0 : Z : 0] and
         # f^3 = [0 : 0 : 0]
-        doc = '{"N":2,"coords":["X*Z","X^2","0"]}'
-        code, out, err = run_cli(capsys, "degseq", "--map", doc, "--nmax", "4")
+        code, out, err = run_cli(capsys, "degseq", "--map", ZERO_FORMS_MAP, "--nmax", "4")
         assert (code, out) == (2, "")
         assert err == "error: f^3: all coordinate forms are zero (the map is not dominant)\n"
 
@@ -655,6 +662,28 @@ def test_golden_stdout(capsys, case):
     eigenvalue solver gives for it."""
     code, out, err = run_cli(capsys, *case["argv"])
     assert (code, out, err) == (0, case["stdout"], "")
+
+
+def test_every_composition_of_integer_forms_packs(capsys, monkeypatch, composition_paths):
+    """At the default cap no composition of these runs takes the sparse
+    loop: the golden degseq and stability cases, the 2^70 row with slots
+    past 256 bits and the two maps with zero forms.  Under a cap of 10
+    the 2^70 row's f^2 could pass the cap, so it composes on the sparse
+    loop, which counts its terms as it goes, and degseq exits 3."""
+    golden = [c["argv"] for c in GOLDEN if c["argv"][0] in ("degseq", "stability")]
+    runs = [(argv, 0) for argv in golden] + [
+        (["degseq", "--map", WIDE_SLOT_MAP, "--nmax", "4"], 0),
+        (["degseq", "--map", DEGREE_ZERO_MAP, "--nmax", "3"], 0),
+        (["degseq", "--map", ZERO_FORMS_MAP, "--nmax", "4"], 2),
+    ]
+    for argv, want in runs:
+        packed = composition_paths["packed"]
+        assert run_cli(capsys, *argv)[0] == want
+        assert composition_paths["sparse"] == 0, argv
+        assert composition_paths["packed"] > packed, argv
+    monkeypatch.setenv("DYNDEG_TERM_CAP", "10")
+    assert run_cli(capsys, "degseq", "--map", WIDE_SLOT_MAP, "--nmax", "4")[0] == 3
+    assert composition_paths["sparse"] > 0
 
 
 # the prime-field element class removed in 0.2.0, and the wrappers

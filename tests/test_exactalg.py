@@ -549,6 +549,8 @@ nonzero_coeffs = st.one_of(
     st.integers(1, 3),
     st.integers(2**61, 2**64),
     st.integers(-(2**64), -(2**61)),
+    st.integers(2**290, 2**300),  # slots past 256 bits
+    st.integers(-(2**300), -(2**290)),
 )
 
 
@@ -581,7 +583,7 @@ def compositions(draw, modulus):
 def test_packed_composition_equals_the_sparse_loop(modulus, data):
     outer, assignment = data.draw(compositions(modulus))
     packed = exactalg._packed_substitute(outer, assignment, None)
-    assume(packed is not None)  # slots wider than the cap stay sparse
+    assert packed is not None
     assert packed == sparse_substitute(outer, assignment)
     assert substitute_system(outer, assignment) == packed
 
@@ -620,18 +622,30 @@ def test_one_variable_slot_width_holds_its_bound(sign, width):
     got_width, sums = exactalg._packed_sums([[((1, 1), 1)]], inner)
     assert got_width == width + 1
     assert exactalg._unpack(sums[0], range(4), 4, got_width) == [0, 0, 0, sign * 2**top]
-    assert exactalg._packed_sums([[((1, 1), 1)]], inner, 8 * width) is None
 
 
-def test_packed_slot_width_cap():
-    """Slots of 256 bits are packed; one more byte goes to the sparse loop."""
+@pytest.mark.parametrize("top, bits", [(255, 264), (1990, 2000)])
+def test_wide_slots_pack(monkeypatch, top, bits):
+    """Slots of any width are packed: ||G_0||_1 = 2^(top + 1) needs slots of
+    `bits` bits, one byte past 256 and about the 2008-bit slot of
+    (2^70, -2, 2^36) at n = 6, and the forms read back equal the sparse
+    loop's."""
+    widths = []
+    plain = exactalg._packed_sums
+
+    def spy(outer, inner):
+        width, sums = plain(outer, inner)
+        widths.append(width)
+        return width, sums
+
+    monkeypatch.setattr(exactalg, "_packed_sums", spy)
     x, y = (MultiPoly.variable(2, i) for i in range(2))
-    for top, packs in ((247, True), (255, False)):
-        assignment = [2**top * (x + y), x - y]  # ||G_0||_1 = 2^(top + 1)
-        outer = [x, y]
-        packed = exactalg._packed_substitute(outer, assignment, None)
-        assert (packed is not None) == packs
-        assert substitute_system(outer, assignment) == sparse_substitute(outer, assignment)
+    assignment = [2**top * (x + y), x - y]
+    outer = [x, y]
+    packed = exactalg._packed_substitute(outer, assignment, None)
+    assert widths == [bits // 8]
+    assert packed == sparse_substitute(outer, assignment)
+    assert substitute_system(outer, assignment) == packed
 
 
 def test_packed_dispatch_at_the_term_cap(monkeypatch):
@@ -661,13 +675,21 @@ def test_packed_dispatch_at_the_term_cap(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_packed_path_skips_parameters_fractions_and_zero_forms():
+def test_packed_path_takes_zero_forms_and_skips_parameters_and_fractions():
     x, y, z = (MultiPoly.variable(3, i) for i in range(3))
-    assert exactalg._packed_substitute([x * y], [x, y, x + z], None) is not None
+    zero = MultiPoly.zero(3)
+    for outer, assignment in (
+        ([x * y], [x, y, x + z]),
+        ([x * y, x * z], [x, zero, z]),  # a zero inner form
+        ([zero, x * y, MultiPoly.constant(3, 5)], [x * x, y * z, z * z]),  # zero, constant
+        ([x * y, MultiPoly.constant(3, 2), zero], [zero, zero, zero]),  # only zero inner forms
+    ):
+        packed = exactalg._packed_substitute(outer, assignment, None)
+        assert packed is not None
+        assert packed == sparse_substitute(outer, assignment)
     for outer, assignment in (
         ([x * y], [x, y * z, z]),  # forms of two degrees, as a parameter's X_k
         ([x * y], [Fraction(1, 2) * x, y, z]),  # a Fraction coefficient
-        ([x * y], [x, MultiPoly.zero(3), z]),  # a zero form
         ([x * y + z], [x, y, z]),  # an outer polynomial that is no form
     ):
         assert exactalg._packed_substitute(outer, assignment, None) is None
