@@ -638,6 +638,70 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     return MultiPoly._build(p.num_vars, terms, p.modulus)
 
 
+def _divide_rows(rem: dict, d: Sequence[tuple]) -> list | None:
+    """Quotient terms of rem / d over Z in two variables x, y by long
+    division in x over Z[y], or None when it proves no quotient (which
+    does not prove that d fails to divide rem).
+
+    Row i of a polynomial is its coefficient of x^i, a polynomial in y,
+    kept as one int phi(row) by _pack, phi: y -> 2^B and B = 8 * width,
+    the least multiple of 8 with ||A||_inf * (||G||_1 + 1) < 2^(B-1) for
+    A = rem and G = d, ||A||_inf read as 1 when A = 0, so that G's
+    coefficients fit too.  Each step divmods the leading remainder row by
+    G's leading row, gives up on a nonzero remainder, and subtracts the
+    quotient times G's other rows from the rows below; the rows under
+    G's leading row must end at zero, and the quotient rows are unpacked.
+
+    Lemma.  phi is a ring map Z[y] -> Z, and it is one to one on
+    polynomials with coefficients in (-2^(B-1), 2^(B-1)): those are the
+    signed B-bit digits of the image.  Each quotient int q_k is read back
+    as the polynomial Q_k of its signed digits, so phi(Q_k) = q_k, and
+    the zero rows at the end say phi(A_i - sum_k G_(i-k) * Q_k) = 0 for
+    every row i.  Every coefficient of A - G * Q is at most
+    ||A||_inf + ||Q||_inf * ||G||_1 in absolute value, so when that bound
+    is below 2^(B-1) each row of A - G * Q is zero and G * Q = A.  The
+    width leaves room for ||Q||_inf <= ||A||_inf, the usual case; a
+    quotient with larger coefficients, a row that does not divide, or a
+    remainder that does not vanish returns None.
+    """
+    a_norm = max(map(abs, rem.values()), default=1)
+    g_norm = sum(abs(c) for _, c in d)
+    width = ((a_norm * (g_norm + 1)).bit_length() + 8) // 8
+    bits = 8 * width
+
+    def rows(terms: Sequence[tuple]) -> list[int]:
+        exps = [e for e, _ in terms]
+        digits: list = [[] for _ in range(1 + max((i for i, _ in exps), default=-1))]
+        for (i, j), c in terms:
+            digits[i].append((j, c))
+        size = 1 + max((j for _, j in exps), default=0)
+        return [_pack(row, size, width) if row else 0 for row in digits]
+
+    a, g = rows(list(rem.items())), rows(d)
+    top, lead = len(g) - 1, g[-1]
+    lower = [(j, r) for j, r in enumerate(g[:-1]) if r]
+    quot = []
+    for i in range(len(a) - 1, top - 1, -1):
+        if not a[i]:
+            continue
+        q, r = divmod(a[i], lead)
+        if r:
+            return None
+        k = i - top
+        for j, gj in lower:
+            a[k + j] -= q * gj
+        quot.append((k, q))
+    if any(a[:top]):
+        return None
+    terms = []
+    for k, q in quot:
+        size = (abs(q).bit_length() + 1) // bits + 1  # |q| < 2^(bits * size - 2)
+        terms += [((k, j), c) for j, c in enumerate(_unpack(q, range(size), size, width)) if c]
+    if a_norm + max((abs(c) for _, c in terms), default=0) * g_norm >= 1 << (bits - 1):
+        return None
+    return terms
+
+
 def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
     """Quotient terms of rem / d, or None when d does not divide rem.
 
@@ -646,6 +710,8 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
     Coefficients are ints, reduced mod p when p is given; over Q, d must
     be primitive, and a quotient coefficient is rc // lc, or the division
     gives up when the leading coefficient lc of d does not divide rc.
+    Over Q in two variables _divide_rows runs first, and its quotient is
+    returned when it proves one; otherwise the heap loop below decides.
     A heap of grlex keys runs over rem; a key whose term cancelled stays in
     the heap and is skipped when popped.  Each step pops the leading
     remainder term, divides it by the leading term of d (or gives up), and
@@ -667,6 +733,8 @@ def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
     q - partial quotient, a term of q.  So lc not dividing rc proves that
     d does not divide rem, and no coefficient leaves Z.
     """
+    if p is None and len(d[0][0]) == 2 and (quot := _divide_rows(rem, d)) is not None:
+        return quot
     (lead_e, lead_c), rest = d[0], d[1:]
     inv = pow(lead_c, -1, p) if p else None
     sub, add, neg = operator.sub, operator.add, operator.neg

@@ -686,6 +686,19 @@ def test_every_composition_of_integer_forms_packs(capsys, monkeypatch, compositi
     assert composition_paths["sparse"] > 0
 
 
+def test_every_rational_plane_division_takes_the_rows(capsys, division_paths):
+    """No trial division over Q in two variables that has a quotient falls
+    back to the heap loop: the golden degseq and stability cases, the
+    stability command on each golden degseq map, and the 2^70 row with
+    slots past 256 bits, whose failing CRT lifts the heap loop refuses."""
+    golden = [c["argv"] for c in GOLDEN if c["argv"][0] in ("degseq", "stability")]
+    stability = [["stability", *argv[1:3], "--nmax", "6"] for argv in golden if argv[0] == "degseq"]
+    for argv in golden + stability + [["degseq", "--map", WIDE_SLOT_MAP, "--nmax", "5"]]:
+        assert run_cli(capsys, *argv)[0] == 0
+        assert division_paths["fallback"] == 0, argv
+    assert division_paths["rows"] > 0
+
+
 # the prime-field element class removed in 0.2.0, and the wrappers
 # removed in 0.3.0 and 0.4.0 (with the orbit record) with the module or
 # class each lived in
