@@ -214,13 +214,34 @@ class RadiusEnclosure:
     high: Fraction
 
 
-def _float_radius_estimate(coeffs: Sequence[int]) -> float | None:
-    try:
-        arr = np.array([float(c) for c in coeffs], dtype=float)
-    except OverflowError:
-        return None
-    est = float(np.max(np.abs(np.roots(arr))))
-    return est if math.isfinite(est) and est > 0 else None
+def _float_radius_estimates(polys: Sequence[Sequence[int]]) -> list[float | None]:
+    """max|root| of each monic polynomial in floats, in input order, or None
+    where its coefficients pass the float range or the estimate is not a
+    positive float.
+
+    The polynomials are grouped by degree and each group's companion
+    matrices, the ones np.roots builds (ones below the diagonal, first row
+    -c[1:]), go to one stacked eigvals call.  So when c[-1] != 0, as in the
+    characteristic polynomial of a nonsingular matrix, each estimate equals
+    max(abs(np.roots(c))) bitwise.
+    """
+    out: list[float | None] = [None] * len(polys)
+    by_degree: dict[int, tuple[list[int], list[list[float]]]] = {}
+    for i, coeffs in enumerate(polys):
+        try:
+            row = [float(c) for c in coeffs[1:]]
+        except OverflowError:
+            continue
+        indices, rows = by_degree.setdefault(len(row), ([], []))
+        indices.append(i)
+        rows.append(row)
+    for n, (indices, rows) in by_degree.items():
+        companions = np.tile(np.eye(n, k=-1), (len(rows), 1, 1))
+        companions[:, 0, :] = -np.array(rows)
+        radii = np.abs(np.linalg.eigvals(companions)).max(axis=1)
+        for i, est in zip(indices, radii.tolist()):
+            out[i] = est if math.isfinite(est) and est > 0 else None
+    return out
 
 
 _ROUND_DEN = 10**12
@@ -230,13 +251,20 @@ def _to_frac(x: float) -> Fraction:
     return Fraction(round(x * _ROUND_DEN), _ROUND_DEN)
 
 
-def _certify_radius(coeffs: Sequence[int], rel_tol: float) -> RadiusEnclosure:
+def _certify_radius(
+    coeffs: Sequence[int], rel_tol: float, est: float | None
+) -> RadiusEnclosure:
     """Enclose the max root modulus of a monic integer polynomial whose roots
-    have modulus product >= 1 (so the radius is >= 1)."""
+    have modulus product >= 1 (so the radius is >= 1).
+
+    The float estimate est seeds the window from est * (1 - rel_tol/3),
+    clipped below at 1, to est * (1 + rel_tol/3), whose ends two exact disk
+    tests certify; a radius-1 polynomial is certified there too.  When the window misses, its tested
+    end bounds the radius and the bisection from [1, 2 + max|c|] continues
+    inside the bound."""
     lo = Fraction(1)
     hi = Fraction(2 + max(abs(c) for c in coeffs))
-    est = _float_radius_estimate(coeffs)
-    if est is not None and est > 1:
+    if est is not None:
         cand_lo = max(lo, _to_frac(est * (1 - rel_tol / 3)))
         cand_hi = _to_frac(est * (1 + rel_tol / 3))
         if cand_lo < cand_hi:
@@ -342,20 +370,30 @@ class SpectralData:
         return None
 
 
-def analyze(m: MonomialMap, rel_tol: float = 1e-6) -> SpectralData:
-    """The map's spectral data: its powers, its characteristic polynomial
-    (read off their traces) and one certified radius enclosure."""
+def analyze_all(maps: Sequence[MonomialMap], rel_tol: float = 1e-6) -> list[SpectralData]:
+    """Each map's spectral data, in order: its powers, its characteristic
+    polynomial (read off their traces) and one certified radius enclosure,
+    all seeded by one stacked eigenvalue call per degree."""
     _check_rel_tol(rel_tol)
-    coeffs = tuple(char_poly(m))
-    return SpectralData(
-        n=m.n,
-        degree=degree_D(m),
-        sup_norm=sup_norm(m.matrix),
-        char_poly=coeffs,
-        radius=_certify_radius(coeffs, rel_tol),
-        powers=m.powers,
-        rel_tol=rel_tol,
-    )
+    polys = [tuple(char_poly(m)) for m in maps]
+    estimates = _float_radius_estimates(polys)
+    return [
+        SpectralData(
+            n=m.n,
+            degree=degree_D(m),
+            sup_norm=sup_norm(m.matrix),
+            char_poly=coeffs,
+            radius=_certify_radius(coeffs, rel_tol, est),
+            powers=m.powers,
+            rel_tol=rel_tol,
+        )
+        for m, coeffs, est in zip(maps, polys, estimates)
+    ]
+
+
+def analyze(m: MonomialMap, rel_tol: float = 1e-6) -> SpectralData:
+    """The spectral data of one map, as analyze_all gives it."""
+    return analyze_all([m], rel_tol)[0]
 
 
 def spectral_radius_enclosure(m: MonomialMap, rel_tol: float = 1e-6) -> RadiusEnclosure:

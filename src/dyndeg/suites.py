@@ -21,7 +21,8 @@ from .fabc import FabcParams, build_map, classify, vn_sequence
 from .gfam import GFamilyParams, NoHitWithin, build_g, orbit_marked_point
 from .monomial import (
     MonomialMap,
-    analyze,
+    SpectralData,
+    analyze_all,
     degree_D,
     homogenize,
     identity_rows,
@@ -79,17 +80,28 @@ def _run(name: str, seed: int | None, instances: Iterable[tuple[str, list[str]]]
     return SuiteResult(name, total, total - len(failures), tuple(failures), seed)
 
 
+# a seeded suite draws and checks its maps in blocks of this many: the
+# monomial suite seeds a block's radii with one stacked eigenvalue call per
+# degree, and only one block's powers are alive at a time
+_BLOCK = 64
+
+
 def _seeded(count: int, seed: int, draw: Callable, check: Callable) -> Iterator:
-    """(tag, check(m)) per instance i of a seeded suite, whose map
-    m = draw(Random(seed * 1000003 + i)) replays from (seed, i) alone.  Only
-    a failed instance prints its tag, so a passing one gets an empty tag."""
+    """(tag, problems) per instance i of a seeded suite, whose map
+    m = draw(Random(seed * 1000003 + i)) replays from (seed, i) alone;
+    check takes a block of maps and yields each one's problems in order.
+    Only a failed instance prints its tag, so a passing one gets an empty
+    tag."""
     if count < 1:
         raise ValueError("count must be positive")
-    for i in range(count):
-        m = draw(random.Random(seed * 1_000_003 + i))
-        problems = check(m)
-        tag = f"instance {i} (seed {seed}): matrix {list(m.matrix)}" if problems else ""
-        yield tag, problems
+    for start in range(0, count, _BLOCK):
+        block = [
+            draw(random.Random(seed * 1_000_003 + i))
+            for i in range(start, min(start + _BLOCK, count))
+        ]
+        for i, m, problems in zip(itertools.count(start), block, check(block)):
+            tag = f"instance {i} (seed {seed}): matrix {list(m.matrix)}" if problems else ""
+            yield tag, problems
 
 
 def _random_monomial_map(rng: random.Random) -> MonomialMap:
@@ -102,8 +114,11 @@ def _random_monomial_map(rng: random.Random) -> MonomialMap:
             continue
 
 
-def _check_monomial_instance(m: MonomialMap) -> list[str]:
-    data = analyze(m)
+def _check_monomial_block(block: list[MonomialMap]) -> Iterator[list[str]]:
+    return map(_check_monomial_instance, block, analyze_all(block))
+
+
+def _check_monomial_instance(m: MonomialMap, data: SpectralData) -> list[str]:
     problems = []
     if not verify_norm_equivalence(m):
         problems.append("norm-equivalence bounds failed")
@@ -120,10 +135,11 @@ def _check_monomial_instance(m: MonomialMap) -> list[str]:
         )
     # characteristic coefficients are elementary symmetric functions of
     # eigenvalues of modulus <= lambda, so |c_j| <= C(N, j) * lambda^j;
-    # testing against the certified upper end keeps the comparison exact
-    high = data.radius.high
+    # testing against the certified upper end num/den, with the
+    # denominators cleared, keeps the comparison exact and on ints
+    num, den = data.radius.high.numerator, data.radius.high.denominator
     for j in range(1, m.n + 1):
-        if abs(data.char_poly[j]) > math.comb(m.n, j) * high**j:
+        if abs(data.char_poly[j]) * den**j > math.comb(m.n, j) * num**j:
             problems.append(f"characteristic coefficient {j} exceeds its bound")
             break
     if m.n <= 3 and homogenize(m).degree != data.degree:
@@ -135,8 +151,9 @@ def monomial_suite(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Random nonsingular integer matrices (N in 1..5, entries in [-9, 9]):
     norm equivalence, contraction index, degree-ratio lower bound,
     characteristic-coefficient bounds, and (N <= 3) the homogenization
-    cross-oracle, each map's radius certified at analyze's default rel_tol."""
-    instances = _seeded(count, seed, _random_monomial_map, _check_monomial_instance)
+    cross-oracle, each map's radius certified at analyze_all's default
+    rel_tol."""
+    instances = _seeded(count, seed, _random_monomial_map, _check_monomial_block)
     return _run("monomial", seed, instances)
 
 
@@ -175,7 +192,9 @@ def unimodular_suite(count: int = 500, seed: int = DEFAULT_SEED + 1) -> SuiteRes
     """Random products of elementary integer matrices (|det| = 1,
     N in {2, 3, 4}): the inverse map exists over the integers and
     D(A^-1) <= D(A)^(N-1) exactly."""
-    instances = _seeded(count, seed, _random_unimodular_map, _check_unimodular_instance)
+    instances = _seeded(
+        count, seed, _random_unimodular_map, lambda block: map(_check_unimodular_instance, block)
+    )
     return _run("unimodular", seed, instances)
 
 

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -249,13 +250,55 @@ class TestSpectralRadius:
     def test_estimate_above_the_radius_becomes_the_upper_bound(self, monkeypatch):
         # both ends of the float window lie above the radius, so the window's
         # low end is a proven upper bound and the bisection starts under it
-        monkeypatch.setattr(monomial, "_float_radius_estimate", lambda coeffs: 1.5 * GOLDEN)
+        monkeypatch.setattr(
+            monomial, "_float_radius_estimates", lambda polys: [1.5 * GOLDEN] * len(polys)
+        )
         enc = spectral_radius_enclosure(A21, 1e-6)
         assert float(enc.low) <= GOLDEN <= float(enc.high)
         assert enc.high <= enc.low * (1 + Fraction(1e-6))
 
     def test_rotation(self):
         assert abs(analyze(MonomialMap([[0, 1], [-1, 0]])).radius.value - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize("rows", [[[1]], [[-1]], [[0, 1], [-1, 0]]])
+    def test_radius_one_takes_two_disk_tests(self, monkeypatch, rows):
+        # the float window around an estimate of 1 is clipped below at 1, and
+        # its two ends certify the radius without a bisection
+        disk_tests = []
+        original = monomial._roots_strictly_inside
+
+        def spy(coeffs, radius):
+            disk_tests.append(radius)
+            return original(coeffs, radius)
+
+        monkeypatch.setattr(monomial, "_roots_strictly_inside", spy)
+        enc = spectral_radius_enclosure(MonomialMap(rows), 1e-6)
+        assert len(disk_tests) == 2
+        assert enc.low == 1 < enc.high <= enc.low * (1 + Fraction(1e-6))
+
+    def test_float_estimates_equal_numpy_roots(self):
+        # monic with a nonzero constant term, as every characteristic
+        # polynomial of a nonsingular matrix, degrees 1-5 shuffled together
+        rng = random.Random(34)
+        polys = []
+        for n in (1, 2, 3, 4, 5) * 8:
+            tail = [rng.randint(-50, 50) for _ in range(n)]
+            tail[-1] = tail[-1] or 1
+            polys.append((1, *tail))
+        rng.shuffle(polys)
+        estimates = monomial._float_radius_estimates(polys)
+        assert len(estimates) == len(polys)
+        for coeffs, est in zip(polys, estimates):
+            expected = float(np.max(np.abs(np.roots([float(c) for c in coeffs]))))
+            assert est == expected, coeffs
+
+    def test_float_overflow_costs_only_its_own_estimate(self):
+        polys = [(1, -3, 1), (1, 10**400, 1), (1, -1), (1, 0, 0, -2)]
+        estimates = monomial._float_radius_estimates(polys)
+        assert estimates[1] is None
+        assert estimates[0] == pytest.approx(GOLDEN)
+        assert estimates[2] == 1.0
+        assert estimates[3] == pytest.approx(2 ** (1 / 3))
 
     def test_rel_tol_validation(self):
         with pytest.raises(ValueError):

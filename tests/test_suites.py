@@ -1,12 +1,14 @@
 """Verification-suite harness: determinism, dispatch, reduced-size runs."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from dyndeg import gfam, monomial, suites
+from dyndeg.monomial import analyze
 from dyndeg.fabc import FabcParams, classify
 from dyndeg.suites import (
     SuiteResult,
@@ -113,18 +115,13 @@ class TestWorkDoneOnce:
         assert monomial_suite(count=50, seed=9).ok
         assert len(radii) == 50
 
-    def test_monomial_suite_makes_at_most_n_products_per_instance(self, monkeypatch):
+    def test_monomial_suite_makes_n_minus_one_products_per_instance(self, monkeypatch):
+        # A^2, ..., A^N once per map: its powers feed the characteristic
+        # polynomial, the contraction index and the degree-ratio check
         products = _spy(monkeypatch, monomial, "mat_mul")
-        per_instance = _spy(
-            monkeypatch,
-            suites,
-            "_check_monomial_instance",
-            lambda m: (m.n, len(products)),
-        )
         assert monomial_suite(count=50, seed=9).ok
-        ends = [start for _, start in per_instance[1:]] + [len(products)]
-        for (n, start), end in zip(per_instance, ends):
-            assert end - start <= n
+        sizes = [suites._random_monomial_map(random.Random(9 * 1_000_003 + i)).n for i in range(50)]
+        assert len(products) == sum(n - 1 for n in sizes)
 
     def test_unimodular_suite_builds_one_adjugate_per_instance(self, monkeypatch):
         adjugates = _spy(monkeypatch, monomial, "_adjugate")
@@ -132,13 +129,48 @@ class TestWorkDoneOnce:
         assert len(adjugates) == 50
 
 
+class TestMonomialBlocks:
+    """The monomial suite analyzes its maps in blocks of suites._BLOCK."""
+
+    def test_one_eigenvalue_call_per_degree_per_block(self, monkeypatch):
+        count = 2 * suites._BLOCK + 5
+        degrees = _spy(monkeypatch, monomial.np.linalg, "eigvals", lambda a: a.shape[-1])
+        blocks = _spy(monkeypatch, suites, "analyze_all", lambda maps: len(degrees))
+        roots = _spy(monkeypatch, monomial.np, "roots")
+        assert monomial_suite(count=count, seed=9).ok
+        assert roots == []
+        assert len(blocks) == 3
+        for start, end in zip(blocks, blocks[1:] + [len(degrees)]):
+            in_block = degrees[start:end]
+            assert len(in_block) == len(set(in_block)) <= 5
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocks_give_what_one_analyze_per_instance_gives(self, monkeypatch, offset):
+        count, seed = suites._BLOCK + offset, 538661
+        seen = _spy(
+            monkeypatch, suites, "_check_monomial_instance", lambda m, data: (m, data)
+        )
+        res = monomial_suite(count=count, seed=seed)
+        maps = [
+            suites._random_monomial_map(random.Random(seed * 1_000_003 + i))
+            for i in range(count)
+        ]
+        assert [(m, data) for m, data in seen] == [(m, analyze(m)) for m in maps]
+        failures = tuple(
+            f"instance {i} (seed {seed}): matrix {list(m.matrix)}: " + "; ".join(problems)
+            for i, m in enumerate(maps)
+            if (problems := suites._check_monomial_instance(m, analyze(m)))
+        )
+        assert res == SuiteResult("monomial", count, count - len(failures), failures, seed)
+
+
 _certify_radius = monomial._certify_radius
 
 
-def _radius_without_room(coeffs, rel_tol):
+def _radius_without_room(coeffs, rel_tol, est):
     """The certified enclosure with its upper end moved to 0, so every
     nonzero characteristic coefficient exceeds its bound."""
-    return dataclasses.replace(_certify_radius(coeffs, rel_tol), high=Fraction(0))
+    return dataclasses.replace(_certify_radius(coeffs, rel_tol, est), high=Fraction(0))
 
 
 _STABLE = classify(FabcParams(1, 1, 1))
