@@ -27,7 +27,6 @@ is exact: `int / int` would give a float, so quotients go through
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import itertools
 import operator
@@ -611,17 +610,15 @@ def substitute_system(
     return out
 
 
-def _heap_key(exps: tuple) -> tuple:
-    """Min-heap key that pops exponent vectors in descending grlex order."""
-    return (-sum(exps), tuple(map(operator.neg, exps)))
-
-
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact division p / d; raises NotDivisibleError when the quotient
     would not be polynomial.  Over Q the denominators are cleared first:
     p = s * A with A the integer terms of p, and d = D / t with D = t * d
     primitive (t = _canonical_scale of d), so p / d = s * t * (A / D), the
-    division _divide_terms makes on integers."""
+    division _divide_terms makes on integers.  Its list spans the degree
+    box of p, so a sparse p of high degree in several variables allocates
+    the whole box; for every composition the iterate pipeline divides,
+    that is the box its Kronecker kernel packs."""
     p._check_compat(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -638,138 +635,72 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     return MultiPoly._build(p.num_vars, terms, p.modulus)
 
 
-def _divide_rows(rem: dict, d: Sequence[tuple]) -> list | None:
-    """Quotient terms of rem / d over Z in two variables x, y by long
-    division in x over Z[y], or None when it proves no quotient (which
-    does not prove that d fails to divide rem).
-
-    Row i of a polynomial is its coefficient of x^i, a polynomial in y,
-    kept as one int phi(row) by _pack, phi: y -> 2^B and B = 8 * width,
-    the least multiple of 8 with ||A||_inf * (||G||_1 + 1) < 2^(B-1) for
-    A = rem and G = d, ||A||_inf read as 1 when A = 0, so that G's
-    coefficients fit too.  Each step divmods the leading remainder row by
-    G's leading row, gives up on a nonzero remainder, and subtracts the
-    quotient times G's other rows from the rows below; the rows under
-    G's leading row must end at zero, and the quotient rows are unpacked.
-
-    Lemma.  phi is a ring map Z[y] -> Z, and it is one to one on
-    polynomials with coefficients in (-2^(B-1), 2^(B-1)): those are the
-    signed B-bit digits of the image.  Each quotient int q_k is read back
-    as the polynomial Q_k of its signed digits, so phi(Q_k) = q_k, and
-    the zero rows at the end say phi(A_i - sum_k G_(i-k) * Q_k) = 0 for
-    every row i.  Every coefficient of A - G * Q is at most
-    ||A||_inf + ||Q||_inf * ||G||_1 in absolute value, so when that bound
-    is below 2^(B-1) each row of A - G * Q is zero and G * Q = A.  The
-    width leaves room for ||Q||_inf <= ||A||_inf, the usual case; a
-    quotient with larger coefficients, a row that does not divide, or a
-    remainder that does not vanish returns None.
-    """
-    a_norm = max(map(abs, rem.values()), default=1)
-    g_norm = sum(abs(c) for _, c in d)
-    width = ((a_norm * (g_norm + 1)).bit_length() + 8) // 8
-    bits = 8 * width
-
-    def rows(terms: Sequence[tuple]) -> list[int]:
-        exps = [e for e, _ in terms]
-        digits: list = [[] for _ in range(1 + max((i for i, _ in exps), default=-1))]
-        for (i, j), c in terms:
-            digits[i].append((j, c))
-        size = 1 + max((j for _, j in exps), default=0)
-        return [_pack(row, size, width) if row else 0 for row in digits]
-
-    a, g = rows(list(rem.items())), rows(d)
-    top, lead = len(g) - 1, g[-1]
-    lower = [(j, r) for j, r in enumerate(g[:-1]) if r]
-    quot = []
-    for i in range(len(a) - 1, top - 1, -1):
-        if not a[i]:
-            continue
-        q, r = divmod(a[i], lead)
-        if r:
-            return None
-        k = i - top
-        for j, gj in lower:
-            a[k + j] -= q * gj
-        quot.append((k, q))
-    if any(a[:top]):
-        return None
-    terms = []
-    for k, q in quot:
-        size = (abs(q).bit_length() + 1) // bits + 1  # |q| < 2^(bits * size - 2)
-        terms += [((k, j), c) for j, c in enumerate(_unpack(q, range(size), size, width)) if c]
-    if a_norm + max((abs(c) for _, c in terms), default=0) * g_norm >= 1 << (bits - 1):
-        return None
-    return terms
-
-
 def _divide_terms(rem: dict, d: Sequence[tuple], p: int | None = None):
-    """Quotient terms of rem / d, or None when d does not divide rem.
+    """Quotient terms of A / G for A = rem and G = d, or None when G does
+    not divide A.
 
-    rem maps exponent vectors to nonzero coefficients and is consumed; d
-    lists (exponent vector, coefficient) pairs, grlex-leading term first.
-    Coefficients are ints, reduced mod p when p is given; over Q, d must
-    be primitive, and a quotient coefficient is rc // lc, or the division
-    gives up when the leading coefficient lc of d does not divide rc.
-    Over Q in two variables _divide_rows runs first, and its quotient is
-    returned when it proves one; otherwise the heap loop below decides.
-    A heap of grlex keys runs over rem; a key whose term cancelled stays in
-    the heap and is skipped when popped.  Each step pops the leading
-    remainder term, divides it by the leading term of d (or gives up), and
-    subtracts qc*d term by term, so the division takes O(len(q) * len(d))
-    coefficient operations and heap operations of logarithmic cost.
+    rem maps exponent vectors to nonzero coefficients, d lists (exponent
+    vector, coefficient) pairs in any order, and neither is changed.
+    Coefficients are ints, G primitive, when p is None; otherwise they
+    lie in F_p, or in the _Field p.
 
-    Lemma (termination and exactness): in grlex order the leading term of
-    qc*d equals the popped leading term of the remainder, so every step
-    removes that monomial and adds only smaller ones; the leading monomial
-    strictly falls, and only finitely many monomials lie below the first.
-    The loop therefore ends, with an empty remainder exactly when d
-    divides rem: if d*q = rem, the leading term of any nonzero remainder
-    d*(q - partial quotient) is divisible by the leading term of d.
+    One long division on a dense list (Harvey, J. Symbolic Comput. 44,
+    2009).  With t_j = deg_(x_j) A, the exponent vector e takes the slot
+    sum_j e_j * W_j, where W_0 = 1 and W_(j+1) = W_j * (t_j + 1), and A is
+    written into a list indexed by slot.  G's term of the top slot leads.
+    From the top slot down, each nonzero slot s gives the quotient term
+    at slot s - slot(lead): its coefficient is a divmod by the leading
+    coefficient over Z, which gives up on a remainder, and a product with
+    its inverse mod p; its exponents are that slot's digits, and it gives
+    up when one exceeds the room t_j - deg_(x_j) G; and that term times
+    G's other terms is subtracted at their slot offsets.  The slots below
+    the lead must end at zero.
 
-    Lemma (Gauss exit over Q): a primitive d in Z[x] that divides rem in
-    Q[x] has a quotient q in Z[x] (Gauss's lemma), and each quotient term
-    the loop forms is a term of q: the remainder is d*(q - partial
-    quotient), whose leading term is the leading term of d times that of
-    q - partial quotient, a term of q.  So lc not dividing rc proves that
-    d does not divide rem, and no coefficient leaves Z.
+    Lemma.  phi: x_j -> z^(W_j) is a ring map, one to one on polynomials
+    of degree at most t_j in every x_j, and the loop is the long division
+    of phi(A) by phi(G) in z.  So a zero remainder with every term of the
+    quotient Q inside the room proves G * Q = A: both lie in the box, and
+    phi(G * Q) = phi(A).  If G * Q = A, then Q lies inside the room and
+    phi(Q), whose coefficients are Q's, is the one quotient of phi(A) by
+    phi(G) over the fraction field, which the loop builds term by term;
+    over Z, Q has integer coefficients by Gauss's lemma.  So a quotient
+    term outside the room, a nonzero remainder or, over Z, a leading
+    coefficient that does not divide proves that G does not divide A.
     """
-    if p is None and len(d[0][0]) == 2 and (quot := _divide_rows(rem, d)) is not None:
-        return quot
-    (lead_e, lead_c), rest = d[0], d[1:]
-    inv = pow(lead_c, -1, p) if p else None
-    sub, add, neg = operator.sub, operator.add, operator.neg
-    heap = [_heap_key(e) for e in rem]
-    heapq.heapify(heap)
+    if not rem:
+        return []
+    sizes = [t + 1 for t in map(max, zip(*rem))]
+    weights = list(itertools.accumulate(sizes[:-1], operator.mul, initial=1))
+    room = [t - 1 - max(g) for t, g in zip(sizes, zip(*(e for e, _ in d)))]
+    a = [0] * math.prod(sizes)
+    for e, c in rem.items():
+        a[sum(map(operator.mul, e, weights))] = c
+    slots = [(sum(map(operator.mul, e, weights)), c) for e, c in d]
+    lead, lc = max(slots, key=operator.itemgetter(0))
+    rest = [(k - lead, c) for k, c in slots if k != lead]
+    inv = pow(lc, -1, p) if p else None
     quot = []
-    while heap:
-        key = heapq.heappop(heap)
-        re = tuple(map(neg, key[1]))
-        rc = rem.pop(re, None)
-        if rc is None:
+    for s in range(len(a) - 1, lead - 1, -1):
+        rc = a[s] % p if p else a[s]
+        if not rc:
             continue
-        qe = tuple(map(sub, re, lead_e))
-        if min(qe) < 0:
-            return None
         if p:
             qc = rc * inv % p
         else:
-            qc, r = divmod(rc, lead_c)
+            qc, r = divmod(rc, lc)
             if r:
                 return None
-        quot.append((qe, qc))
-        for de, dc in rest:
-            e = tuple(map(add, qe, de))
-            prev = rem.get(e)
-            s = -qc * dc if prev is None else prev - qc * dc
-            if p:
-                s %= p
-            if prev is None:
-                rem[e] = s
-                heapq.heappush(heap, _heap_key(e))
-            elif s:
-                rem[e] = s
-            else:
-                del rem[e]
+        q, qe = s - lead, []
+        for size, free in zip(sizes, room):
+            q, e = divmod(q, size)
+            if e > free:
+                return None
+            qe.append(e)
+        quot.append((tuple(qe), qc))
+        for k, c in rest:
+            a[s + k] -= qc * c
+    if any(c % p for c in a[:lead]) if p else any(a[:lead]):
+        return None
     return quot
 
 
@@ -1040,8 +971,8 @@ def _holds_mod_p(cand: dict, splits: list, p: int):
 
 def _certify(g: dict, fs: list, p: int | None = None) -> list | None:
     """[f / g for f in fs] as term lists, or None unless g divides every f:
-    the one trial division of the gcd over Q and over F_p; fs is consumed."""
-    d = sorted(g.items(), key=lambda term: _heap_key(term[0]))
+    the one trial division of the gcd over Q and over F_p."""
+    d = list(g.items())
     quots = []
     for f in fs:
         if (q := _divide_terms(f, d, p)) is None:
@@ -1273,7 +1204,7 @@ def _gcd_modular(fs: list) -> tuple[dict, ...] | None:
             lift = {e: r - new_mod if 2 * r > new_mod else r for e, r in new.items()}
             content = math.gcd(*lift.values())
             g = {e: c // content for e, c in lift.items()}
-            qs = _certify(g, [dict(f) for f in fs])
+            qs = _certify(g, fs)
             if qs is not None:
                 return g, *map(dict, qs)
             if _holds_mod_p(cand, splits, pr) is not None:

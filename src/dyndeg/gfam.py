@@ -129,8 +129,9 @@ def exact_membership(p: GFamilyParams, t: Rational) -> bool | None:
 
     For a = 1 the orbit is the arithmetic progression 1, 1+b, 1+2b, ...,
     so membership is (t - 1)/b being a nonnegative integer (t == 1 when
-    b = 0).  Other multipliers fall back to truncated search via
-    ``orbit_marked_point``.
+    b = 0).  Every other multiplier returns None and calls nothing; a
+    caller that needs an answer there runs ``orbit_marked_point`` to a
+    finite depth itself (closed forms for a != 1: ROADMAP item 14).
     """
     t = _exact_fraction(t, "t")
     if p.a != 1:

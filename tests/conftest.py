@@ -59,32 +59,23 @@ def composition_paths(monkeypatch):
     return counts
 
 
+Division = collections.namedtuple("Division", "num_vars field divided")
+
+
 @pytest.fixture
-def division_paths(monkeypatch):
-    """Counts of the _divide_terms calls by the path that answered them, as
-    {"rows": n, "heap": m, "fallback": k}: "rows" when _divide_rows proved
-    the quotient, "heap" when the heap loop ran, and "fallback" for the
-    heap divisions over Q in two variables that found a quotient
-    _divide_rows had not proved, read from spies on both functions."""
-    counts = collections.Counter(rows=0, heap=0, fallback=0)
-    plain_rows, plain_terms = exactalg._divide_rows, exactalg._divide_terms
-    proved = []
+def divisions(monkeypatch):
+    """One Division(num_vars, field, divided) per exactalg._divide_terms
+    call, read from a spy: the divisor's variable count, the field as
+    passed (None for Q, an int prime for F_p, an exactalg._Field for an
+    extension) and whether a quotient came back."""
+    calls = []
+    plain = exactalg._divide_terms
 
-    def rows(rem, d):
-        out = plain_rows(rem, d)
-        proved.append(out is not None)
+    def spy(rem, d, p=None):
+        out = plain(rem, d, p)
+        calls.append(Division(len(d[0][0]), p, out is not None))
         return out
 
-    def terms(rem, d, p=None):
-        proved.clear()
-        out = plain_terms(rem, d, p)
-        if proved == [True]:
-            counts["rows"] += 1
-        else:
-            counts["heap"] += 1
-            counts["fallback"] += bool(proved) and out is not None
-        return out
+    monkeypatch.setattr(exactalg, "_divide_terms", spy)
+    return calls
 
-    monkeypatch.setattr(exactalg, "_divide_rows", rows)
-    monkeypatch.setattr(exactalg, "_divide_terms", terms)
-    return counts

@@ -104,7 +104,7 @@ def test_gcd_builds_only_its_three_results(modulus, monkeypatch):
     assert calls.count("build") <= 3
 
 
-def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):
+def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch, divisions):
     """A pairwise fold's running gcd would fall from degree 3 to 2 to 1;
     the one gcd of the list runs Brown's algorithm once, on all four forms,
     and trial-divides each form once over Q."""
@@ -115,37 +115,26 @@ def test_cancel_when_the_running_gcd_shrinks_twice(monkeypatch):
         k * h1 * (Y - Z),
         k * (Y**2 + Z**2),
     ]
-    runs, divisions = [], []
-    modular, divide = exactalg._gcd_modular, exactalg._divide_terms
+    runs = []
+    modular = exactalg._gcd_modular
     monkeypatch.setattr(exactalg, "_gcd_modular", lambda fs: runs.append(len(fs)) or modular(fs))
-    monkeypatch.setattr(
-        exactalg, "_divide_terms", lambda rem, d, p=None: divisions.append(p) or divide(rem, d, p)
-    )
     g, *quots = _gcd_quotients(forms)
     monkeypatch.undo()
     assert runs == [4]
-    assert divisions.count(None) == 4
+    assert [d.field for d in divisions].count(None) == 4
     assert g == k
     assert [g * f for f in quots] == forms
 
 
-def test_degree_sequence_divides_each_common_factor_once(monkeypatch):
-    calls = []
-    inner = exactalg._divide_terms
-
-    def spy(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(exactalg, "_divide_terms", spy)
+def test_degree_sequence_divides_each_common_factor_once(divisions):
     # two gcds find a factor, and each certificate divides each of the three
     # forms once: over Q only over Z, since a lift that divides there
     # certifies its image mod 2^61 - 1 too
     for modulus, bound in ((None, 6), (101, 6)):
-        calls.clear()
+        divisions.clear()
         seq = degree_sequence(build_map(FabcParams(1, -1, 1), modulus), 5)
         assert seq.degrees == (2, 4, 7, 12, 20)
-        assert len(calls) <= bound, modulus
+        assert len(divisions) <= bound, modulus
 
 
 def test_degree_sequence_interpolates_in_the_cheap_variable(monkeypatch):
@@ -166,23 +155,15 @@ def test_degree_sequence_interpolates_in_the_cheap_variable(monkeypatch):
     assert len(images) <= 9
 
 
-def test_rational_gcd_divides_only_over_z(monkeypatch):
+def test_rational_gcd_divides_only_over_z(divisions):
     """A bivariate pair with a planted factor and small coefficients: the
     lift of the first prime's image divides both inputs over Z, so no
     division mod p runs."""
-    moduli = []
-    inner = exactalg._divide_terms
-
-    def spy(rem, d, p=None):
-        moduli.append(p)
-        return inner(rem, d, p)
-
-    monkeypatch.setattr(exactalg, "_divide_terms", spy)
     x, y = (MultiPoly.variable(2, i) for i in range(2))
     g = x**2 - 3 * x * y + 2 * y + 1
     a, b = g * (x + 2 * y - 1), g * (x * y - y**2 + 3)
     assert poly_gcd(a, b) == g
-    assert moduli == [None, None]
+    assert [d.field for d in divisions] == [None, None]
 
 
 @pytest.mark.parametrize("modulus", [None, 7, 101])

@@ -686,22 +686,9 @@ def test_every_composition_of_integer_forms_packs(capsys, monkeypatch, compositi
     assert composition_paths["sparse"] > 0
 
 
-def test_every_rational_plane_division_takes_the_rows(capsys, division_paths):
-    """No trial division over Q in two variables that has a quotient falls
-    back to the heap loop: the golden degseq and stability cases, the
-    stability command on each golden degseq map, and the 2^70 row with
-    slots past 256 bits, whose failing CRT lifts the heap loop refuses."""
-    golden = [c["argv"] for c in GOLDEN if c["argv"][0] in ("degseq", "stability")]
-    stability = [["stability", *argv[1:3], "--nmax", "6"] for argv in golden if argv[0] == "degseq"]
-    for argv in golden + stability + [["degseq", "--map", WIDE_SLOT_MAP, "--nmax", "5"]]:
-        assert run_cli(capsys, *argv)[0] == 0
-        assert division_paths["fallback"] == 0, argv
-    assert division_paths["rows"] > 0
-
-
-# the prime-field element class removed in 0.2.0, and the wrappers
-# removed in 0.3.0 and 0.4.0 (with the orbit record) with the module or
-# class each lived in
+# the prime-field element class removed in 0.2.0, the wrappers removed in
+# 0.3.0 and 0.4.0 (with the orbit record), and the division paths the one
+# long division replaced, with the module or class each lived in
 _REMOVED = {
     "Fp": dyndeg.exactalg,
     "spectral_radius": dyndeg.monomial,
@@ -732,13 +719,16 @@ _REMOVED = {
     "is_root_of_unity": dyndeg.cyclo,
     "rational_two_cos_values": dyndeg.cyclo,
     "compose": dyndeg.ratmap.ProjectiveMap,
+    "_divide_rows": dyndeg.exactalg,
+    "_heap_key": dyndeg.exactalg,
+    "heapq": dyndeg.exactalg,
 }
 
 
 def test_public_names_resolve_and_versions_agree():
-    """Every exported name exists, no name removed in 0.2.0 to 0.7.0 is
-    exported or left in its module, and the package version matches
-    pyproject.toml (read with a regex: Python 3.10 has no tomllib)."""
+    """Every exported name exists, no name in _REMOVED is exported or left
+    in its module, and the package version matches pyproject.toml (read
+    with a regex: Python 3.10 has no tomllib)."""
     assert all(hasattr(dyndeg, name) for name in dyndeg.__all__)
     for name, home in _REMOVED.items():
         assert name not in dyndeg.__all__ and not hasattr(dyndeg, name), name

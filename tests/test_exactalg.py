@@ -762,105 +762,114 @@ def test_divexact_on_fractions_matches_sympy(p, q, r):
             poly_divexact(n, q)
 
 
-# -- division by packed rows --------------------------------------------------
+# -- the one long division ---------------------------------------------------
 
-X2, Y2 = (MultiPoly.variable(2, i) for i in range(2))
+F49 = exactalg._extension(7, 2)
+
+
+def field_terms(terms, p):
+    """Integer terms as they are over Q (p None), reduced mod a prime p,
+    or read in F49 as c + (c // 7) * s; zero terms are dropped."""
+    if p is F49:
+        terms = {e: exactalg._ext([c, c // 7], F49) for e, c in terms.items()}
+    elif p:
+        terms = {e: c % p for e, c in terms.items()}
+    return {e: c for e, c in terms.items() if c}
+
+
+def mul_terms(a, b, p):
+    """The product of two term dicts, over Q or mod p (F49 included)."""
+    out = {}
+    for (e, c), (f, k) in itertools.product(a.items(), b.items()):
+        m = tuple(map(sum, zip(e, f)))
+        out[m] = out.get(m, 0) + c * k
+    return {m: c % p if p else c for m, c in out.items() if (c % p if p else c)}
+
+
+def plain(terms):
+    """A term list or dict with each coefficient as its list of
+    coefficients in s, so that elements of F49 compare by value."""
+    return {e: tuple(exactalg._coeffs(c)) for e, c in dict(terms).items()}
+
+
+INT_COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200)).filter(bool)
 
 
 @st.composite
-def row_polys(draw, min_terms):
-    """An integer polynomial in x, y with 2^200-sized coefficients allowed,
-    whose x-exponents may skip rows: at least min_terms terms."""
-    coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200)).filter(bool)
-    rows = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
-    terms = draw(
-        st.dictionaries(
-            st.tuples(st.sampled_from(rows), st.integers(0, 4)), coeff,
-            min_size=min_terms, max_size=7,
-        )
-    )
-    assume(len(terms) >= min_terms)
-    return MultiPoly(2, terms)
+def division_cases(draw):
+    """(G, Q, m, c): integer term dicts in one, two or three variables, G
+    primitive with two or more terms, whose exponents may skip whole rows
+    and columns, and a term c * x^m."""
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.sampled_from([0, 1, 3, 4])] * nv)
+    g = draw(st.dictionaries(exps, INT_COEFFS, min_size=2, max_size=6))
+    q = draw(st.dictionaries(exps, INT_COEFFS, min_size=1, max_size=6))
+    content = math.gcd(*g.values())
+    m = draw(st.tuples(*[st.integers(0, 8)] * nv))
+    return {e: c // content for e, c in g.items()}, q, m, draw(INT_COEFFS)
 
 
-def to_sympy_qq(m):
+def to_sympy_qq(terms, nv):
     sympy = pytest.importorskip("sympy")
-    return sympy.Poly.from_dict(
-        {e: int(c) for e, c in m.terms} or {(0, 0): 0}, *sympy.symbols("x y"), domain="QQ"
-    )
+    gens = sympy.symbols(f"x0:{nv}")
+    return sympy.Poly.from_dict(dict(terms) or {(0,) * nv: 0}, *gens, domain="QQ")
 
 
-@given(
-    row_polys(2), row_polys(1), st.tuples(st.integers(0, 12), st.integers(0, 8)),
-    st.integers(1, 2**200),
-)
+@given(division_cases())
 @settings(max_examples=80, deadline=None)
 @example(  # empty rows inside both, negative leading coefficients
-    g=MultiPoly(2, {(3, 0): -5, (1, 2): 2**200, (0, 1): 7}),
-    q=MultiPoly(2, {(4, 1): -(2**199), (0, 3): 3}),
-    extra=(2, 2),
-    coeff=1,
+    case=(
+        {(3, 0): -5, (1, 2): 2**200, (0, 1): 7},
+        {(4, 1): -(2**199), (0, 3): 3},
+        (2, 2),
+        1,
+    )
 )
-def test_row_division_returns_the_quotient(g, q, extra, coeff):
-    """_divide_terms(G * Q, G) returns Q's terms, with sympy's div as a
-    second oracle; G * Q plus a monomial has no quotient, as G has two or
-    more terms.  _divide_rows either proves Q or proves nothing."""
-    g = MultiPoly(2, {e: c // math.gcd(*(c for _, c in g.terms)) for e, c in g.terms})
-    n = g * q
-    quot, rem = to_sympy_qq(n).div(to_sympy_qq(g))
-    assert rem.is_zero and quot == to_sympy_qq(q)
-    rows = exactalg._divide_rows(dict(n.terms), g.terms)
-    assert rows is None or dict(rows) == dict(q.terms)
-    assert dict(exactalg._divide_terms(dict(n.terms), g.terms)) == dict(q.terms)
-    off = n + MultiPoly(2, {extra: coeff})
-    assert not to_sympy_qq(off).div(to_sympy_qq(g))[1].is_zero
-    assert exactalg._divide_rows(dict(off.terms), g.terms) is None
-    assert exactalg._divide_terms(dict(off.terms), g.terms) is None
+def test_row_division_returns_the_quotient(case):
+    """Over Q, F_101, F_7 and F49 in turn: _divide_terms(G * Q, G) returns
+    Q's terms, with sympy's div as a second oracle over Q, and G * Q plus
+    a term outside it has no quotient, as G has two or more terms and
+    divides no monomial."""
+    g0, q0, m, c = case
+    for p in (None, 101, 7, F49):
+        g, q = field_terms(g0, p), field_terms(q0, p)
+        if len(g) < 2 or not q:
+            continue
+        n = mul_terms(g, q, p)
+        assert plain(exactalg._divide_terms(n, list(g.items()), p)) == plain(q)
+        if p is None:
+            quot, rem = to_sympy_qq(n, len(m)).div(to_sympy_qq(g, len(m)))
+            assert rem.is_zero and quot == to_sympy_qq(q, len(m))
+        off = {**n, **field_terms({m: c}, p)}
+        if m in n or m not in off:
+            continue
+        assert exactalg._divide_terms(off, list(g.items()), p) is None
+        if p is None:
+            assert not to_sympy_qq(off, len(m)).div(to_sympy_qq(g, len(m)))[1].is_zero
 
 
-def ramp(step, peak):
-    """Q = sum_k c_k x^k y^(m-k) with c rising by step from 1 or 2 to peak
-    and falling back, and A = (x - y) * Q: ||G||_1 = 2, ||Q||_inf = peak
-    and ||A||_inf = step."""
-    up = list(range(peak % step or step, peak + 1, step))
-    c = up + up[-2::-1]
-    m = len(c) - 1
-    q = MultiPoly(2, {(k, m - k): ck for k, ck in enumerate(c)})
-    return q, (X2 - Y2) * q
+def test_division_tests_reach_every_ring(divisions):
+    """The property above divides in one, two and three variables, over Q,
+    over a prime field and over F49, and finds quotients in each."""
+    test_row_division_returns_the_quotient()
+    reached = {(nv, type(p)) for nv, p, divided in divisions if divided}
+    assert reached == {(nv, t) for nv in (1, 2, 3) for t in (type(None), int, type(F49))}
 
 
-def test_row_division_at_the_slot_boundary(division_paths):
-    """Both cases pack at B = 8 (||A||_inf * (||G||_1 + 1) <= 6).  With
-    ||A||_inf + ||Q||_inf * ||G||_1 = 1 + 63 * 2 = 127 < 2^7 the rows
-    prove the quotient; at 2 + 63 * 2 = 128 = 2^7 the lemma no longer
-    holds, so the rows prove nothing and the heap loop divides."""
-    g = (X2 - Y2).terms
-    q, a = ramp(1, 63)
-    assert dict(exactalg._divide_terms(dict(a.terms), g)) == dict(q.terms)
-    assert division_paths == {"rows": 1, "heap": 0, "fallback": 0}
-    q, a = ramp(2, 63)
-    assert max(abs(c) for _, c in a.terms) == 2
-    assert exactalg._divide_rows(dict(a.terms), g) is None
-    assert dict(exactalg._divide_terms(dict(a.terms), g)) == dict(q.terms)
-    assert division_paths == {"rows": 1, "heap": 1, "fallback": 1}
-
-
-def test_rows_serve_only_rational_plane_divisions(division_paths):
-    """F_p, one variable and three variables divide on the heap loop."""
-    x1 = MultiPoly.variable(1, 0)
-    for g, q in (
-        (X2 + 3 * Y2, X2 * X2 - Y2),
-        (x1 + 2, x1**3 - 1),
-        (X + Y * Z, X - 2 * Z),
-    ):
-        assert dict(exactalg._divide_terms(dict((g * q).terms), g.terms)) == dict(q.terms)
-    g7, q7 = MultiPoly(2, (X2 + 3 * Y2).terms, 7), MultiPoly(2, (X2 * X2 - Y2).terms, 7)
-    assert dict(exactalg._divide_terms(dict((g7 * q7).terms), g7.terms, 7)) == dict(q7.terms)
-    assert division_paths == {"rows": 1, "heap": 3, "fallback": 0}
+def test_division_checks_the_room():
+    """A = -x^3 y^3 - 2 y^2 - x y by G = x y: in the box deg_x, deg_y <= 3
+    the slot of y^2 minus that of x y decodes to x^3, past the room
+    deg_x A - deg_x G = 2, so the division proves no quotient instead of
+    returning one with the term -2 x^3."""
+    x, y = (MultiPoly.variable(2, i) for i in range(2))
+    a = -(x**3) * y**3 - 2 * y**2 - x * y
+    assert exactalg._divide_terms(dict(a.terms), (x * y).terms) is None
+    with pytest.raises(NotDivisibleError):
+        poly_divexact(a, x * y)
 
 
 def test_row_division_of_zero():
-    """With A = 0 the rows still pack G at a width its coefficients fit."""
-    g = 2**300 * X2 + Y2
-    assert exactalg._divide_rows({}, g.terms) == []
+    """A = 0 has the zero quotient, whatever G's coefficients."""
+    g = 2**300 * MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)
+    assert exactalg._divide_terms({}, g.terms) == []
     assert poly_divexact(MultiPoly.zero(2), g) == MultiPoly.zero(2)
