@@ -37,8 +37,7 @@ def _validate_rows(matrix: Sequence[Sequence[int]]) -> Rows:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValueError(f"matrix entry {x!r} is not an integer")
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square and nonempty")
     return rows
 
@@ -50,17 +49,14 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
     sign, prev = 1, 1
     for i in range(n - 1):
         if a[i][i] == 0:
-            for k in range(i + 1, n):
-                if a[k][i] != 0:
-                    a[i], a[k] = a[k], a[i]
-                    sign = -sign
-                    break
-            else:
+            swap = next((k for k in range(i + 1, n) if a[k][i] != 0), None)
+            if swap is None:
                 return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
         for r in range(i + 1, n):
             for c in range(i + 1, n):
                 a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
         prev = a[i][i]
     return sign * a[-1][-1]
 
@@ -72,7 +68,7 @@ class MonomialMap:
     map is dominant exactly when det(A) != 0, which is enforced here.
     """
 
-    __slots__ = ("matrix", "n", "det", "_powers")
+    __slots__ = ("matrix", "n", "det", "_invariants")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         rows = _validate_rows(matrix)
@@ -95,13 +91,6 @@ class MonomialMap:
     def __repr__(self):
         return f"MonomialMap({[list(r) for r in self.matrix]})"
 
-    @property
-    def powers(self) -> tuple[Rows, ...]:
-        """A^0, A^1, ..., A^N, built once (N - 1 products) on first use."""
-        if not hasattr(self, "_powers"):
-            object.__setattr__(self, "_powers", _powers(self.matrix))
-        return self._powers
-
 
 def identity_rows(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -112,13 +101,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Rows:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def _powers(rows: Rows) -> tuple[Rows, ...]:
-    out = [identity_rows(len(rows)), rows]
-    for _ in range(len(rows) - 1):
-        out.append(mat_mul(out[-1], rows))
-    return tuple(out)
 
 
 def mat_pow(a: Sequence[Sequence[int]], k: int) -> Rows:
@@ -149,6 +131,27 @@ def degree_D(m: MonomialMap) -> int:
     return _degree_of_rows(m.matrix)
 
 
+def _block_invariants(matrices: Sequence[Rows]) -> list[tuple[tuple[int, ...], ...]]:
+    """(traces, sup norms, degrees D) of A^0..A^N for each N x N matrix A, in
+    order.  Each size's matrices stack into one dtype=object array, so entries
+    stay Python ints and never overflow (numpy has object matmul since 1.17):
+    N - 1 stacked products, then one reduction per invariant over all powers."""
+    out: list = [None] * len(matrices)
+    for n in {len(rows) for rows in matrices}:
+        indices = [i for i, rows in enumerate(matrices) if len(rows) == n]
+        a = np.array([matrices[i] for i in indices], dtype=object)
+        chain = [np.broadcast_to(np.identity(n, dtype=object), a.shape), a]
+        for _ in range(n - 1):
+            chain.append(chain[-1] @ a)
+        p = np.stack(chain, axis=1)  # p[j, k] is the k-th power of map j
+        clearing = np.maximum(-p.min(axis=2), 0).sum(axis=2)
+        degrees = clearing + np.maximum(p.sum(axis=3).max(axis=2), 0)
+        invariants = (p.trace(axis1=2, axis2=3), abs(p).max(axis=(2, 3)), degrees)
+        for i, *inv in zip(indices, *(x.tolist() for x in invariants)):
+            out[i] = tuple(map(tuple, inv))
+    return out
+
+
 def homogenize(m: MonomialMap) -> ProjectiveMap:
     """The map on P^N in homogeneous coordinates (last variable at infinity).
 
@@ -169,7 +172,9 @@ def char_poly(m: MonomialMap) -> list[int]:
     """Coefficients of det(xI - A), descending, computed exactly from the
     power sums p_k = tr A^k by Newton's identities:
     k*c_k = -(p_k + sum_{0<j<k} c_j*p_{k-j})."""
-    p = [sum(a[i][i] for i in range(m.n)) for a in m.powers]
+    if not hasattr(m, "_invariants"):  # a lone map, as a block of one
+        object.__setattr__(m, "_invariants", _block_invariants([m.matrix])[0])
+    p = m._invariants[0]
     coeffs = [1]
     for k in range(1, m.n + 1):
         q, r = divmod(-(p[k] + sum(coeffs[j] * p[k - j] for j in range(1, k))), k)
@@ -226,18 +231,16 @@ def _float_radius_estimates(polys: Sequence[Sequence[int]]) -> list[float | None
     max(abs(np.roots(c))) bitwise.
     """
     out: list[float | None] = [None] * len(polys)
-    by_degree: dict[int, tuple[list[int], list[list[float]]]] = {}
+    rows: dict[int, list[float]] = {}
     for i, coeffs in enumerate(polys):
         try:
-            row = [float(c) for c in coeffs[1:]]
+            rows[i] = [float(c) for c in coeffs[1:]]
         except OverflowError:
-            continue
-        indices, rows = by_degree.setdefault(len(row), ([], []))
-        indices.append(i)
-        rows.append(row)
-    for n, (indices, rows) in by_degree.items():
-        companions = np.tile(np.eye(n, k=-1), (len(rows), 1, 1))
-        companions[:, 0, :] = -np.array(rows)
+            pass
+    for n in {len(row) for row in rows.values()}:
+        indices = [i for i, row in rows.items() if len(row) == n]
+        companions = np.tile(np.eye(n, k=-1), (len(indices), 1, 1))
+        companions[:, 0, :] = -np.array([rows[i] for i in indices])
         radii = np.abs(np.linalg.eigvals(companions)).max(axis=1)
         for i, est in zip(indices, radii.tolist()):
             out[i] = est if math.isfinite(est) and est > 0 else None
@@ -295,12 +298,6 @@ def _certify_radius(
     raise RuntimeError("spectral radius enclosure did not converge")
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    # below the float epsilon the bisection needs more than its 500 steps
-    if not (sys.float_info.epsilon <= rel_tol <= 1e-3):
-        raise ValueError(f"rel_tol must lie in [{sys.float_info.epsilon!r}, 1e-3]")
-
-
 def _gamma(n: int) -> float:
     """gamma_N = (2^(1/N) - 1) / (2 N^2), the constant of the degree-ratio bound."""
     return (2 ** (1 / n) - 1) / (2 * n * n)
@@ -318,16 +315,20 @@ class LowerBoundCheck:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Exact invariants of a monomial map plus the radius certified at
-    rel_tol, computed once by analyze; the checks below read only these."""
+    """Exact invariants of a monomial map A, norms[k] and degrees[k] the sup
+    norm and degree D of A^k for 0 <= k <= N, plus the radius certified at
+    rel_tol; analyze_all computes them once and the checks read only these."""
 
     n: int
-    degree: int
-    sup_norm: int
+    matrix: Rows
     char_poly: tuple[int, ...]
     radius: RadiusEnclosure
-    powers: tuple[Rows, ...]  # A^0, ..., A^N
+    norms: tuple[int, ...]
+    degrees: tuple[int, ...]
     rel_tol: float
+
+    degree = property(lambda self: self.degrees[1])
+    sup_norm = property(lambda self: self.norms[1])
 
     def contraction_index(self) -> int:
         """Least k in [0, N-1] with ||A^(k+1)|| * (2^(1/N) - 1) <= lam * ||A^k||,
@@ -335,9 +336,8 @@ class SpectralData:
         k always exists; failure to find one signals a bug."""
         factor = 2 ** (1 / self.n) - 1
         guarded = self.radius.value * (1 + 2 * self.rel_tol)
-        norms = [sup_norm(a) for a in self.powers]
         for k in range(self.n):
-            if norms[k + 1] * factor <= guarded * norms[k]:
+            if self.norms[k + 1] * factor <= guarded * self.norms[k]:
                 return k
         raise RuntimeError("no contraction index in [0, N-1]; invariant violated")
 
@@ -345,8 +345,7 @@ class SpectralData:
         """Check lam(A) >= gamma_N * min over 0 <= k <= N-1 of
         D(A^(k+1))/D(A^k), with D(A^0) = 1; lhs carries a (1 + 2*rel_tol)
         guard band."""
-        degs = [_degree_of_rows(a) for a in self.powers]
-        ratio = min(Fraction(degs[k + 1], degs[k]) for k in range(self.n))
+        ratio = min(Fraction(self.degrees[k + 1], self.degrees[k]) for k in range(self.n))
         lhs = self.radius.value
         rhs = _gamma(self.n) * float(ratio)
         return LowerBoundCheck(holds=lhs * (1 + 2 * self.rel_tol) >= rhs, lhs=lhs, rhs=rhs)
@@ -360,7 +359,7 @@ class SpectralData:
         target = self.radius.value - epsilon
         log_gamma = math.log(_gamma(self.n))
         for mm in range(1, m_cap + 1):
-            degs = [_degree_of_rows(a) for a in _powers(mat_pow(self.powers[1], mm))]
+            degs = _block_invariants([mat_pow(self.matrix, mm)])[0][2]
             if all(
                 math.exp((log_gamma + math.log(degs[k + 1]) - math.log(degs[k])) / mm)
                 >= target
@@ -371,21 +370,22 @@ class SpectralData:
 
 
 def analyze_all(maps: Sequence[MonomialMap], rel_tol: float = 1e-6) -> list[SpectralData]:
-    """Each map's spectral data, in order: its powers, its characteristic
-    polynomial (read off their traces) and one certified radius enclosure,
-    all seeded by one stacked eigenvalue call per degree."""
-    _check_rel_tol(rel_tol)
+    """Each map's spectral data, in order: one _block_invariants call for the
+    maps not yet analyzed, char_poly of each, and the radius enclosures,
+    seeded by one stacked eigenvalue call per degree."""
+    # below the float epsilon the bisection needs more than its 500 steps
+    if not (sys.float_info.epsilon <= rel_tol <= 1e-3):
+        raise ValueError(f"rel_tol must lie in [{sys.float_info.epsilon!r}, 1e-3]")
+    todo = [m for m in maps if not hasattr(m, "_invariants")]
+    for m, inv in zip(todo, _block_invariants([m.matrix for m in todo])):
+        object.__setattr__(m, "_invariants", inv)
     polys = [tuple(char_poly(m)) for m in maps]
     estimates = _float_radius_estimates(polys)
     return [
         SpectralData(
-            n=m.n,
-            degree=degree_D(m),
-            sup_norm=sup_norm(m.matrix),
-            char_poly=coeffs,
+            n=m.n, matrix=m.matrix, char_poly=coeffs,
             radius=_certify_radius(coeffs, rel_tol, est),
-            powers=m.powers,
-            rel_tol=rel_tol,
+            norms=m._invariants[1], degrees=m._invariants[2], rel_tol=rel_tol,
         )
         for m, coeffs, est in zip(maps, polys, estimates)
     ]

@@ -81,8 +81,9 @@ def _run(name: str, seed: int | None, instances: Iterable[tuple[str, list[str]]]
 
 
 # a seeded suite draws and checks its maps in blocks of this many: the
-# monomial suite seeds a block's radii with one stacked eigenvalue call per
-# degree, and only one block's powers are alive at a time
+# monomial suite builds a block's power invariants with one stacked product
+# chain per size and seeds its radii with one stacked eigenvalue call per
+# degree, and only one block's maps are alive at a time
 _BLOCK = 64
 
 

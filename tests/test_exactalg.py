@@ -334,13 +334,29 @@ def test_product_divided_by_factor(p, q):
 
 
 @st.composite
+def monomial_exps(draw, min_degree, max_degree, num_vars=3):
+    """The exponents of one monomial of total degree in [min_degree, max_degree]."""
+    total = draw(st.integers(min_value=min_degree, max_value=max_degree))
+    cuts = sorted(draw(st.integers(min_value=0, max_value=total)) for _ in range(num_vars - 1))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+
+
+def with_term(poly, exps, coeff):
+    """poly with its coefficient at exps set to coeff."""
+    return MultiPoly(poly.num_vars, {**dict(poly.terms), exps: coeff}, poly.modulus)
+
+
+@st.composite
 def remainder_cases(draw, modulus=None):
-    """(p, q, r) with q nonconstant, r nonzero and deg r < deg q."""
-    q = draw(polys(modulus=modulus))
-    assume(not q.is_constant())
+    """(p, q, r) with q nonconstant, r nonzero and deg r < deg q.  Every draw
+    qualifies, with no filtering: q gets a drawn nonconstant term, and r's
+    leading term is drawn apart from the rest of r, which is of no higher
+    degree."""
+    nonzero = st.integers(-5, -1) | st.integers(1, 5)
+    q = with_term(draw(polys(modulus=modulus)), draw(monomial_exps(1, 3)), draw(nonzero))
     p = draw(polys(modulus=modulus))
-    r = draw(polys(max_degree=q.degree - 1, modulus=modulus))
-    assume(not r.is_zero())
+    top = draw(monomial_exps(0, q.degree - 1))
+    r = with_term(draw(polys(max_degree=sum(top), modulus=modulus)), top, draw(nonzero))
     return p, q, r
 
 

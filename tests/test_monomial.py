@@ -158,6 +158,31 @@ def test_clearing_and_homogenized_degree_match_loop_reference(rows):
     assert homogenize(m).degree == degree
 
 
+@st.composite
+def square_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
+    return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+
+
+@given(st.lists(square_rows(), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_block_invariants_match_per_map_powers(block):
+    """One stacked call over a block of mixed sizes, with entries past 2^63,
+    gives each map's traces, sup norms and degrees of A^0..A^N as mat_pow,
+    sup_norm and _degree_of_rows give them map by map, as Python ints."""
+    block = [*block, ((10**20, 1), (1, 0))]
+    got = monomial._block_invariants(block)
+    assert len(got) == len(block)
+    for rows, (traces, norms, degrees) in zip(block, got):
+        n = len(rows)
+        powers = [mat_pow(rows, k) for k in range(n + 1)]
+        assert traces == tuple(sum(a[i][i] for i in range(n)) for a in powers)
+        assert norms == tuple(sup_norm(a) for a in powers)
+        assert degrees == tuple(_degree_of_rows(a) for a in powers)
+        assert {type(x) for x in traces + norms + degrees} == {int}
+
+
 class TestCharPoly:
     def test_frozen_examples(self):
         assert char_poly(A21) == [1, -3, 1]

@@ -115,13 +115,22 @@ class TestWorkDoneOnce:
         assert monomial_suite(count=50, seed=9).ok
         assert len(radii) == 50
 
-    def test_monomial_suite_makes_n_minus_one_products_per_instance(self, monkeypatch):
-        # A^2, ..., A^N once per map: its powers feed the characteristic
-        # polynomial, the contraction index and the degree-ratio check
+    def test_monomial_suite_builds_each_blocks_power_invariants_once(self, monkeypatch):
+        # one stacked _block_invariants call per block gives every map's
+        # traces, norms and degrees of A^0..A^N, which feed the characteristic
+        # polynomial, the contraction index and the degree-ratio check; no
+        # map's powers are built again, and none map by map
+        count = 2 * suites._BLOCK + 5
+        blocks = _spy(monkeypatch, monomial, "_block_invariants", list)
         products = _spy(monkeypatch, monomial, "mat_mul")
-        assert monomial_suite(count=50, seed=9).ok
-        sizes = [suites._random_monomial_map(random.Random(9 * 1_000_003 + i)).n for i in range(50)]
-        assert len(products) == sum(n - 1 for n in sizes)
+        assert monomial_suite(count=count, seed=9).ok
+        drawn = [
+            suites._random_monomial_map(random.Random(9 * 1_000_003 + i)).matrix
+            for i in range(count)
+        ]
+        assert [len(block) for block in blocks] == [suites._BLOCK, suites._BLOCK, 5]
+        assert [rows for block in blocks for rows in block] == drawn
+        assert products == []
 
     def test_unimodular_suite_builds_one_adjugate_per_instance(self, monkeypatch):
         adjugates = _spy(monkeypatch, monomial, "_adjugate")
