@@ -52,7 +52,6 @@ from .monomial import (
     homogenize,
     inverse_degree_bound_check,
     spectral_radius_enclosure,
-    verify_norm_equivalence,
 )
 from .ratmap import (
     INDETERMINATE,
@@ -123,7 +122,6 @@ __all__ = [
     "homogenize",
     "inverse_degree_bound_check",
     "spectral_radius_enclosure",
-    "verify_norm_equivalence",
     # verification suites
     "SuiteResult",
     "available_suites",

@@ -805,10 +805,76 @@ def _up_divmod(a: list, b: list, p: int) -> tuple[list, list]:
     return q, r
 
 
+@functools.lru_cache(maxsize=32)
+def _montgomery(p: int, size: int) -> tuple[int, int, int]:
+    """(K, -p^(-1) mod 2^K, M) for an odd p: K the least multiple of 8 with
+    4p <= 2^K and M the low K bits of each of size slots of 2K bits."""
+    k = (p.bit_length() + 9) // 8 * 8
+    low = int.from_bytes((b"\xff" * (k // 8) + bytes(k // 8)) * size, "little")
+    return k, pow(-p, -1, 1 << k), low
+
+
+# the least length of the shorter list for which _up_gcd packs
+_PACKED_GCD = 5
+
+
 def _up_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd over F_p of two lists, not both zero (Euclid)."""
-    while b:
-        a, b = b, _up_divmod(a, b, p)[1]
+    """Monic gcd over F_p of two lists, not both zero, by Euclid.  Over a
+    _Field, for p = 2 and when the shorter list is below _PACKED_GCD it
+    divides lists by _up_divmod.  Otherwise each remainder step is a few
+    big-int operations on the lists packed into slots of W = 2K bits
+    (_montgomery's K; Kronecker packing as in _packed_sums): with n, m the
+    degrees of A, B, a, a' and b, b' the top two coefficients of A and B
+    mod p, A <- b^2 * A + (-ab * x + ab' - a'b) * B when n = m + 1, whose
+    coefficients of x^n and x^(n-1) vanish mod p, and else one pass
+    A <- b * A - a * x^(n-m) * B per quotient term; slots above the new
+    degree are cut off, and Montgomery's reduction (Math. Comp. 44, 1985)
+    A <- (A + (((A & M) * p') & M) * p) >> K, p' = -p^(-1) mod 2^K, then
+    acts on every slot at once.  A nonzero constant remainder ends Euclid
+    at the gcd 1; else only the last nonzero remainder is unpacked.
+
+    Lemma (unit scaling).  Each pass replaces A by u * A + v * B with
+    u = b^2 or b, a unit mod p, and the reduction maps each slot c to
+    (c + t * p) / 2^K with 2^K | c + t * p, that is c * 2^(-K) mod p: A
+    times the unit 2^(-K).  So every pass keeps the ideal (A, B) and
+    lowers deg A, a slot vanishes mod p before the reduction iff after it,
+    and the last nonzero remainder is the gcd up to a unit.
+
+    Lemma (slot bound).  Every slot of A and B lies in [0, 4p) after each
+    reduction (in [0, p) when packed).  Negated multipliers are taken mod
+    p, so a pass builds slots below p * 4p + 2 * p * 4p = 12p^2 <= 3p * 2^K
+    (4p <= 2^K); the products with p' and with p act on slots below 2^K,
+    and t * p < p * 2^K.  So before the shift every slot stays below
+    4p * 2^K <= 2^(2K), none carries into the next, and after it every
+    slot lies below 4p again.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < _PACKED_GCD or p == 2 or isinstance(p, _Field):
+        while b:
+            a, b = b, _up_divmod(a, b, p)[1]
+    else:
+        k, neg_inv, low = _montgomery(p, 1 << (len(a) - 1).bit_length())
+        w = 2 * k
+        slot = (1 << w) - 1
+        A, B = (_pack(enumerate(c), len(c), w // 8) for c in (a, b))
+        n, m = len(a) - 1, len(b) - 1
+        while m > 0:
+            lb, lb1 = (B >> w * m) % p, (B >> w * (m - 1) & slot) % p
+            while n >= m:
+                la = (A >> w * n) % p
+                if n == m + 1:
+                    la1 = (A >> w * (n - 1) & slot) % p
+                    q = (p - la * lb % p << w) + (la * lb1 - la1 * lb) % p
+                    X, d = lb * lb % p * A + q * B, n - 2
+                else:
+                    X, d = lb * A + ((p - la) * B << w * (n - m)), n - 1
+                while d >= 0 and not (X >> w * d & slot) % p:
+                    d -= 1
+                X &= (1 << w * (d + 1)) - 1
+                A, n = X + ((X & low) * neg_inv & low) * p >> k, d
+            A, B, n, m = B, A, m, n
+        a = [1] if m == 0 else _unpack(A, range(n + 1), n + 1, w // 8)
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 

@@ -110,11 +110,6 @@ def mat_pow(a: Sequence[Sequence[int]], k: int) -> Rows:
     return _power(base, k, identity_rows(len(a)), mat_mul)
 
 
-def sup_norm(matrix: Sequence[Sequence[int]]) -> int:
-    """Largest absolute value of an entry."""
-    return max(abs(x) for row in matrix for x in row)
-
-
 def _clearing(rows: Sequence[Sequence[int]]) -> list[int]:
     """For each column j, the power of X_j that clears its most negative
     exponent (0 when the column has none)."""
@@ -330,6 +325,10 @@ class SpectralData:
     degree = property(lambda self: self.degrees[1])
     sup_norm = property(lambda self: self.norms[1])
 
+    def norm_equivalence_check(self) -> bool:
+        """Exact check of D(A)/(2N) <= ||A|| <= N * D(A)."""
+        return Fraction(self.degree, 2 * self.n) <= self.sup_norm <= self.n * self.degree
+
     def contraction_index(self) -> int:
         """Least k in [0, N-1] with ||A^(k+1)|| * (2^(1/N) - 1) <= lam * ||A^k||,
         using the certified radius with a (1 + 2*rel_tol) guard band.  Such a
@@ -406,13 +405,6 @@ def spectral_radius_enclosure(m: MonomialMap, rel_tol: float = 1e-6) -> RadiusEn
     return analyze(m, rel_tol).radius
 
 
-def verify_norm_equivalence(m: MonomialMap) -> bool:
-    """Exact check of D(A)/(2N) <= sup_norm(A) <= N * D(A)."""
-    d = degree_D(m)
-    s = sup_norm(m.matrix)
-    return Fraction(d, 2 * m.n) <= s <= m.n * d
-
-
 def _adjugate(rows: Rows) -> Rows:
     """adj(A) of a nonsingular A by one fraction-free (Bareiss) Gauss-Jordan
     elimination of [A | I].
@@ -475,7 +467,7 @@ def full_report(m: MonomialMap, rel_tol: float = 1e-6) -> dict:
             "char_poly": list(data.char_poly),
             "lambda": data.radius.value,
             "lambda_interval": [float(data.radius.low), float(data.radius.high)],
-            "norm_equivalence": verify_norm_equivalence(m),
+            "norm_equivalence": data.norm_equivalence_check(),
             "contraction_k": data.contraction_index(),
             "degree_ratio_bound": {"holds": bound.holds, "lhs": bound.lhs, "rhs": bound.rhs},
             "inverse_degree_bound": inverse_degree_bound_check(m) if abs(m.det) == 1 else None,

@@ -29,7 +29,6 @@ from .monomial import (
     inverse_degree_bound_check,
     inverse_map,
     mat_mul,
-    verify_norm_equivalence,
 )
 from .ratmap import degree_drop_index
 
@@ -121,7 +120,7 @@ def _check_monomial_block(block: list[MonomialMap]) -> Iterator[list[str]]:
 
 def _check_monomial_instance(m: MonomialMap, data: SpectralData) -> list[str]:
     problems = []
-    if not verify_norm_equivalence(m):
+    if not data.norm_equivalence_check():
         problems.append("norm-equivalence bounds failed")
     try:
         k = data.contraction_index()

@@ -889,3 +889,90 @@ def test_row_division_of_zero():
     g = 2**300 * MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)
     assert exactalg._divide_terms({}, g.terms) == []
     assert poly_divexact(MultiPoly.zero(2), g) == MultiPoly.zero(2)
+
+
+# -- packed Euclid mod p ------------------------------------------------------
+
+# 2^62 - 57 has 62 bits, so bits(p) + 2 = 64 = K sits on a byte boundary and a
+# K one byte narrower falls below p; 2^64 + 13 needs K = 72
+EUCLID_PRIMES = [3, 31, 101, 2**31 - 1, exactalg._prime(1), 2**61 - 1, 2**62 - 57, 2**64 + 13]
+
+
+def loop_gcd(a, b, p):
+    """_up_gcd on its list loop, the packed path switched off."""
+    with mock.patch.object(exactalg, "_PACKED_GCD", math.inf):
+        return exactalg._up_gcd(a, b, p)
+
+
+def sympy_gcd(a, b, p):
+    """The monic gcd of two ascending lists mod p, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f, g = (sympy.Poly(c[::-1] or [0], x, modulus=p) for c in (a, b))
+    return [int(c) % p for c in sympy.gcd(f, g).monic().all_coeffs()[::-1]]
+
+
+@st.composite
+def euclid_cases(draw):
+    """(a, b, p): two lists mod p with zero coefficients inside and a
+    planted common factor of degree 0 to 6, each up to 47 long, so on both
+    sides of _PACKED_GCD; a is sometimes zero."""
+    p = draw(st.sampled_from(EUCLID_PRIMES))
+    coeff = st.one_of(st.just(0), st.integers(1, p - 1))
+
+    def poly(max_degree):
+        return draw(st.lists(coeff, max_size=max_degree)) + [draw(st.integers(1, p - 1))]
+
+    g = poly(6)
+    a, b = (exactalg._up_mul(poly(40), g, p) for _ in range(2))
+    return ([] if draw(st.integers(0, 9)) == 0 else a), b, p
+
+
+@given(euclid_cases())
+@settings(max_examples=150, deadline=None)
+def test_packed_euclid_matches_the_loop_and_sympy(case):
+    a, b, p = case
+    got = exactalg._up_gcd(a, b, p)
+    assert got == exactalg._up_gcd(b, a, p) == loop_gcd(a, b, p) == sympy_gcd(a, b, p)
+
+
+def test_packed_euclid_runs_from_the_crossover():
+    """The shorter list decides: at _PACKED_GCD the remainders are packed,
+    one below it they stay lists."""
+    a = [3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+    for length, packed in ((exactalg._PACKED_GCD, True), (exactalg._PACKED_GCD - 1, False)):
+        b = [2, 7, 1, 8, 2, 8, 1, 8][: length - 1] + [1]
+        with mock.patch.object(exactalg, "_montgomery", wraps=exactalg._montgomery) as spy:
+            assert exactalg._up_gcd(a, b, 101) == sympy_gcd(a, b, 101)
+        assert spy.called == packed
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_montgomery_constants(p):
+    """K is the least multiple of 8 with 4p <= 2^K, p * p' = -1 mod 2^K and
+    M holds the low K bits of every slot of 2K bits."""
+    k, neg_inv, low = exactalg._montgomery(p, 4)
+    assert k % 8 == 0 and 1 << (k - 8) < 4 * p <= 1 << k
+    assert p * neg_inv % (1 << k) == (1 << k) - 1
+    assert low == sum(((1 << k) - 1) << (2 * k * i) for i in range(4))
+
+
+def test_small_fields_take_the_list_loop():
+    """p = 2 and F_49 never pack, and still give the gcd: over F_49 that of
+    g (x - s)^j and g (x - 1)^k is the monic g."""
+    rng = random.Random(49)
+    mul = exactalg._up_mul
+    with mock.patch.object(exactalg, "_montgomery", side_effect=AssertionError):
+        for _ in range(20):
+            a, b = ([rng.randrange(2) for _ in range(rng.randrange(30))] + [1] for _ in range(2))
+            assert exactalg._up_gcd(a, b, 2) == sympy_gcd(a, b, 2)
+        elements = [0, *F49.points()]
+        for _ in range(20):
+            g = [rng.choice(elements) for _ in range(rng.randrange(7))] + [1]
+            a, b = g, g
+            for _ in range(rng.randint(1, 6)):
+                a = mul(a, [-exactalg._ext([0, 1], F49), 1], F49)
+            for _ in range(rng.randint(1, 6)):
+                b = mul(b, [F49 - 1, 1], F49)
+            got = exactalg._up_gcd(a, b, F49)
+            assert [exactalg._coeffs(c) for c in got] == [exactalg._coeffs(c) for c in g]

@@ -17,6 +17,7 @@ from dyndeg.monomial import (
     MonomialMap,
     SingularMatrixError,
     analyze,
+    analyze_all,
     char_poly,
     degree_D,
     full_report,
@@ -28,7 +29,6 @@ from dyndeg.monomial import (
     mat_mul,
     mat_pow,
     spectral_radius_enclosure,
-    sup_norm,
     _degree_of_rows,
     _roots_strictly_inside,
 )
@@ -36,6 +36,11 @@ from dyndeg.monomial import (
 GOLDEN = (3 + math.sqrt(5)) / 2  # max root of x^2 - 3x + 1
 A21 = MonomialMap([[2, 1], [1, 1]])
 IDENT2 = MonomialMap([[1, 0], [0, 1]])
+
+
+def sup_norm(matrix):
+    """Largest absolute value of an entry, map by map."""
+    return max(abs(x) for row in matrix for x in row)
 
 
 class TestMatrixBasics:
@@ -384,26 +389,25 @@ class TestSpectralRadius:
 
 class TestNormEquivalence:
     def test_frozen_examples(self):
-        assert sup_norm(A21.matrix) == 2
-        assert verify_all(A21)
-        assert verify_all(IDENT2)
-        assert verify_all(MonomialMap([[-1, 0], [0, -1]]))
+        assert analyze(A21).sup_norm == sup_norm(A21.matrix) == 2
+        for m in (A21, IDENT2, MonomialMap([[-1, 0], [0, -1]])):
+            assert analyze(m).norm_equivalence_check()
 
     def test_random(self):
+        """The check on the stored D(A) and ||A|| holds, and those equal the
+        per-map degree_D and sup norm."""
         rng = random.Random(5150)
+        maps = []
         for _ in range(200):
             n = rng.randint(1, 5)
             while True:
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 if int_det(rows) != 0:
                     break
-            assert verify_all(MonomialMap(rows))
-
-
-def verify_all(m: MonomialMap) -> bool:
-    from dyndeg.monomial import verify_norm_equivalence
-
-    return verify_norm_equivalence(m)
+            maps.append(MonomialMap(rows))
+        for m, data in zip(maps, analyze_all(maps)):
+            assert (data.degree, data.sup_norm) == (degree_D(m), sup_norm(m.matrix))
+            assert data.norm_equivalence_check()
 
 
 class TestContractionIndex:

@@ -45,3 +45,37 @@ def test_parses_as_python_3_10(path):
 def test_newer_syntax_is_rejected(source):
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=PY310)
+
+
+def _bytes_calls_without_byteorder(tree):
+    """Line numbers of direct .to_bytes(...) and .from_bytes(...) calls that
+    give no byteorder: the argument is optional only from Python 3.11 on."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("to_bytes", "from_bytes")
+        and len(node.args) < 2
+        and not any(kw.arg in ("byteorder", None) for kw in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_byte_conversions_name_their_byteorder(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert _bytes_calls_without_byteorder(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("n.to_bytes(8)\nint.from_bytes(b'\\x01')\n", [1, 2]),
+        ("n.to_bytes(8, 'little')\nint.from_bytes(b, byteorder='big')\n", []),
+        ("n.to_bytes(length=8, signed=True)\nint.from_bytes(*args)\n", [1, 2]),
+    ],
+    ids=["bare", "with-byteorder", "keywords-or-star"],
+)
+def test_byteorder_check_reads_calls(source, lines):
+    assert _bytes_calls_without_byteorder(ast.parse(source)) == lines
